@@ -29,7 +29,7 @@ from .core import (
     parse_rational,
     save_json,
 )
-from .errors import CapacityError, MixvoteError
+from .errors import CapacityError, InvariantError, MixvoteError
 from .generate import ConstructionSpec, gen_construction, gen_random
 from .oracle import (
     EnumerationConfig,
@@ -56,6 +56,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _load_instance(path: str) -> Instance:
@@ -389,6 +390,9 @@ def dispatch(argv: list[str]) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (MixvoteError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

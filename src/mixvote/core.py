@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
+    CapacityError,
     InvalidAllocationError,
     InvalidGroupError,
     MalformedIntervalError,
@@ -234,6 +235,14 @@ class Instance:
         object.__setattr__(
             self, "good_index", {g: k for k, g in enumerate(self.goods)}
         )
+        object.__setattr__(self, "_index", None)
+
+    @property
+    def index(self) -> "InstanceIndex":
+        """The instance's integer index, built on first use and kept here."""
+        if self._index is None:
+            object.__setattr__(self, "_index", InstanceIndex(self))
+        return self._index
 
     @property
     def n(self) -> int:
@@ -291,7 +300,7 @@ def common_bundle(inst: Instance, group: Iterable[int]) -> Bundle:
 
 
 # ---------------------------------------------------------------------------
-# Atomization
+# Atoms and the instance index
 
 
 @dataclass(frozen=True)
@@ -314,14 +323,187 @@ class Atom:
         return hi - lo
 
 
-def cake_breakpoints(inst: Instance) -> list[Fraction]:
-    """Sorted endpoints of all approved intervals plus 0 and c."""
-    points = {Fraction(0), inst.cake_length}
-    for bundle in inst.agents:
-        for lo, hi in bundle.cake.intervals:
-            points.add(lo)
-            points.add(hi)
-    return sorted(points)
+DEFAULT_CLOSURE_CAP = 1 << 17
+
+
+class ClosureRow(NamedTuple):
+    """One bundle of the approval closure, in the index's integers.
+
+    ``mask`` holds the bundle's atoms and ``agents`` its approvers as
+    bitmasks; ``ell_d`` and ``size_d`` are its cake length and size times
+    the index denominator.
+    """
+
+    mask: int
+    agents: int
+    approvers: tuple[int, ...]
+    m_star: int
+    ell_d: int
+    size_d: int
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _runs(mask: int) -> list[tuple[int, int]]:
+    """Maximal runs [a, b) of consecutive set bits, lowest first."""
+    out: list[tuple[int, int]] = []
+    for j in _bits(mask):
+        if out and out[-1][1] == j:
+            out[-1] = (out[-1][0], j + 1)
+        else:
+            out.append((j, j + 1))
+    return out
+
+
+class InstanceIndex:
+    """Integer view of one instance, built once per ``Instance``.
+
+    Atoms are the goods in instance order (bits ``0..m-1``) followed by the
+    cake cells between consecutive breakpoints (bit ``m + j`` for the cell
+    ``[points[j], points[j+1]]``); every approval is a union of atoms, so
+    each agent's approval is an int bitmask and a common bundle is the AND
+    of its members' masks.  Lengths are kept as ints at one common
+    denominator ``D``, the lcm of the denominators of ``c``, of every
+    breakpoint and of ``alpha/n``; an int at a common denominator is still
+    an exact rational.  The approval closure is built on first request and
+    kept; a build that fails is not kept.
+    """
+
+    def __init__(self, inst: Instance):
+        endpoints = {Fraction(0), inst.cake_length}
+        for bundle in inst.agents:
+            for lo, hi in bundle.cake.intervals:
+                endpoints.update((lo, hi))
+        points = sorted(endpoints)
+        where = {p: j for j, p in enumerate(points)}
+        share = inst.alpha / inst.n
+        self.goods = inst.goods
+        self.points = points
+        self.denominator = math.lcm(share.denominator, *(p.denominator for p in points))
+        self.share_d = (share * self.denominator).numerator
+        self.points_d = [(p * self.denominator).numerator for p in points]
+        m = inst.m
+        good_approvers: list[list[int]] = [[] for _ in range(m)]
+        starts: list[list[int]] = [[] for _ in points]
+        ends: list[list[int]] = [[] for _ in points]
+        masks = []
+        for i, bundle in enumerate(inst.agents):
+            mask = 0
+            for g in bundle.goods:
+                k = inst.good_index[g]
+                good_approvers[k].append(i)
+                mask |= 1 << k
+            for lo, hi in bundle.cake.intervals:
+                a, b = where[lo], where[hi]
+                starts[a].append(i)
+                ends[b].append(i)
+                mask |= ((1 << b) - (1 << a)) << m
+            masks.append(mask)
+        self.masks = masks
+        self.good_approvers = [frozenset(a) for a in good_approvers]
+        # sweep: the approvers of cell j are the agents whose interval
+        # started at or before points[j] and ends after it
+        active: set[int] = set()
+        cells = []
+        for j in range(len(points) - 1):
+            active.difference_update(ends[j])
+            active.update(starts[j])
+            cells.append(frozenset(active))
+        self.cells = cells
+        self.distinct_approvals = len(set(masks))
+        self._closure: list[ClosureRow] | None = None
+
+    def closure(
+        self,
+        max_size: int = DEFAULT_CLOSURE_CAP,
+        pool: Iterable[int] | None = None,
+    ) -> list[ClosureRow]:
+        """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
+        order.  Raises CapacityError when the closure has more than
+        ``max(max_size, distinct approvals in the pool)`` bundles; the
+        full-pool closure is kept for later calls."""
+        if pool is not None:
+            return self._build(sorted(set(pool)), max_size)
+        if self._closure is None:
+            self._closure = self._build(range(len(self.masks)), max_size)
+        elif len(self._closure) > max(max_size, self.distinct_approvals):
+            raise CapacityError(f"approval closure exceeds {max_size} bundles")
+        return self._closure
+
+    def _build(self, pool: Sequence[int], max_size: int) -> list[ClosureRow]:
+        masks = self.masks
+        approvals = list(dict.fromkeys(masks[i] for i in pool))
+        seen = set(approvals)
+        worklist = list(approvals)
+        while worklist:
+            current = worklist.pop()
+            for a in approvals:
+                cut = current & a
+                if cut not in seen:
+                    if len(seen) >= max_size:
+                        raise CapacityError(
+                            f"approval closure exceeds {max_size} bundles"
+                        )
+                    seen.add(cut)
+                    worklist.append(cut)
+        m = len(self.goods)
+        goods_part = (1 << m) - 1
+        pts = self.points_d
+        keyed = []
+        for mask in seen:
+            goods = tuple(self.goods[k] for k in _bits(mask & goods_part))
+            runs = tuple(_runs(mask >> m))
+            keyed.append(((goods, runs), mask, len(goods), sum(pts[b] - pts[a] for a, b in runs)))
+        keyed.sort()
+        rows = []
+        for _, mask, m_star, ell_d in keyed:
+            approvers = tuple(i for i in pool if masks[i] & mask == mask)
+            rows.append(ClosureRow(
+                mask=mask,
+                agents=sum(1 << i for i in approvers),
+                approvers=approvers,
+                m_star=m_star,
+                ell_d=ell_d,
+                size_d=m_star * self.denominator + ell_d,
+            ))
+        return rows
+
+    def bundle(self, row: ClosureRow) -> Bundle:
+        m = len(self.goods)
+        goods = frozenset(self.goods[k] for k in _bits(row.mask & ((1 << m) - 1)))
+        cake = tuple((self.points[a], self.points[b]) for a, b in _runs(row.mask >> m))
+        return Bundle(IntervalSet(cake), goods)
+
+
+def approval_closure(
+    inst: Instance,
+    agents: frozenset[int] | None = None,
+    max_size: int = DEFAULT_CLOSURE_CAP,
+) -> list[tuple[Bundle, frozenset[int]]]:
+    """All distinct common bundles of nonempty agent groups, with approver sets.
+
+    The returned list contains, for every nonempty X within ``agents``, the
+    bundle intersection of X's approvals, deduplicated, each paired with the
+    full set of agents in ``agents`` whose approval contains it, in
+    ``Bundle.key`` order.  Raises CapacityError if the closure has more
+    than ``max(max_size, distinct approvals)`` bundles.  The bundles are
+    read from the instance index (``InstanceIndex.closure``), which computes
+    the closure once as a fixpoint of AND over approval bitmasks; each call
+    returns a fresh list.
+    """
+    index = inst.index
+    return [
+        (index.bundle(row), frozenset(row.approvers))
+        for row in index.closure(max_size, agents)
+    ]
 
 
 def atomize(
@@ -333,24 +515,22 @@ def atomize(
 
     Cake atoms partition ``remaining_cake`` at the agents' approval
     endpoints; good atoms carry their approver sets. Goods come first
-    (in instance order), then cake atoms from left to right.
+    (in instance order), then cake atoms from left to right.  A cake atom
+    takes its approvers from the index cell that encloses it (none outside
+    the cake).
     """
-    atoms: list[Atom] = []
-    for g in inst.sorted_goods(remaining_goods):
-        approvers = frozenset(i for i, b in enumerate(inst.agents) if g in b.goods)
-        atoms.append(Atom(approvers=approvers, good=g))
-    if not remaining_cake.is_empty:
-        points = cake_breakpoints(inst)
-        for lo, hi in remaining_cake.intervals:
-            cuts = [lo] + [p for p in points if lo < p < hi] + [hi]
-            for a, b in zip(cuts, cuts[1:]):
-                mid = (a + b) / 2
-                approvers = frozenset(
-                    i
-                    for i, bun in enumerate(inst.agents)
-                    if bun.cake.contains_point(mid)
-                )
-                atoms.append(Atom(approvers=approvers, interval=(a, b)))
+    index = inst.index
+    atoms = [
+        Atom(approvers=index.good_approvers[inst.good_index[g]], good=g)
+        for g in inst.sorted_goods(remaining_goods)
+    ]
+    points, cells = index.points, index.cells
+    for lo, hi in remaining_cake.intervals:
+        first, last = bisect_right(points, lo), bisect_left(points, hi)
+        cuts = [lo, *points[first:last], hi]
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:]), first - 1):
+            approvers = cells[j] if 0 <= j < len(cells) else frozenset()
+            atoms.append(Atom(approvers=approvers, interval=(a, b)))
     return atoms
 
 
@@ -415,60 +595,7 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-@lru_cache(maxsize=1024)
-def approval_closure(
-    inst: Instance,
-    agents: frozenset[int] | None = None,
-    max_size: int = 1 << 17,
-) -> list[tuple[Bundle, frozenset[int]]]:
-    """All distinct common bundles of nonempty agent groups, with approver sets.
-
-    The returned list contains, for every nonempty X within ``agents``, the
-    bundle intersection of X's approvals, deduplicated, each paired with the
-    full set of agents whose approval contains it.  Raises CapacityError if
-    the closure would exceed ``max_size`` bundles.  Cached per instance:
-    callers must treat the result as read-only.
-    """
-    from .errors import CapacityError
-
-    pool = sorted(range(inst.n) if agents is None else agents)
-    approvals = [inst.agents[i] for i in pool]
-    seen: dict[tuple, Bundle] = {}
-    worklist: list[Bundle] = []
-    for b in approvals:
-        k = b.key(inst.good_index)
-        if k not in seen:
-            seen[k] = b
-            worklist.append(b)
-    while worklist:
-        current = worklist.pop()
-        for b in approvals:
-            cut = current.intersect(b)
-            k = cut.key(inst.good_index)
-            if k not in seen:
-                if len(seen) >= max_size:
-                    raise CapacityError(
-                        f"approval closure exceeds {max_size} bundles"
-                    )
-                seen[k] = cut
-                worklist.append(cut)
-    out: list[tuple[Bundle, frozenset[int]]] = []
-    for k in sorted(seen):
-        bundle = seen[k]
-        approvers = frozenset(i for i in pool if inst.agents[i].contains(bundle))
-        out.append((bundle, approvers))
-    return out
-
-
 def instance_digest(inst: Instance) -> str:
     """Digest of the canonical serialization; stable under key reordering."""
     blob = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def floor_fraction(x: Fraction) -> int:
-    return math.floor(x)
-
-
-def ceil_fraction(x: Fraction) -> int:
-    return math.ceil(x)

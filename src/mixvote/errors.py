@@ -35,3 +35,7 @@ class ConstructionParameterError(MixvoteError, ValueError):
 
 class ScriptError(MixvoteError, ValueError):
     """A scripted tie-break step is invalid for the current round."""
+
+
+class InvariantError(MixvoteError):
+    """An internal invariant failed: a library fault, not a usage error."""

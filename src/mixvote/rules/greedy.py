@@ -15,13 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..core import (
+    DEFAULT_CLOSURE_CAP,
     Bundle,
     EMPTY_BUNDLE,
     Instance,
-    approval_closure,
     common_bundle,
 )
-from ..errors import CapacityError, ScriptError
+from ..errors import CapacityError, InvariantError, ScriptError
 
 DEFAULT_AGENT_CAP = 20
 
@@ -31,16 +31,26 @@ def achievable_exact_size(m_star: int, ell_star: Fraction, cap: Fraction) -> Fra
     cake length ``ell_star``, subject to ``t <= cap``.
 
     The achievable sizes form the union of [j, j + ell_star] over integer
-    j = 0..m_star; the maximum at or below the cap is closed-form.
-    Returns 0 when no positive size is achievable.
+    j = 0..m_star; the maximum at or below the cap is closed-form
+    (``exact_size``).  Returns 0 when no positive size is achievable.
     """
     if m_star < 0 or ell_star < 0:
         raise ValueError("m_star and ell_star must be nonnegative")
-    ub = min(Fraction(cap), m_star + Fraction(ell_star))
+    ell_star, cap = Fraction(ell_star), Fraction(cap)
+    unit = math.lcm(ell_star.denominator, cap.denominator)
+    t = exact_size(m_star, int(ell_star * unit), int(cap * unit), unit)
+    return Fraction(t, unit)
+
+
+def exact_size(m_star: int, ell: int, cap: int, unit: int) -> int:
+    """``achievable_exact_size`` on ints: ``ell`` and ``cap`` (and the
+    result) are numerators over the denominator ``unit``.  The largest
+    achievable size at or below the cap is the smaller of the upper bound
+    ub = min(cap, m_star + ell) and j + ell, for j = min(m_star, floor(ub))."""
+    ub = min(cap, m_star * unit + ell)
     if ub <= 0:
-        return Fraction(0)
-    j = min(m_star, math.floor(ub))
-    return min(ub, j + Fraction(ell_star))
+        return 0
+    return min(ub, min(m_star, ub // unit) * unit + ell)
 
 
 @dataclass(frozen=True)
@@ -139,32 +149,52 @@ def greedy_ejr_m(
             f"(instance has {inst.n}); pass force=True to override"
         )
     policy = tie_breaker or DefaultTieBreaker()
+    index = inst.index
+    unit = index.denominator
+    rows = index.closure(DEFAULT_CLOSURE_CAP)
     remaining = frozenset(range(inst.n))
     allocation = EMPTY_BUNDLE
     rounds: list[GreedyRound] = []
     prev_t: Fraction | None = None
     while remaining:
-        best_t = Fraction(0)
-        achieving: dict[frozenset[int], None] = {}
-        for bundle, approvers in approval_closure(inst, remaining):
-            cap = Fraction(len(approvers)) * inst.alpha / inst.n
-            t = achievable_exact_size(
-                len(bundle.goods), bundle.cake.measure(), cap
-            )
+        # The closure of the remaining pool is the full closure filtered by
+        # approvers & remaining: each pool group's common bundle is the
+        # largest row with that filtered approver set, and smaller rows with
+        # the same set reach no larger t.  Groups are ordered by the
+        # position of that largest row, as in the pool closure's key order.
+        pool = sum(1 << i for i in remaining)
+        best_t = 0
+        achieving: dict[int, tuple[int, int]] = {}  # group mask -> (size_d, row position)
+        for pos, row in enumerate(rows):
+            group = row.agents & pool
+            if not group:
+                continue
+            t = exact_size(row.m_star, row.ell_d, group.bit_count() * index.share_d, unit)
             if t > best_t:
                 best_t = t
-                achieving = {approvers: None}
+                achieving = {group: (row.size_d, pos)}
             elif t == best_t and t > 0:
-                achieving[approvers] = None
+                prior = achieving.get(group)
+                if prior is None or prior[0] < row.size_d:
+                    achieving[group] = (row.size_d, pos)
         if best_t == 0:
             # every leftover group is only 0-cohesive; nothing more to add
             rounds.append(GreedyRound(Fraction(0), remaining, EMPTY_BUNDLE))
             break
-        group, witness = policy.choose(inst, remaining, best_t, list(achieving))
-        assert prev_t is None or best_t <= prev_t, "round sizes must not increase"
-        prev_t = best_t
+        t_star = Fraction(best_t, unit)
+        groups = [
+            frozenset(i for i in range(inst.n) if group >> i & 1)
+            for group in sorted(achieving, key=lambda g: achieving[g][1])
+        ]
+        group, witness = policy.choose(inst, remaining, t_star, groups)
+        if prev_t is not None and t_star > prev_t:
+            raise InvariantError(f"round size {t_star} exceeds the previous round's {prev_t}")
+        prev_t = t_star
         allocation = allocation.union(witness)
-        rounds.append(GreedyRound(best_t, group, witness))
+        rounds.append(GreedyRound(t_star, group, witness))
         remaining = remaining - group
-    assert allocation.size() <= inst.alpha, "greedy exceeded the size budget"
+    if allocation.size() > inst.alpha:
+        raise InvariantError(
+            f"greedy allocation size {allocation.size()} exceeds alpha {inst.alpha}"
+        )
     return allocation, GreedyTrace(tuple(rounds))

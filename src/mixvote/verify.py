@@ -8,6 +8,13 @@ group size k, the hardest group consists of the k approvers of B with the
 lowest utilities.  Enumerating (B, k) over the intersection closure of the
 approval bundles is therefore exhaustive, and every reported witness
 re-validates against the raw definition.
+
+The closure comes from the instance index (``Instance.index``), whose rows
+carry each bundle's goods count, cake length and size as ints at the
+index denominator D.  A scan puts the utilities (and beta) on one common
+denominator, the lcm of D and theirs, derives each tier's threshold from
+the row ints, and compares ints; ints at a common denominator are still
+exact rationals, and witnesses are converted back to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,19 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
+    DEFAULT_CLOSURE_CAP,
     Bundle,
+    ClosureRow,
     Instance,
-    approval_closure,
+    InstanceIndex,
     format_rational,
     utilities,
 )
 from .errors import DomainError, UnsupportedInstanceError
-from .rules.greedy import achievable_exact_size
-
-DEFAULT_CLOSURE_CAP = 1 << 17
+from .rules.greedy import exact_size
 
 
 @dataclass(frozen=True)
@@ -69,22 +76,36 @@ class AxiomReport:
         return data
 
 
-def _profile_tiers(
-    inst: Instance,
-    utils: list[Fraction] | None,
-    max_closure: int,
-):
-    """Yield (bundle, sorted approver list, cumulative utility sums).
+def _ranks(values: list) -> list[int]:
+    """Each agent's position when agents are sorted by (value, index)."""
+    rank = [0] * len(values)
+    for r, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        rank[i] = r
+    return rank
 
-    Approvers are sorted worst-utility-first (ties by index), so the k-th
-    prefix is the hardest group of size k for that bundle.
+
+def _on_common_denominator(index: InstanceIndex, values: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the index denominator and the values' denominators, and
+    the values as numerators over it."""
+    unit = math.lcm(index.denominator, *(x.denominator for x in values))
+    return unit, [x.numerator * (unit // x.denominator) for x in values]
+
+
+def _profile_tiers(
+    index: InstanceIndex,
+    rank: list[int],
+    max_closure: int,
+) -> Iterator[tuple[ClosureRow, list[int]]]:
+    """Yield (closure row, approvers sorted by rank) for every row of
+    positive size.
+
+    Ranks order agents worst-utility-first (ties by index), so the k-th
+    prefix is the hardest group of size k for that bundle.  Callers derive
+    each tier's threshold from the row ints.
     """
-    utils = utils if utils is not None else [Fraction(0)] * inst.n
-    for bundle, approvers in approval_closure(inst, max_size=max_closure):
-        if bundle.size() <= 0 or not approvers:
-            continue
-        members = sorted(approvers, key=lambda i: (utils[i], i))
-        yield bundle, members
+    for row in index.closure(max_closure):
+        if row.size_d > 0:
+            yield row, sorted(row.approvers, key=rank.__getitem__)
 
 
 def cohesive_profiles(
@@ -98,22 +119,18 @@ def cohesive_profiles(
         if allocation is not None
         else [Fraction(0)] * inst.n
     )
+    index = inst.index
+    unit = index.denominator
     profiles = []
-    for bundle, members in _profile_tiers(inst, utils, max_closure):
-        size = bundle.size()
-        m_star = len(bundle.goods)
-        ell = bundle.cake.measure()
+    for row, members in _profile_tiers(index, _ranks(utils), max_closure):
         for k in range(1, len(members) + 1):
-            cap = Fraction(k) * inst.alpha / inst.n
-            t_sup = min(cap, size)
-            if t_sup <= 0:
-                continue
+            cap = k * index.share_d
             group = tuple(sorted(members[:k]))
             profiles.append(
                 CohesiveProfile(
                     group=group,
-                    t_cohesive_sup=t_sup,
-                    t_exact_max=achievable_exact_size(m_star, ell, cap),
+                    t_cohesive_sup=Fraction(min(cap, row.size_d), unit),
+                    t_exact_max=Fraction(exact_size(row.m_star, row.ell_d, cap, unit), unit),
                     group_utilities=tuple(sorted(utils[i] for i in group)),
                 )
             )
@@ -124,42 +141,48 @@ def _scan(
     inst: Instance,
     allocation: Bundle,
     axiom: str,
-    threshold_of: Callable[[Bundle, Fraction], Fraction | None],
-    satisfied: Callable[[Fraction, Fraction], bool],
     max_closure: int,
+    exact: bool,
+    beta: Fraction = Fraction(0),
+    strict: bool = False,
 ) -> AxiomReport:
     """Shared sup-threshold scan over (bundle, k) tiers.
 
-    ``threshold_of(bundle, cap)`` maps a tier to the decisive t (None skips
-    the tier); ``satisfied(max_utility, t)`` is the definitional test.  The
-    reported witness is the most violated tier (ties: smaller t, then
-    lexicographically smaller group).
+    A tier's threshold t is the largest exact-witness size below the cap
+    k*alpha/n (``exact``) or the cohesive supremum min(k*alpha/n, size);
+    the tier holds when its best-off member gets more than (``strict``) or
+    at least t - beta.  The reported witness is the most violated tier
+    (ties: smaller t, then lexicographically smaller group).
     """
     inst.validate_allocation(allocation)
     utils = utilities(inst, allocation)
+    index = inst.index
+    unit, u = _on_common_denominator(index, utils + [beta])
+    # a member fails a tier when its utility is at most t - off
+    off = u.pop() + (0 if strict else 1)
+    scale = unit // index.denominator
+    share = index.share_d * scale
+    # ((-violation, t), group, agent with the group's max utility); smallest wins
     worst: tuple | None = None
-    witness: Witness | None = None
-    for bundle, members in _profile_tiers(inst, utils, max_closure):
-        running_max = Fraction(0)
-        for k in range(1, len(members) + 1):
-            running_max = max(running_max, utils[members[k - 1]])
-            cap = Fraction(k) * inst.alpha / inst.n
-            t = threshold_of(bundle, cap)
-            if t is None or t <= 0:
+    for row, members in _profile_tiers(index, _ranks(u), max_closure):
+        size, ell = row.size_d * scale, row.ell_d * scale
+        for k, i in enumerate(members, 1):
+            t = min(k * share, size)
+            if exact:
+                t = exact_size(row.m_star, ell, t, unit)
+            if t <= 0 or u[i] > t - off:
                 continue
-            if satisfied(running_max, t):
+            head = (u[i] - t, t)
+            if worst is not None and head > worst[0]:
                 continue
-            violation = t - running_max
-            group = tuple(sorted(members[:k]))
-            rank = (-violation, t, group)
-            if worst is None or rank < worst:
-                worst = rank
-                witness = Witness(
-                    group=group,
-                    t=t,
-                    threshold=t,
-                    max_utility=running_max,
-                )
+            candidate = (head, tuple(sorted(members[:k])), i)
+            if worst is None or candidate < worst:
+                worst = candidate
+    witness = None
+    if worst is not None:
+        (_, t), group, i = worst
+        t = Fraction(t, unit)
+        witness = Witness(group=group, t=t, threshold=t - beta, max_utility=utils[i])
     return AxiomReport(axiom=axiom, passed=witness is None, witness=witness)
 
 
@@ -171,20 +194,7 @@ def verify_ejr_m(
     """Exact-witness representation: every group that is t-cohesive with a
     commonly approved sub-bundle of size exactly t must contain a member
     with utility at least t."""
-
-    def threshold(bundle: Bundle, cap: Fraction) -> Fraction:
-        return achievable_exact_size(
-            len(bundle.goods), bundle.cake.measure(), cap
-        )
-
-    return _scan(
-        inst,
-        allocation,
-        "ejr-m",
-        threshold,
-        lambda max_u, t: max_u >= t,
-        max_closure,
-    )
+    return _scan(inst, allocation, "ejr-m", max_closure, exact=True)
 
 
 def verify_ejr_beta(
@@ -201,23 +211,15 @@ def verify_ejr_beta(
         raise DomainError("beta must be nonnegative")
     if mode not in ("strict", "weak"):
         raise DomainError(f"unknown mode {mode!r}")
-
-    def threshold(bundle: Bundle, cap: Fraction) -> Fraction:
-        return min(cap, bundle.size())
-
-    if mode == "strict":
-        ok = lambda max_u, t: max_u > t - beta
-    else:
-        ok = lambda max_u, t: max_u >= t - beta
-    report = _scan(inst, allocation, f"ejr-beta[{beta},{mode}]", threshold, ok, max_closure)
-    if report.witness is not None:
-        w = report.witness
-        report = AxiomReport(
-            axiom=report.axiom,
-            passed=False,
-            witness=Witness(w.group, w.t, w.t - beta, w.max_utility),
-        )
-    return report
+    return _scan(
+        inst,
+        allocation,
+        f"ejr-beta[{beta},{mode}]",
+        max_closure,
+        exact=False,
+        beta=beta,
+        strict=mode == "strict",
+    )
 
 
 def verify_ejr_1(
@@ -338,21 +340,29 @@ def audit_degree(
         name, f = getattr(bound, "__name__", "custom"), bound
     inst.validate_allocation(allocation)
     utils = utilities(inst, allocation)
+    index = inst.index
+    unit, u = _on_common_denominator(index, utils)
+    scale = unit // index.denominator
+    share = index.share_d * scale
+    bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
-    for bundle, members in _profile_tiers(inst, utils, max_closure):
-        size = bundle.size()
-        running_sum = Fraction(0)
-        for k in range(1, len(members) + 1):
-            running_sum += utils[members[k - 1]]
-            t = min(Fraction(k) * inst.alpha / inst.n, size)
-            if t < t_min:
+    for row, members in _profile_tiers(index, _ranks(u), max_closure):
+        size = row.size_d * scale
+        running_sum = 0
+        for k, i in enumerate(members, 1):
+            running_sum += u[i]
+            t = min(k * share, size)
+            if t not in bounds:
+                t_frac = Fraction(t, unit)
+                bounds[t] = None if t_frac < t_min else (t_frac, f(t_frac))
+            if bounds[t] is None:
                 continue
-            avg = running_sum / k
-            val = f(t)
+            t_frac, val = bounds[t]
+            avg = Fraction(running_sum, unit * k)
             entry = DegreeEntry(
                 group=tuple(sorted(members[:k])),
-                t=t,
+                t=t_frac,
                 average=avg,
                 bound=val,
                 slack=avg - val,

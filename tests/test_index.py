@@ -1,0 +1,408 @@
+"""The per-instance integer index: differential tests against naive
+Fraction references, index lifetime, capacity semantics, and the greedy
+invariants that must hold under ``python -O``."""
+
+import gc
+import itertools
+import os
+import subprocess
+import sys
+import weakref
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mixvote import (
+    Atom,
+    Bundle,
+    Instance,
+    approval_closure,
+    atomize,
+    audit_degree,
+    cohesive_profiles,
+    greedy_ejr_m,
+    normalize,
+    verify_cake_ejr,
+    verify_ejr_1,
+    verify_ejr_beta,
+    verify_ejr_m,
+)
+from mixvote.cli import EXIT_INTERNAL, dispatch
+from mixvote.core import instance_from_dict, instance_to_dict, save_json, utilities
+from mixvote.errors import CapacityError, InvariantError
+from mixvote.oracle import EnumerationConfig, enumerate_allocations
+from mixvote.rules import greedy
+from mixvote.verify import DEGREE_BOUNDS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BIG_PRIME = 10**9 + 7
+
+# ---------------------------------------------------------------------------
+# Naive references, written from the definitions
+
+
+def naive_closure(inst, pool=None):
+    pool = sorted(range(inst.n) if pool is None else pool)
+    closed = {inst.agents[i] for i in pool}
+    while True:
+        new = {a.intersect(b) for a in closed for b in closed} - closed
+        if not new:
+            break
+        closed |= new
+    rows = [
+        (b, frozenset(i for i in pool if inst.agents[i].contains(b)))
+        for b in closed
+    ]
+    return sorted(rows, key=lambda row: row[0].key(inst.good_index))
+
+
+def naive_atomize(inst, cake, goods):
+    atoms = [
+        Atom(frozenset(i for i, b in enumerate(inst.agents) if g in b.goods), good=g)
+        for g in inst.sorted_goods(goods)
+    ]
+    points = sorted(
+        {F(0), inst.cake_length}
+        | {p for b in inst.agents for iv in b.cake.intervals for p in iv}
+    )
+    for lo, hi in cake.intervals:
+        cuts = [lo] + [p for p in points if lo < p < hi] + [hi]
+        for a, b in zip(cuts, cuts[1:]):
+            mid = (a + b) / 2
+            approvers = frozenset(
+                i for i, bun in enumerate(inst.agents) if bun.cake.contains_point(mid)
+            )
+            atoms.append(Atom(approvers, interval=(a, b)))
+    return atoms
+
+
+def exact_size_ref(m_star, ell, cap):
+    ub = min(cap, m_star + ell)
+    if ub <= 0:
+        return F(0)
+    return min(ub, min(m_star, ub.__floor__()) + ell)
+
+
+def naive_tiers(inst, utils):
+    """(bundle, approvers sorted worst-utility-first) per positive closure bundle."""
+    for bundle, approvers in naive_closure(inst):
+        if bundle.size() > 0:
+            yield bundle, sorted(approvers, key=lambda i: (utils[i], i))
+
+
+def naive_scan(inst, allocation, exact, beta=F(0), strict=False):
+    """Most violated tier as (group, t, threshold, max utility), or None."""
+    utils = utilities(inst, allocation)
+    worst = None
+    for bundle, members in naive_tiers(inst, utils):
+        for k in range(1, len(members) + 1):
+            cap = F(k) * inst.alpha / inst.n
+            if exact:
+                t = exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap)
+            else:
+                t = min(cap, bundle.size())
+            max_u = max(utils[i] for i in members[:k])
+            ok = max_u > t - beta if strict else max_u >= t - beta
+            if t <= 0 or ok:
+                continue
+            rank = (max_u - t, t, tuple(sorted(members[:k])))
+            if worst is None or rank < worst[0]:
+                worst = (rank, (rank[2], t, t - beta, max_u))
+    return None if worst is None else worst[1]
+
+
+def naive_audit(inst, allocation, f, t_min=F(1)):
+    utils = utilities(inst, allocation)
+    entries = []
+    for bundle, members in naive_tiers(inst, utils):
+        for k in range(1, len(members) + 1):
+            t = min(F(k) * inst.alpha / inst.n, bundle.size())
+            if t < t_min:
+                continue
+            avg = sum((utils[i] for i in members[:k]), F(0)) / k
+            entries.append((tuple(sorted(members[:k])), t, avg, f(t), avg - f(t)))
+    best = min(entries, key=lambda e: (e[4], e[1], e[0]), default=None)
+    return entries, best
+
+
+def naive_profiles(inst, allocation=None):
+    utils = utilities(inst, allocation) if allocation is not None else [F(0)] * inst.n
+    out = []
+    for bundle, members in naive_tiers(inst, utils):
+        for k in range(1, len(members) + 1):
+            cap = F(k) * inst.alpha / inst.n
+            group = tuple(sorted(members[:k]))
+            out.append((
+                group,
+                min(cap, bundle.size()),
+                exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap),
+                tuple(sorted(utils[i] for i in group)),
+            ))
+    return out
+
+
+def witness_tuple(report):
+    w = report.witness
+    return None if w is None else (w.group, w.t, w.threshold, w.max_utility)
+
+
+# ---------------------------------------------------------------------------
+# Instance strategy: empty approvals, duplicated agents, alpha = c + m, and
+# endpoints with large prime denominators
+
+
+@st.composite
+def instances(draw, max_agents=5):
+    m = draw(st.integers(0, 3))
+    goods = tuple(f"g{k}" for k in range(m))
+    denominator = draw(st.sampled_from([1, 3, 7, BIG_PRIME]))
+    c = draw(st.sampled_from([F(0), F(1), F(9, 10), F(BIG_PRIME - 1, BIG_PRIME)]))
+    if c == 0 and m == 0:
+        c = F(1)
+    grid = sorted({c * F(k, denominator) for k in range(min(denominator, 6) + 1)} | {c})
+
+    def approval():
+        picked = draw(st.lists(st.sampled_from(grid), max_size=4))
+        ends = sorted(picked)
+        cake = normalize(list(zip(ends[::2], ends[1::2]))) if c > 0 else normalize([])
+        chosen = draw(st.sets(st.sampled_from(goods))) if goods else set()
+        return Bundle(cake=cake, goods=frozenset(chosen))
+
+    agents = [approval() for _ in range(draw(st.integers(1, max_agents)))]
+    for _ in range(draw(st.integers(0, 2))):
+        agents.append(agents[draw(st.integers(0, len(agents) - 1))])
+    total = c + m
+    alpha = draw(st.sampled_from([total, total / 2, total / 3, F(1, BIG_PRIME) * total]))
+    return Instance(cake_length=c, goods=goods, agents=tuple(agents), alpha=alpha)
+
+
+@st.composite
+def partial_cakes(draw, inst):
+    c = inst.cake_length
+    if c == 0:
+        return normalize([])
+    ends = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=BIG_PRIME), max_size=6)))
+    return normalize([(c * lo, c * hi) for lo, hi in zip(ends[::2], ends[1::2])])
+
+
+def allocations(inst):
+    """The greedy output plus grid-3 enumerations, whose cake denominators
+    need not divide the index denominator."""
+    cfg = EnumerationConfig(cake_grid=3, max_candidates=1 << 16)
+    yield greedy_ejr_m(inst, force=True)[0]
+    yield from itertools.islice(enumerate_allocations(inst, cfg), 6)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+
+@given(instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_closure_matches_pairwise_fixpoint(inst, data):
+    assert approval_closure(inst) == naive_closure(inst)
+    pool = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+    assert approval_closure(inst, frozenset(pool)) == naive_closure(inst, pool)
+
+
+@given(instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_atomize_matches_midpoint_scan(inst, data):
+    assert atomize(inst, inst.full_cake(), inst.goods) == naive_atomize(
+        inst, inst.full_cake(), inst.goods
+    )
+    cake = data.draw(partial_cakes(inst))
+    goods = data.draw(st.sets(st.sampled_from(inst.goods))) if inst.goods else ()
+    assert atomize(inst, cake, goods) == naive_atomize(inst, cake, goods)
+
+
+@given(instances(max_agents=4))
+@settings(max_examples=40, deadline=None)
+def test_verifiers_match_fraction_scan(inst):
+    margin_beta = 1 + F(1e-6)
+    for alloc in allocations(inst):
+        assert witness_tuple(verify_ejr_m(inst, alloc)) == naive_scan(inst, alloc, True)
+        assert witness_tuple(verify_ejr_1(inst, alloc)) == naive_scan(
+            inst, alloc, False, F(1), True
+        )
+        assert witness_tuple(verify_ejr_1(inst, alloc, margin=1e-6)) == naive_scan(
+            inst, alloc, False, margin_beta, True
+        )
+        for beta, mode in ((F(7, 5), "strict"), (F(7, 5), "weak"), (F(0), "weak")):
+            report = verify_ejr_beta(inst, alloc, beta, mode)
+            assert witness_tuple(report) == naive_scan(
+                inst, alloc, False, beta, mode == "strict"
+            )
+        if inst.m == 0:
+            assert witness_tuple(verify_cake_ejr(inst, alloc)) == naive_scan(inst, alloc, True)
+
+
+@given(instances(max_agents=4))
+@settings(max_examples=40, deadline=None)
+def test_audit_and_profiles_match_fraction_scan(inst):
+    assert [
+        (p.group, p.t_cohesive_sup, p.t_exact_max, p.group_utilities)
+        for p in cohesive_profiles(inst)
+    ] == naive_profiles(inst)
+    for alloc in allocations(inst):
+        assert [
+            (p.group, p.t_cohesive_sup, p.t_exact_max, p.group_utilities)
+            for p in cohesive_profiles(inst, alloc)
+        ] == naive_profiles(inst, alloc)
+        for name, f in DEGREE_BOUNDS.items():
+            for t_min in (F(1), F(1, 3)):
+                report = audit_degree(inst, alloc, name, t_min=t_min)
+                entries, best = naive_audit(inst, alloc, f, t_min)
+                assert [
+                    (e.group, e.t, e.average, e.bound, e.slack) for e in report.entries
+                ] == entries
+                got = report.witness
+                assert (got and (got.group, got.t, got.average, got.bound, got.slack)) == best
+
+
+class RecordingTieBreaker(greedy.DefaultTieBreaker):
+    def __init__(self):
+        self.calls = []
+
+    def choose(self, inst, remaining, t_star, achieving_groups):
+        self.calls.append((remaining, t_star, achieving_groups))
+        return super().choose(inst, remaining, t_star, achieving_groups)
+
+
+def naive_round(inst, remaining):
+    """Best t and its achieving groups, in the remaining pool's closure order."""
+    best, groups = F(0), []
+    for bundle, approvers in naive_closure(inst, remaining):
+        cap = F(len(approvers)) * inst.alpha / inst.n
+        t = exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap)
+        if t > best:
+            best, groups = t, [approvers]
+        elif t == best and t > 0:
+            groups.append(approvers)
+    return best, groups
+
+
+# In its second round, groups {1} and {2} first appear in the full closure
+# in the opposite order to their bundles in the remaining pool's closure.
+ORDER_CASE = instance_from_dict({
+    "cake_length": "2",
+    "goods": ["g1", "g2", "g3"],
+    "alpha": "15/4",
+    "agents": [
+        {"goods": ["g2"], "cake": [["0", "25/16"]]},
+        {"goods": ["g1"], "cake": [["0", "5/16"], ["1", "25/16"]]},
+        {"goods": [], "cake": [["0", "5/16"], ["25/16", "2"]]},
+        {"goods": ["g2"], "cake": [["25/16", "2"]]},
+        {"goods": ["g3"], "cake": [["5/16", "1"], ["25/16", "2"]]},
+    ],
+})
+
+
+@given(instances())
+@example(ORDER_CASE)
+@settings(max_examples=60, deadline=None)
+def test_greedy_rounds_match_pool_closure(inst):
+    policy = RecordingTieBreaker()
+    greedy_ejr_m(inst, tie_breaker=policy)
+    for remaining, t_star, groups in policy.calls:
+        assert (t_star, groups) == naive_round(inst, remaining)
+
+
+# ---------------------------------------------------------------------------
+# Lifetime and capacity
+
+
+def test_equal_instances_do_not_share_an_index(fig1):
+    twin = instance_from_dict(instance_to_dict(fig1))
+    assert twin == fig1
+    assert twin.index is not fig1.index
+    assert twin.index is twin.index
+
+
+def test_index_dies_with_its_instance(fig1):
+    inst = instance_from_dict(instance_to_dict(fig1))
+    verify_ejr_m(inst, Bundle())
+    ref = weakref.ref(inst.index)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+def test_capacity_error_after_default_build(fig1):
+    # fig1's closure has 3 bundles from 2 distinct approvals
+    verify_ejr_m(fig1, Bundle())
+    with pytest.raises(CapacityError):
+        cohesive_profiles(fig1, max_closure=2)
+    assert len(cohesive_profiles(fig1, max_closure=3)) > 0
+
+
+def test_failed_build_is_not_cached(fig1):
+    with pytest.raises(CapacityError):
+        approval_closure(fig1, max_size=2)
+    assert approval_closure(fig1, max_size=3) == naive_closure(fig1)
+    with pytest.raises(CapacityError):
+        verify_ejr_m(fig1, Bundle(), max_closure=2)
+
+
+@given(instances(), st.integers(1, 12), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, built_first):
+    if built_first:
+        approval_closure(inst)
+    size = len(naive_closure(inst))
+    distinct = len(set(inst.agents))
+    if size > max(cap, distinct):
+        with pytest.raises(CapacityError):
+            approval_closure(inst, max_size=cap)
+    else:
+        assert len(approval_closure(inst, max_size=cap)) == size
+
+
+# ---------------------------------------------------------------------------
+# Greedy invariants
+
+
+OVER_BUDGET = """
+from mixvote.core import Bundle
+from mixvote.errors import InvariantError
+from mixvote.generate import gen_fig1
+from mixvote.rules import greedy
+
+assert False, "this script must run under python -O"
+
+def over_budget(self, inst, remaining, t_star, groups):
+    return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
+
+greedy.DefaultTieBreaker.choose = over_budget
+try:
+    greedy.greedy_ejr_m(gen_fig1()[0])
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def over_budget(self, inst, remaining, t_star, groups):
+    return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
+
+
+def test_budget_invariant_survives_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OVER_BUDGET],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: greedy allocation size 29/10 exceeds alpha 2")
+
+
+def test_invariant_error_maps_to_internal_exit_code(tmp_path, fig1, monkeypatch):
+    path = tmp_path / "fig1.json"
+    save_json(str(path), instance_to_dict(fig1))
+    monkeypatch.setattr(greedy.DefaultTieBreaker, "choose", over_budget)
+    with pytest.raises(InvariantError):
+        greedy_ejr_m(fig1)
+    code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", str(path)])
+    assert code == EXIT_INTERNAL
