@@ -139,7 +139,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             inst,
             eps=args.eps,
             force=args.force,
-            threads=args.threads,
             tol=args.harmonic_tol,
         )
         bundle = solution.allocation
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixvote",
         description="Collective choice over mixed divisible and indivisible goods",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker thread cap")
     parser.add_argument("--harmonic-tol", type=float, default=1e-12)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -138,7 +138,8 @@ def gpav_score(inst: Instance, allocation: Bundle, tol: float = DEFAULT_TOL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Derivatives (used by the concave cake solver; same tail technique)
+# Vectorized H and its derivatives (the derivatives feed the concave cake
+# solver; same tail technique)
 
 
 def harmonic_vec(x: np.ndarray) -> np.ndarray:
@@ -167,10 +168,6 @@ def harmonic_deriv_vec(x: np.ndarray) -> np.ndarray:
     # trigamma asymptotic; remainder below 1/(30 z^9)
     tail = inv + 0.5 * inv2 + inv2 * inv / 6.0 - inv2 * inv2 * inv / 30.0 + inv2**3 * inv / 42.0
     return partial + tail
-
-
-def harmonic_deriv(x: float) -> float:
-    return float(harmonic_deriv_vec(np.asarray([x]))[0])
 
 
 HARMONIC_DERIV_AT_ZERO = math.pi**2 / 6  # sup of H' on [0, inf)

@@ -22,6 +22,7 @@ from ..core import (
     atomize,
     normalize,
 )
+from ..errors import InvariantError
 
 _GOOD, _CAKE = 0, 1  # equal-price ties prefer goods, then leftmost cake
 
@@ -71,15 +72,21 @@ class PaymentLedger:
         )
 
     def validate(self, inst: Instance, allocation: Bundle) -> None:
+        """Raise InvariantError unless the ledger conserves money."""
         spent = self.total_paid()
-        assert spent == allocation.size(), "payments must equal the allocated size"
+        if spent != allocation.size():
+            raise InvariantError(
+                f"payments {spent} differ from the allocated size {allocation.size()}"
+            )
         for p in self.purchases:
-            assert sum(p.payments.values(), Fraction(0)) == p.cost
+            if sum(p.payments.values(), Fraction(0)) != p.cost:
+                raise InvariantError(f"payments for {p.item} differ from its cost {p.cost}")
         for i, b in self.final_budgets.items():
-            assert 0 <= b <= self.initial_budget, f"budget {i} out of range"
-        initial_total = self.initial_budget * inst.n
+            if not 0 <= b <= self.initial_budget:
+                raise InvariantError(f"budget {i} out of range: {b}")
         final_total = sum(self.final_budgets.values(), Fraction(0))
-        assert initial_total - final_total == spent
+        if self.initial_budget * inst.n - final_total != spent:
+            raise InvariantError("budgets spent differ from the payments")
 
 
 @dataclass
@@ -187,12 +194,16 @@ def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
                     heapq.heappush(heap, (key[0], _CAKE, key[1], ident))
             else:
                 del cake_atoms[ident]
-        assert last_rho is None or rho >= last_rho, "prices must not decrease"
+        if last_rho is not None and rho < last_rho:
+            raise InvariantError(f"price {rho} fell below the previous {last_rho}")
         last_rho = rho
         ledger.iterations += 1
 
     allocation = Bundle(cake=normalize(bought_cake), goods=frozenset(bought_goods))
     ledger.final_budgets = dict(budgets)
-    assert allocation.size() <= inst.alpha
+    if allocation.size() > inst.alpha:
+        raise InvariantError(
+            f"gmes allocation size {allocation.size()} exceeds alpha {inst.alpha}"
+        )
     ledger.validate(inst, allocation)
     return allocation, ledger

@@ -1,10 +1,13 @@
 """Harmonic-score maximization over mixed bundles.
 
-The outer loop enumerates goods subsets exactly; for each subset the cake
-part is a concave maximization over atom lengths, solved numerically with
-a duality-gap certificate (the objective is concave because H' is
-decreasing).  Outputs carry rational cake endpoints, so downstream axiom
-checks stay exact; only the score and the gap are floats.
+The outer loop enumerates goods subsets exactly.  For each subset the cake
+part is a concave maximization over the lengths taken from each class of
+atoms (atoms with one approver set), under box bounds and one budget; the
+objective is concave because H' is decreasing.  One primal active-set
+Newton method solves it (`_active_set_newton`), and the rationalized point
+is certified by its duality gap against the greedy-fill linear maximizer
+(`_linmax_gap`).  Outputs carry rational cake endpoints, so downstream
+axiom checks stay exact; only the score and the gap are floats.
 """
 
 from __future__ import annotations
@@ -15,17 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core import Atom, Bundle, Instance, atomize, normalize
-from ..errors import CapacityError, DomainError
+from ..errors import CapacityError, DomainError, InvariantError
 from ..harmonic import (
     DEFAULT_TOL,
     HarmonicValue,
     harmonic,
     harmonic_deriv2_vec,
     harmonic_deriv_vec,
-    harmonic_vec,
 )
 
 DEFAULT_GOOD_CAP = 16
@@ -33,6 +34,10 @@ DEFAULT_EPS = 1e-9
 
 # slack added to every reported certificate for float evaluation error
 _CERT_SLACK = 1e-12
+
+# iteration caps of the cake solver: Newton steps, and backtracks per step
+_MAX_STEPS = 200
+_MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -57,122 +62,82 @@ def _linmax_gap(g: np.ndarray, y: np.ndarray, lengths: np.ndarray, budget: float
     return best - float(g @ np.maximum(y, 0.0))
 
 
-def _project_budget_box(v: np.ndarray, lengths: np.ndarray, budget: float) -> np.ndarray:
-    clipped = np.clip(v, 0.0, lengths)
-    if clipped.sum() <= budget:
-        return clipped
-    lo = float(np.min(v - lengths)) - 1.0
-    hi = float(np.max(v)) + 1.0
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        s = np.clip(v - tau, 0.0, lengths).sum()
-        if s > budget:
-            lo = tau
-        else:
-            hi = tau
-    return np.clip(v - hi, 0.0, lengths)
-
-
-def _objective(base: np.ndarray, inc: np.ndarray, y: np.ndarray) -> float:
-    return float(harmonic_vec(base + inc @ y).sum())
-
-
 def _gradient(base: np.ndarray, inc: np.ndarray, y: np.ndarray) -> np.ndarray:
     return inc.T @ harmonic_deriv_vec(base + inc @ y)
 
 
-def _newton_polish(
+def _active_set_newton(
     base: np.ndarray,
     inc: np.ndarray,
     lengths: np.ndarray,
     budget: float,
-    y: np.ndarray,
     target: float,
 ) -> tuple[np.ndarray, float]:
-    """Equality-constrained Newton steps on the current face; budget is
-    kept tight throughout (the objective is strictly increasing)."""
-    y = _project_budget_box(y, lengths, budget)
-    deficit = budget - y.sum()
-    if deficit > 0:  # push onto the budget plane if there is room
-        slack = lengths - y
-        room = slack.sum()
-        if room > 0:
-            y = y + slack * min(1.0, deficit / room)
+    """Maximize sum_i H(base_i + (inc y)_i) over 0 <= y <= lengths, sum y = budget.
+
+    Primal active set: classes held at 0 or at their length form the working
+    set; Newton steps on the remaining classes keep the budget tight (the
+    objective strictly increases in every class, and sum(lengths) > budget).
+    Returns the point and its duality gap once that is at most ``target``,
+    or the last point reached when the step or iteration caps run out.
+    """
     ncls = len(lengths)
+    y = lengths * (budget / lengths.sum())
+    bound = np.zeros(ncls, dtype=np.int8)  # -1 held at 0, +1 held at length
     gap = math.inf
-    for _ in range(80):
+    for _ in range(_MAX_STEPS):
         g = _gradient(base, inc, y)
         gap = _linmax_gap(g, y, lengths, budget)
         if gap <= target:
-            return y, gap
-        interior = (y > 1e-11) & (y < lengths - 1e-11)
-        lam = float(np.median(g[interior])) if interior.any() else float(np.max(g))
-        at_lo = (y <= 1e-11) & (g <= lam)
-        at_hi = (y >= lengths - 1e-11) & (g >= lam)
-        free = np.where(~(at_lo | at_hi))[0]
-        if len(free) == 0:
-            free = np.arange(ncls)
-        af = inc[:, free]
-        curv = harmonic_deriv2_vec(base + inc @ y)
-        hess = af.T @ (curv[:, None] * af)
-        k = len(free)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = hess
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[:k] = lam - g[free]
-        rhs[k] = 0.0
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            break
+        free = np.flatnonzero(bound == 0)
+        lam = float(g[free].mean()) if len(free) else float(g.mean())
         dy = np.zeros(ncls)
-        dy[free] = sol[:k]
-        if not np.isfinite(dy).all() or np.abs(dy).max() == 0.0:
+        if len(free) > 1:
+            # KKT system of the face; centring the gradient first keeps
+            # cancellation from flipping the step near the optimum
+            af = inc[:, free]
+            curv = harmonic_deriv2_vec(base + inc @ y)
+            k = len(free)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = af.T @ (curv[:, None] * af)
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[:k] = lam - g[free]
+            dy[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        slope = float((g[free] - lam) @ dy[free])
+        if not slope > target / 4:
+            # the face is solved: release the bound whose multiplier has the
+            # wrong sign by the most, if any
+            violation = np.where(bound < 0, g - lam, lam - g) * (bound != 0)
+            c = int(np.argmax(violation))
+            if violation[c] > 0:
+                bound[c] = 0
+                continue
+        if not slope > 0 or not np.isfinite(dy).all():
             break
-        step = 1.0
-        for c in range(ncls):  # stay inside the box
-            if dy[c] > 0 and lengths[c] - y[c] < dy[c] * step:
-                step = (lengths[c] - y[c]) / dy[c]
-            elif dy[c] < 0 and -y[c] > dy[c] * step:
-                step = y[c] / -dy[c]
-        f_old = _objective(base, inc, y)
-        improved = False
-        while step > 1e-14:
-            cand = np.clip(y + step * dy, 0.0, lengths)
-            if _objective(base, inc, cand) >= f_old - 1e-15:
-                y = cand
-                improved = True
+        # cap the step at the first blocking bound
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(dy > 0, (lengths - y) / dy, np.where(dy < 0, -y / dy, np.inf))
+        blocker = int(np.argmin(room))
+        step = min(1.0, float(room[blocker]))
+        # backtrack until the slope at the end point is >= 0: along a line a
+        # concave objective rose exactly while that slope stays >= 0, and
+        # near the optimum its own differences fall below an ulp.  The first
+        # retry is the secant root of the slope (Newton overshoots it by a
+        # hair near the optimum), later ones halve.
+        for retry in range(_MAX_BACKTRACKS):
+            end = float((_gradient(base, inc, y + step * dy)[free] - lam) @ dy[free])
+            if end >= 0:
                 break
-            step *= 0.5
-        if not improved:
-            break
-    return y, gap
-
-
-def _fista(
-    base: np.ndarray,
-    inc: np.ndarray,
-    lengths: np.ndarray,
-    budget: float,
-    y: np.ndarray,
-    target: float,
-    max_iter: int = 50000,
-) -> tuple[np.ndarray, float]:
-    lam_max = np.linalg.norm(inc, 2) ** 2
-    step = 1.0 / (2.5 * max(lam_max, 1e-9))
-    z = y.copy()
-    t_acc = 1.0
-    gap = math.inf
-    for it in range(max_iter):
-        g = _gradient(base, inc, z)
-        y_new = _project_budget_box(z + step * g, lengths, budget)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = y_new + ((t_acc - 1.0) / t_new) * (y_new - y)
-        y, t_acc = y_new, t_new
-        if it % 50 == 0:
-            gap = _linmax_gap(_gradient(base, inc, y), y, lengths, budget)
-            if gap <= target:
-                return y, gap
-    gap = _linmax_gap(_gradient(base, inc, y), y, lengths, budget)
+            step *= 0.5 if retry else slope / (slope - end)
+        else:
+            break  # no ascent step left at float precision
+        y = np.clip(y + step * dy, 0.0, lengths)
+        if step == room[blocker]:
+            y[blocker] = lengths[blocker] if dy[blocker] > 0 else 0.0
+            bound[blocker] = 1 if dy[blocker] > 0 else -1
     return y, gap
 
 
@@ -205,23 +170,7 @@ def _solve_classes(
     bud = float(budget)
     target = eps / 4.0
 
-    y0 = lengths * (bud / lengths.sum())
-    res = minimize(
-        lambda y: -_objective(base, inc, y),
-        y0,
-        jac=lambda y: -_gradient(base, inc, y),
-        bounds=[(0.0, l) for l in lengths],
-        constraints=[{"type": "ineq", "fun": lambda y: bud - y.sum(),
-                      "jac": lambda y: -np.ones_like(y)}],
-        method="SLSQP",
-        options={"maxiter": 400, "ftol": 1e-14},
-    )
-    y = _project_budget_box(np.asarray(res.x, dtype=float), lengths, bud)
-    y, gap = _newton_polish(base, inc, lengths, bud, y, target)
-    if gap > target:
-        y, gap = _fista(base, inc, lengths, bud, y, target)
-    if gap > target:
-        y, gap = _newton_polish(base, inc, lengths, bud, y, target)
+    y, gap = _active_set_newton(base, inc, lengths, bud, target)
     if not gap <= eps / 2.0:
         raise DomainError(f"cake solver could not certify gap {gap} <= {eps / 2.0}")
 
@@ -308,13 +257,13 @@ def generalized_pav(
     force: bool = False,
     good_cap: int = DEFAULT_GOOD_CAP,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> PavSolution:
     """Enumerate goods subsets exactly; solve the cake part per subset.
 
-    The per-subset solves are independent; with ``threads > 1`` they fan out
-    over a pool, and results merge in enumeration order so the output does
-    not depend on the worker count.
+    Each subset's cake part goes to one active-set Newton solve whose
+    rationalized point carries a certified duality gap.  The first subset
+    in enumeration order with the highest score wins; the reported gap
+    covers every other subset's certified upper bound.
     """
     if inst.m > good_cap and not force:
         raise CapacityError(
@@ -329,21 +278,11 @@ def generalized_pav(
         for combo in itertools.combinations(range(inst.m), size)
     ]
 
-    def solve(goods: frozenset[str]):
-        budget = inst.alpha - len(goods)
-        return concave_cake_opt(inst, atoms, goods, budget, eps, tol)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, subsets))
-    else:
-        solved = [solve(goods) for goods in subsets]
-
     best: PavSolution | None = None
     best_upper = -math.inf
-    for goods, (atom_lengths, score, gap) in zip(subsets, solved):
+    for goods in subsets:
+        budget = inst.alpha - len(goods)
+        atom_lengths, score, gap = concave_cake_opt(inst, atoms, goods, budget, eps, tol)
         upper = score.value + score.abs_error_bound + gap
         best_upper = max(best_upper, upper)
         if best is None or score.value > best.score.value:
@@ -359,7 +298,8 @@ def generalized_pav(
                 optimality_gap=gap,
                 atom_lengths=atom_lengths,
             )
-    assert best is not None
+    if best is None:
+        raise InvariantError("gpav enumerated no goods subset")
     global_gap = max(best_upper - best.score.value, 0.0) + best.score.abs_error_bound
     return PavSolution(
         allocation=best.allocation,

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from mixvote import Bundle, gpav_score, harmonic
@@ -18,7 +19,7 @@ from mixvote.harmonic import (
     HARMONIC_DERIV_AT_ZERO,
     _exact_integer_harmonic,
     exact_pav_score,
-    harmonic_deriv,
+    harmonic_deriv_vec,
 )
 
 mp.mp.dps = 40
@@ -111,7 +112,7 @@ class TestGrowthProperties:
         h = F(1, 100000)
         slope = harmonic(h, TOL).value / float(h)
         assert abs(slope - math.pi**2 / 6) <= 1e-4
-        assert abs(harmonic_deriv(0.0) - HARMONIC_DERIV_AT_ZERO) <= 1e-12
+        assert abs(harmonic_deriv_vec(np.zeros(1))[0] - HARMONIC_DERIV_AT_ZERO) <= 1e-12
 
 
 class TestGpavScore:

@@ -1,6 +1,10 @@
 """Equal-shares rule tests: pricing, ledgers, and the indivisible reference oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +162,31 @@ def test_empty_approvals_buy_nothing():
     # budget alpha/n = 1/2 per agent; the good costs 1 and has one approver
     assert alloc.is_empty
     assert ledger.iterations == 0
+
+
+UNBALANCED_LEDGER = """
+from mixvote.core import Bundle
+from mixvote.errors import InvariantError
+from mixvote.generate import gen_fig1
+from mixvote.rules import generalized_mes
+
+assert False, "this script must run under python -O"
+
+inst = gen_fig1()[0]
+alloc, ledger = generalized_mes(inst)
+try:
+    unpaid = alloc.union(Bundle(goods=frozenset({"g1"})))  # nobody paid for g1
+    ledger.validate(inst, unpaid)
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_ledger_validation_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNBALANCED_LEDGER],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: payments 9/10 differ from the allocated size 19/10")

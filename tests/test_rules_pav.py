@@ -1,8 +1,16 @@
-"""Harmonic-score rule tests: exact anchors, oracle agreement, swap optimality."""
+"""Harmonic-score rule tests: exact anchors, oracle agreement, swap optimality,
+and the cake solver's certificate on hard and independently solved inputs."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvote import (
     Bundle,
@@ -19,6 +27,7 @@ from mixvote.generate import gen_random
 from mixvote.harmonic import harmonic
 from mixvote.oracle import oracle_discretized_opt
 from mixvote.rules import concave_cake_opt
+from mixvote.rules.pav import _CERT_SLACK, _solve_classes
 
 from conftest import make_mixed
 
@@ -141,17 +150,120 @@ def test_no_profitable_swaps(seed):
             assert gpav_score(inst, cand).value <= base + slack
 
 
-def test_output_independent_of_worker_count():
-    inst = make_mixed(6, n_max=5, m_max=4, atoms_max=2)
-    one = generalized_pav(inst, threads=1)
-    three = generalized_pav(inst, threads=3)
-    assert one.allocation == three.allocation
-    assert one.score.value == three.score.value
-
-
 def test_goods_cap_enforced():
     inst = gen_random(n=3, m=17, cake_atoms=0, alpha=F(2), density=0.4, seed=1)
     with pytest.raises(CapacityError):
         generalized_pav(inst)
     sol = generalized_pav(inst, force=True)
     assert sol.allocation.size() <= 2
+
+
+# ---------------------------------------------------------------------------
+# The cake solver on its own: maximize sum_i H(base_i + approved lengths)
+# over class lengths in [0, L] summing to at most the budget.
+
+EPS = 1e-9
+
+
+def assert_certified(base, classes, lengths, budget):
+    y, gap = _solve_classes(base, classes, lengths, budget, EPS)
+    assert all(isinstance(v, F) and 0 <= v <= cl for v, cl in zip(y, lengths))
+    assert sum(y, F(0)) <= budget
+    assert 0 <= gap <= EPS / 2 + _CERT_SLACK
+    return y
+
+
+@st.composite
+def cake_subproblems(draw):
+    n = draw(st.integers(1, 6))
+    # distinct nonempty approver sets; with few agents there are more
+    # classes than agents, so the incidence matrix is rank-deficient
+    classes = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1),
+        min_size=1, max_size=2 * n + 2, unique=True,
+    ))
+    for dup in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        classes = [c | {n} if dup in c else c for c in classes]  # a copy of agent dup
+        n += 1
+    base = [F(b) for b in draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))]
+    scale = draw(st.sampled_from([F(1), F(1, 10**9)]))
+    lengths = [scale * F(draw(st.integers(1, 1000)), 1000) for _ in classes]
+    total = sum(lengths, F(0))
+    if draw(st.booleans()):
+        budget = total - F(draw(st.integers(1, 10)), 10**13)
+    else:
+        budget = total * F(draw(st.integers(1, 99)), 100)
+    return base, classes, lengths, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(cake_subproblems())
+def test_solver_certifies_edge_cases(problem):
+    assert_certified(*problem)
+
+
+def test_two_classes_match_psi1_bisection():
+    """Lengths agree with bisection on the exact slope, H'(x) = psi_1(x + 1)."""
+    base = [0, 1, 3, 2]
+    classes = [frozenset({0, 1}), frozenset({1, 2, 3})]
+    lengths = [F(3, 2), F(2)]
+    budget = F(2)
+    y = assert_certified([F(b) for b in base], classes, lengths, budget)
+
+    def slope(t):  # d/dt of the score at class lengths (t, budget - t)
+        u = [mp.mpf(b) for b in base]
+        for i in classes[0]:
+            u[i] += t
+        for i in classes[1]:
+            u[i] += 2 - t
+        return (sum(mp.psi(1, u[i] + 1) for i in classes[0])
+                - sum(mp.psi(1, u[i] + 1) for i in classes[1]))
+
+    with mp.workdps(30):
+        lo, hi = mp.mpf(0), mp.mpf(3) / 2  # t = budget - L2 and t = L1
+        assert slope(lo) > 0 > slope(hi)  # an interior optimum
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        t = float(lo)
+    assert abs(float(y[0]) - t) <= 1e-7
+    assert abs(float(y[1]) - (2 - t)) <= 1e-7
+
+
+# Two subproblems of the gpav-medium benchmark workload on which the earlier
+# SLSQP + Newton chain could not certify the gap and fell back to FISTA.
+HARD_SUBPROBLEMS = [
+    (
+        [2, 0, 1, 0, 2, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 2, 0, 0, 0, 0, 1, 2, 1, 2],
+        [[1, 4, 5, 9, 12, 14, 15, 16, 18, 19, 20, 21], [0, 4, 9, 10, 12, 13, 19, 20, 22],
+         [1, 3, 6, 7, 11, 12, 17, 18, 20, 23], [0, 2, 4, 5, 7, 12, 19, 22], [4, 8, 12, 13],
+         [2, 8, 14, 16, 20, 22]],
+        ["1/16", "25/16", "5/8", "9/16", "1/8", "1/16"],
+        "1",
+    ),
+    (
+        [2, 0, 0, 1, 1, 0, 1, 0, 2, 2, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0],
+        [[2, 5, 6, 12, 14, 15], [1, 2, 9, 11], [5, 6, 9, 10, 11, 14, 16, 17],
+         [1, 2, 4, 10, 12, 13, 17, 18], [0, 3, 4, 8, 12, 14, 18, 19]],
+        ["5/16", "13/16", "9/16", "3/16", "5/8"],
+        "5/6",
+    ),
+]
+
+
+@pytest.mark.parametrize("base, classes, lengths, budget", HARD_SUBPROBLEMS)
+def test_former_fista_subproblems_certified(base, classes, lengths, budget):
+    assert_certified(
+        [F(b) for b in base], [frozenset(c) for c in classes],
+        [F(x) for x in lengths], F(budget),
+    )
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mixvote; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
