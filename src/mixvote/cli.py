@@ -1,8 +1,10 @@
 """Command-line surface: run, verify, audit, gen, oracle, bench.
 
 Exit codes: 0 success, 1 axiom verification FAIL (witness in the report),
-2 usage error, 3 capacity error.  Reports are JSON with exact rationals as
-strings; harmonic scores carry (value, error_bound) pairs.
+2 usage error (bad arguments or input files), 3 capacity error, 4 internal
+error (a failed invariant or any other unexpected exception).  Reports are
+JSON with exact rationals as strings; harmonic scores carry
+(value, error_bound) pairs.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .core import (
-    Bundle,
     Instance,
-    IntervalSet,
     allocation_from_dict,
     allocation_to_dict,
     format_rational,
@@ -59,19 +60,26 @@ EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
 
-def _load_instance(path: str) -> Instance:
-    return instance_from_dict(load_json(path))
+def _load(path: str, parse):
+    """Parse a JSON input file.  Anything wrong with it is a usage error;
+    a bare ValueError or KeyError raised later inside a command is a fault."""
+    try:
+        return parse(load_json(path))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise MixvoteError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_script(path: str) -> ScriptedTieBreaker:
-    steps = []
-    for entry in load_json(path):
-        witness = Bundle(
-            cake=IntervalSet.from_json(entry["witness"].get("cake", [])),
-            goods=frozenset(entry["witness"].get("goods", [])),
-        )
-        steps.append((entry["group"], witness))
-    return ScriptedTieBreaker(steps)
+def _script(data: list) -> ScriptedTieBreaker:
+    return ScriptedTieBreaker([(e["group"], allocation_from_dict(e["witness"])) for e in data])
+
+
+def _sizes(text: str) -> list[tuple[int, int, int]]:
+    """The bench sizes, a comma list of n:m:atoms."""
+    sizes = []
+    for chunk in text.split(","):
+        n, m, atoms = (int(x) for x in chunk.split(":"))
+        sizes.append((n, m, atoms))
+    return sizes
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -92,13 +100,13 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instance_from_dict)
     base = args.out or str(Path(args.instance).with_suffix("")) + f".{args.rule}"
     alloc_path = base + ".alloc.json"
     started = time.perf_counter()
     outputs = {"allocation": alloc_path}
     if args.rule == "greedy-ejr-m":
-        policy = _load_script(args.script) if args.script else None
+        policy = _load(args.script, _script) if args.script else None
         bundle, trace = greedy_ejr_m(inst, tie_breaker=policy, force=args.force)
         sidecar = base + ".trace.json"
         save_json(sidecar, {
@@ -172,8 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    allocation = allocation_from_dict(load_json(args.allocation))
+    inst = _load(args.instance, instance_from_dict)
+    allocation = _load(args.allocation, allocation_from_dict)
     if args.axiom == "ejr-m":
         report = verify_ejr_m(inst, allocation)
     elif args.axiom == "ejr-1":
@@ -182,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.beta is None:
             print("--beta is required for ejr-beta", file=sys.stderr)
             return EXIT_USAGE
-        report = verify_ejr_beta(inst, allocation, parse_rational(args.beta), args.mode)
+        report = verify_ejr_beta(inst, allocation, args.beta, args.mode)
     else:
         report = verify_cake_ejr(inst, allocation)
     _emit(report.to_dict(), args.out)
@@ -190,27 +198,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    allocation = allocation_from_dict(load_json(args.allocation))
-    report = audit_degree(
-        inst, allocation, args.bound, t_min=parse_rational(args.t_min)
-    )
+    inst = _load(args.instance, instance_from_dict)
+    allocation = _load(args.allocation, allocation_from_dict)
+    report = audit_degree(inst, allocation, args.bound, t_min=args.t_min)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = {}
-    for key in ("t", "eps", "gamma", "delta", "alpha", "beta_prime", "cake_length"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = parse_rational(value)
-    for key in ("n", "m", "cake_atoms", "beta", "q"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if args.density is not None:
-        params["density"] = args.density
+    keys = ("t", "eps", "gamma", "delta", "alpha", "beta_prime", "cake_length",
+            "n", "m", "cake_atoms", "beta", "q", "density")
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     spec = ConstructionSpec(name=args.construction, parameters=params, seed=args.seed)
     inst, meta = gen_construction(spec)
     out = args.out or f"{args.construction}.json"
@@ -222,19 +220,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instance_from_dict)
     cfg = EnumerationConfig(cake_grid=args.grid)
     if args.check == "no-ejr-beta":
         if args.beta is None:
             print("--beta is required for no-ejr-beta", file=sys.stderr)
             return EXIT_USAGE
-        value = oracle_no_ejr_beta(inst, parse_rational(args.beta), args.mode, cfg)
+        value = oracle_no_ejr_beta(inst, args.beta, args.mode, cfg)
         _emit({"check": "no-ejr-beta", "impossible": value}, args.out)
     elif args.check == "min-max-avg":
         if args.t is None:
             print("--t is required for min-max-avg", file=sys.stderr)
             return EXIT_USAGE
-        value = oracle_min_max_avg(inst, parse_rational(args.t), cfg)
+        value = oracle_min_max_avg(inst, args.t, cfg)
         _emit(
             {
                 "check": "min-max-avg",
@@ -274,9 +272,10 @@ def bench_mes(
         bundle, ledger = generalized_mes(inst)
         elapsed = time.perf_counter() - started
         bound = m + atoms * n + n
-        assert ledger.iterations <= bound, (
-            f"iterations {ledger.iterations} exceed progress bound {bound}"
-        )
+        if ledger.iterations > bound:
+            raise InvariantError(
+                f"iterations {ledger.iterations} exceed progress bound {bound}"
+            )
         rows.append(
             {
                 "n": n,
@@ -292,11 +291,7 @@ def bench_mes(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = []
-    for chunk in args.sizes.split(","):
-        n, m, atoms = (int(x) for x in chunk.split(":"))
-        sizes.append((n, m, atoms))
-    rows = bench_mes(sizes, seed=args.seed, density=args.density)
+    rows = bench_mes(args.sizes, seed=args.seed, density=args.density)
     _emit({"bench": "gmes", "rows": rows}, args.out)
     return EXIT_OK
 
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--axiom", required=True, choices=["ejr-m", "ejr-1", "ejr-beta", "cake-ejr"])
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--allocation", required=True)
-    p_verify.add_argument("--beta")
+    p_verify.add_argument("--beta", type=parse_rational)
     p_verify.add_argument("--mode", default="strict", choices=["strict", "weak"])
     p_verify.add_argument("--margin", type=float, default=0.0)
     p_verify.add_argument("--out")
@@ -333,19 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--bound", required=True, choices=["ejr-m", "ejr-1", "gpav", "mes-upper"])
     p_audit.add_argument("--instance", required=True)
     p_audit.add_argument("--allocation", required=True)
-    p_audit.add_argument("--t-min", default="1")
+    p_audit.add_argument("--t-min", type=parse_rational, default="1")
     p_audit.add_argument("--out")
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     p_gen.add_argument("--construction", required=True)
-    p_gen.add_argument("--t")
-    p_gen.add_argument("--eps")
-    p_gen.add_argument("--gamma")
-    p_gen.add_argument("--delta")
-    p_gen.add_argument("--beta-prime", dest="beta_prime")
-    p_gen.add_argument("--alpha")
-    p_gen.add_argument("--cake-length", dest="cake_length")
+    p_gen.add_argument("--t", type=parse_rational)
+    p_gen.add_argument("--eps", type=parse_rational)
+    p_gen.add_argument("--gamma", type=parse_rational)
+    p_gen.add_argument("--delta", type=parse_rational)
+    p_gen.add_argument("--beta-prime", dest="beta_prime", type=parse_rational)
+    p_gen.add_argument("--alpha", type=parse_rational)
+    p_gen.add_argument("--cake-length", dest="cake_length", type=parse_rational)
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--cake-atoms", dest="cake_atoms", type=int)
@@ -360,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--check", required=True, choices=["no-ejr-beta", "min-max-avg", "opt"])
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--grid", type=int, default=8)
-    p_oracle.add_argument("--beta")
+    p_oracle.add_argument("--beta", type=parse_rational)
     p_oracle.add_argument("--mode", default="weak", choices=["strict", "weak"])
-    p_oracle.add_argument("--t")
+    p_oracle.add_argument("--t", type=parse_rational)
     p_oracle.add_argument("--objective", default="gpav", choices=["gpav", "nash"])
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_bench = sub.add_parser("bench", help="benchmark the budget rule")
-    p_bench.add_argument("--sizes", default="1000:100:100", help="comma list of n:m:atoms")
+    p_bench.add_argument("--sizes", type=_sizes, default="1000:100:100", help="comma list of n:m:atoms")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--density", type=float, default=0.05)
     p_bench.add_argument("--out")
@@ -391,9 +386,13 @@ def dispatch(argv: list[str]) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (MixvoteError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (MixvoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

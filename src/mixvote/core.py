@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
+    DomainError,
     InvalidAllocationError,
     InvalidGroupError,
     MalformedIntervalError,
@@ -27,8 +28,11 @@ Rational = Fraction
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse a rational from "p/q" (or a bare integer)."""
-    return Fraction(text)
+    """Parse a rational from "p/q" (or a bare integer); DomainError otherwise."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -196,6 +200,11 @@ class Bundle:
 EMPTY_BUNDLE = Bundle()
 
 
+def _within(cake: IntervalSet, c: Fraction) -> bool:
+    """True if the normalized set lies in [0, c], read from its endpoints."""
+    return not cake.intervals or (cake.intervals[0][0] >= 0 and cake.intervals[-1][1] <= c)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A mixed-goods instance: cake [0, c], goods, approval bundles, and alpha."""
@@ -223,18 +232,15 @@ class Instance:
             raise InvalidAllocationError(
                 f"alpha must lie in (0, c + m] = (0, {c + m}], got {self.alpha}"
             )
-        cake_span = normalize([(Fraction(0), c)]) if c > 0 else EMPTY_CAKE
-        good_set = set(self.goods)
+        good_index = {g: k for k, g in enumerate(self.goods)}
         for i, bundle in enumerate(self.agents):
-            if not bundle.goods <= good_set:
+            if not bundle.goods <= good_index.keys():
                 raise InvalidAllocationError(f"agent {i} approves unknown goods")
-            if not cake_span.contains(bundle.cake):
+            if not _within(bundle.cake, c):
                 raise MalformedIntervalError(
                     f"agent {i} approves cake outside [0, {c}]"
                 )
-        object.__setattr__(
-            self, "good_index", {g: k for k, g in enumerate(self.goods)}
-        )
+        object.__setattr__(self, "good_index", good_index)
         object.__setattr__(self, "_index", None)
 
     @property
@@ -261,9 +267,9 @@ class Instance:
         return sorted(goods, key=self.good_index.__getitem__)
 
     def validate_allocation(self, bundle: Bundle) -> None:
-        if not bundle.goods <= set(self.goods):
+        if not bundle.goods <= self.good_index.keys():
             raise InvalidAllocationError("allocation contains unknown goods")
-        if not self.full_cake().contains(bundle.cake):
+        if not _within(bundle.cake, self.cake_length):
             raise InvalidAllocationError("allocation cake outside [0, c]")
         if bundle.size() > self.alpha:
             raise InvalidAllocationError(
@@ -283,7 +289,15 @@ def utility(inst: Instance, agent: int, allocation: Bundle) -> Fraction:
 
 
 def utilities(inst: Instance, allocation: Bundle) -> list[Fraction]:
-    return [inst.agents[i].intersect(allocation).size() for i in range(inst.n)]
+    """Every agent's utility: each atom of the allocation adds its size to
+    its approvers (goods the instance lacks and cake outside [0, c] to nobody)."""
+    goods = [g for g in allocation.goods if g in inst.good_index]
+    utils = [Fraction(0)] * inst.n
+    for atom in atomize(inst, allocation.cake, goods):
+        size = atom.size()
+        for i in atom.approvers:
+            utils[i] += size
+    return utils
 
 
 def common_bundle(inst: Instance, group: Iterable[int]) -> Bundle:

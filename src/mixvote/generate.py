@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Bundle, Instance, format_rational, normalize
-from .errors import ConstructionParameterError, DomainError
+from .errors import ConstructionParameterError, DomainError, InvariantError
 
 CONSTRUCTION_NAMES = ("fig1", "prop1", "prop4", "thm4", "thm6", "appendix", "random")
 
@@ -178,7 +178,7 @@ def _thm6_case1(t: Fraction, n: int, alpha: int, eps: Fraction) -> tuple[Instanc
         sizes_d[k] = (k - 1) * r
     sizes_d[ft] = 2 * ft * r - math.ceil(t * r) - 1
     if ft == 1:
-        raise AssertionError("case 1 requires t >= 2")
+        raise InvariantError("case 1 requires t >= 2")
     _require(sizes_d[ft] >= 0, f"dummy tier {ft} would have {sizes_d[ft]} agents")
     total = sum(sizes_n.values()) + sum(sizes_d.values())
     _require(total == n, f"construction totals {total} agents, expected {n}")
@@ -273,7 +273,8 @@ def gen_thm6(t: Fraction, n: int, eps: Fraction) -> tuple[Instance, dict]:
     _require(eps > 0, f"eps must be positive, got {eps}")
     ft = math.floor(t)
     alpha_frac = Fraction(ft * ft + ft + 2, 2)
-    assert alpha_frac.denominator == 1
+    if alpha_frac.denominator != 1:
+        raise InvariantError(f"alpha {alpha_frac} is not an integer")
     alpha = int(alpha_frac)
     _require(n % alpha == 0, f"n must be a multiple of alpha = {alpha}, got {n}")
     _require(n >= 2 * alpha, f"n must be at least 2 * alpha = {2 * alpha}, got {n}")
@@ -315,7 +316,8 @@ def gen_appendix(
     _require(gamma < 1 - c, f"gamma must be below 1 - frac(t) = {1 - c}, got {gamma}")
     n0 = q * ((k + 1) * c + k * gamma)
     ni = q * (1 - c - gamma)
-    assert n0.denominator == 1 and ni.denominator == 1
+    if n0.denominator != 1 or ni.denominator != 1:
+        raise InvariantError(f"tier sizes {n0} and {ni} are not integers")
     n0, ni = int(n0), int(ni)
     _require(ni >= 1, f"each holdout tier needs at least one agent, got {ni}")
     n = n0 + (k + 1) * ni
@@ -394,9 +396,16 @@ def gen_random(
     return Instance(cake_length=c, goods=goods, agents=tuple(agents), alpha=alpha)
 
 
+class _Parameters(dict):
+    """Construction parameters; a missing required one is a parameter error."""
+
+    def __missing__(self, key: str):
+        raise ConstructionParameterError(f"missing construction parameter {key!r}")
+
+
 def gen_construction(spec: ConstructionSpec) -> tuple[Instance, dict]:
     """Dispatch on the construction name; ``random`` returns empty metadata."""
-    p = dict(spec.parameters)
+    p = _Parameters(spec.parameters)
     if spec.name == "fig1":
         return gen_fig1()
     if spec.name == "prop1":

@@ -105,12 +105,9 @@ def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicVal
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            raise DomainError("x must be finite")
-        x_frac = Fraction(x)
-    else:
-        x_frac = Fraction(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError("x must be finite")
+    x_frac = Fraction(x)
     if x_frac < 0:
         raise DomainError(f"harmonic numbers require x >= 0, got {x_frac}")
     if x_frac.denominator == 1 and x_frac.numerator <= _EXACT_INTEGER_LIMIT:
@@ -125,16 +122,20 @@ def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicVal
     return HarmonicValue(value, bound)
 
 
-def gpav_score(inst: Instance, allocation: Bundle, tol: float = DEFAULT_TOL) -> HarmonicValue:
-    """Sum over agents of H at their utility, with an aggregated error bound."""
-    total = 0.0
-    bound = 0.0
-    for u in utilities(inst, allocation):
-        hv = harmonic(u, tol)
+def harmonic_sum(xs: Iterable[Fraction | int], tol: float = DEFAULT_TOL) -> HarmonicValue:
+    """Sum of H over ``xs``, in order, with the summed error bounds."""
+    total = bound = 0.0
+    for x in xs:
+        hv = harmonic(x, tol)
         total += hv.value
         bound += hv.abs_error_bound
-    bound += _ROUNDING_SLACK * max(1.0, abs(total))
     return HarmonicValue(total, bound)
+
+
+def gpav_score(inst: Instance, allocation: Bundle, tol: float = DEFAULT_TOL) -> HarmonicValue:
+    """Sum over agents of H at their utility, with an aggregated error bound."""
+    hv = harmonic_sum(utilities(inst, allocation), tol)
+    return HarmonicValue(hv.value, hv.abs_error_bound + _ROUNDING_SLACK * max(1.0, abs(hv.value)))
 
 
 # ---------------------------------------------------------------------------

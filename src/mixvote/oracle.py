@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import Bundle, Instance, atomize, normalize
-from .errors import CapacityError
+from .errors import CapacityError, DomainError, InvariantError
 from .harmonic import exact_pav_score, gpav_score
 from .verify import verify_ejr_beta
 
@@ -33,6 +33,8 @@ class EnumerationConfig:
 
 def _grid_cells(inst: Instance, grid: int) -> list[tuple[Fraction, Fraction]]:
     """Refine each approval atom into equal cells of length <= c/grid."""
+    if grid < 1:
+        raise DomainError(f"cake_grid must be at least 1, got {grid}")
     if inst.cake_length == 0:
         return []
     target = inst.cake_length / grid
@@ -173,5 +175,6 @@ def oracle_discretized_opt(
         if best_score is None or score > best_score:
             best_score = score
             best_bundle = bundle
-    assert best_bundle is not None
+    if best_bundle is None:
+        raise InvariantError("the enumeration yielded no allocation")
     return best_bundle, best_score

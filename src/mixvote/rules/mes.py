@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..core import (
-    Atom,
     Bundle,
     Instance,
     atomize,
@@ -65,21 +64,16 @@ class PaymentLedger:
     final_budgets: dict[int, Fraction] = field(default_factory=dict)
     iterations: int = 0
 
-    def total_paid(self) -> Fraction:
-        return sum(
-            (sum(p.payments.values(), Fraction(0)) for p in self.purchases),
-            Fraction(0),
-        )
-
     def validate(self, inst: Instance, allocation: Bundle) -> None:
         """Raise InvariantError unless the ledger conserves money."""
-        spent = self.total_paid()
+        paid = [sum(p.payments.values(), Fraction(0)) for p in self.purchases]
+        spent = sum(paid, Fraction(0))
         if spent != allocation.size():
             raise InvariantError(
                 f"payments {spent} differ from the allocated size {allocation.size()}"
             )
-        for p in self.purchases:
-            if sum(p.payments.values(), Fraction(0)) != p.cost:
+        for p, amount in zip(self.purchases, paid):
+            if amount != p.cost:
                 raise InvariantError(f"payments for {p.item} differ from its cost {p.cost}")
         for i, b in self.final_budgets.items():
             if not 0 <= b <= self.initial_budget:
@@ -181,7 +175,8 @@ def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
             b_min = min(budgets[i] for i in payers)
             x = min(atom.hi, atom.lo + len(payers) * b_min)
             length = x - atom.lo
-            payments = {i: min(budgets[i], length * rho) for i in payers}
+            # no budget binds: rho = 1/len(payers), length <= len(payers) * b_min
+            payments = {i: length * rho for i in payers}
             pay(payers, payments)
             bought_cake.append((atom.lo, x))
             ledger.purchases.append(

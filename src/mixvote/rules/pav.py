@@ -6,8 +6,11 @@ atoms (atoms with one approver set), under box bounds and one budget; the
 objective is concave because H' is decreasing.  One primal active-set
 Newton method solves it (`_active_set_newton`), and the rationalized point
 is certified by its duality gap against the greedy-fill linear maximizer
-(`_linmax_gap`).  Outputs carry rational cake endpoints, so downstream
-axiom checks stay exact; only the score and the gap are floats.
+(`_linmax_gap`).  The class table is built once per instance; a subset
+only counts its goods per agent from the index's approval bitmasks, and
+atoms are refilled for the winning subset alone.  Outputs carry rational
+cake endpoints, so downstream axiom checks stay exact; only the score and
+the gap are floats.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from ..core import Atom, Bundle, Instance, atomize, normalize
-from ..errors import CapacityError, DomainError, InvariantError
+from ..errors import CapacityError, DomainError
 from ..harmonic import (
     DEFAULT_TOL,
     HarmonicValue,
-    harmonic,
     harmonic_deriv2_vec,
     harmonic_deriv_vec,
+    harmonic_sum,
 )
 
 DEFAULT_GOOD_CAP = 16
@@ -192,6 +195,41 @@ def _solve_classes(
     return y_rat, max(gap_final, 0.0) + _CERT_SLACK
 
 
+class _CakeClasses:
+    """Approved cake atoms grouped by approver set, in first-seen order, with
+    each class's total length and its atoms from left to right."""
+
+    def __init__(self, atoms: list[Atom]):
+        self.atoms = [a for a in atoms if not a.is_good and a.approvers]
+        groups: dict[frozenset[int], list[Atom]] = {}
+        for atom in self.atoms:
+            groups.setdefault(atom.approvers, []).append(atom)
+        self.members = list(groups)
+        self.lengths = [sum((a.size() for a in g), Fraction(0)) for g in groups.values()]
+        self.parts = [sorted(g, key=lambda a: a.interval) for g in groups.values()]
+
+    def solve(
+        self, inst: Instance, goods_mask: int, budget: Fraction, eps: float, tol: float
+    ) -> tuple[list[Fraction], HarmonicValue, float]:
+        """Class lengths, score and certified gap for the goods in ``goods_mask``
+        (bits in instance order, as in the index's approval masks)."""
+        utils = [(mask & goods_mask).bit_count() for mask in inst.index.masks]
+        y_rat, gap = _solve_classes(utils, self.members, self.lengths, budget, eps)
+        for members, amount in zip(self.members, y_rat):
+            for i in members:
+                utils[i] += amount
+        return y_rat, harmonic_sum(utils, tol), gap
+
+    def refill(self, y_rat: list[Fraction]) -> dict[tuple[Fraction, Fraction], Fraction]:
+        """Per-atom lengths: each class's amount fills its atoms left to right."""
+        atom_lengths = {a.interval: Fraction(0) for a in self.atoms}
+        for atoms, left in zip(self.parts, y_rat):
+            for atom in atoms:
+                atom_lengths[atom.interval] = take = min(atom.size(), left)
+                left -= take
+        return atom_lengths
+
+
 def concave_cake_opt(
     inst: Instance,
     atoms: list[Atom],
@@ -205,50 +243,10 @@ def concave_cake_opt(
     Atoms sharing an approver set are interchangeable for the score, so they
     are merged for the solve and refilled left to right afterwards.
     """
-    fixed = frozenset(fixed_goods)
-    base_utils = [
-        Fraction(len(inst.agents[i].goods & fixed)) for i in range(inst.n)
-    ]
-    cake_atoms = [a for a in atoms if not a.is_good and a.approvers]
-    class_index: dict[frozenset[int], int] = {}
-    classes: list[frozenset[int]] = []
-    class_lengths: list[Fraction] = []
-    class_atoms: list[list[Atom]] = []
-    for atom in cake_atoms:
-        c = class_index.get(atom.approvers)
-        if c is None:
-            c = len(classes)
-            class_index[atom.approvers] = c
-            classes.append(atom.approvers)
-            class_lengths.append(Fraction(0))
-            class_atoms.append([])
-        class_lengths[c] += atom.size()
-        class_atoms[c].append(atom)
-
-    y_rat, gap = _solve_classes(base_utils, classes, class_lengths, budget, eps)
-
-    atom_lengths: dict[tuple[Fraction, Fraction], Fraction] = {
-        a.interval: Fraction(0) for a in cake_atoms
-    }
-    agent_utils = list(base_utils)
-    for c, amount in enumerate(y_rat):
-        left = amount
-        for atom in sorted(class_atoms[c], key=lambda a: a.interval):
-            take = min(atom.size(), left)
-            atom_lengths[atom.interval] = take
-            left -= take
-            if left == 0:
-                break
-        for i in classes[c]:
-            agent_utils[i] += amount
-
-    total = 0.0
-    bound = 0.0
-    for u in agent_utils:
-        hv = harmonic(u, tol)
-        total += hv.value
-        bound += hv.abs_error_bound
-    return atom_lengths, HarmonicValue(total, bound), gap
+    table = _CakeClasses(atoms)
+    goods_mask = sum(1 << k for k, g in enumerate(inst.goods) if g in fixed_goods)
+    y_rat, score, gap = table.solve(inst, goods_mask, budget, eps, tol)
+    return table.refill(y_rat), score, gap
 
 
 def generalized_pav(
@@ -270,40 +268,17 @@ def generalized_pav(
             f"goods enumeration capped at {good_cap} (instance has {inst.m}); "
             "pass force=True to override"
         )
-    atoms = [a for a in atomize(inst, inst.full_cake(), inst.goods) if not a.is_good]
-    max_goods = min(inst.m, math.floor(inst.alpha))
-    subsets = [
-        frozenset(inst.goods[i] for i in combo)
-        for size in range(max_goods + 1)
+    table = _CakeClasses(atomize(inst, inst.full_cake(), ()))
+    solved = [
+        (combo, *table.solve(inst, sum(1 << k for k in combo), inst.alpha - size, eps, tol))
+        for size in range(min(inst.m, math.floor(inst.alpha)) + 1)
         for combo in itertools.combinations(range(inst.m), size)
     ]
-
-    best: PavSolution | None = None
-    best_upper = -math.inf
-    for goods in subsets:
-        budget = inst.alpha - len(goods)
-        atom_lengths, score, gap = concave_cake_opt(inst, atoms, goods, budget, eps, tol)
-        upper = score.value + score.abs_error_bound + gap
-        best_upper = max(best_upper, upper)
-        if best is None or score.value > best.score.value:
-            pieces = [
-                (lo, lo + ln)
-                for (lo, _hi), ln in atom_lengths.items()
-                if ln > 0
-            ]
-            allocation = Bundle(cake=normalize(pieces), goods=goods)
-            best = PavSolution(
-                allocation=allocation,
-                score=score,
-                optimality_gap=gap,
-                atom_lengths=atom_lengths,
-            )
-    if best is None:
-        raise InvariantError("gpav enumerated no goods subset")
-    global_gap = max(best_upper - best.score.value, 0.0) + best.score.abs_error_bound
-    return PavSolution(
-        allocation=best.allocation,
-        score=best.score,
-        optimality_gap=max(best.optimality_gap, global_gap),
-        atom_lengths=best.atom_lengths,
-    )
+    # max keeps the first of equal scores
+    combo, y_rat, score, gap = max(solved, key=lambda s: s[2].value)
+    best_upper = max(s.value + s.abs_error_bound + g for _, _, s, g in solved)
+    atom_lengths = table.refill(y_rat)
+    pieces = [(lo, lo + ln) for (lo, _hi), ln in atom_lengths.items() if ln > 0]
+    global_gap = max(best_upper - score.value, 0.0) + score.abs_error_bound
+    allocation = Bundle(normalize(pieces), frozenset(inst.goods[k] for k in combo))
+    return PavSolution(allocation, score, max(gap, global_gap), atom_lengths)

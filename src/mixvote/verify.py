@@ -231,6 +231,8 @@ def verify_ejr_1(
     """EJR up to one: utilities are exact rationals, so the strict compare
     is exact; ``margin`` relaxes the threshold for scores produced by
     approximate optimizers."""
+    if not math.isfinite(margin):
+        raise DomainError(f"margin must be finite, got {margin}")
     beta = Fraction(1) + Fraction(margin)
     report = verify_ejr_beta(inst, allocation, beta, "strict", max_closure)
     return AxiomReport(axiom="ejr-1", passed=report.passed, witness=report.witness)

@@ -1,9 +1,25 @@
 """End-to-end CLI tests: subcommands, file formats, exit codes, idempotency."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-from mixvote.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, EXIT_USAGE, dispatch
+import pytest
+
+from mixvote import cli
+from mixvote.cli import (
+    EXIT_CAPACITY,
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    dispatch,
+)
+from mixvote.core import instance_to_dict, save_json
+from mixvote.generate import gen_fig1
 
 
 def run_cli(capsys, *argv):
@@ -179,3 +195,88 @@ def test_bench_subcommand(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 2
     assert all(r["iterations"] <= r["iteration_bound"] for r in rows)
+
+
+@pytest.fixture
+def fig1_files(tmp_path):
+    """fig1 as an instance file plus an allocation file (its whole cake)."""
+    inst = tmp_path / "fig1.json"
+    alloc = tmp_path / "alloc.json"
+    save_json(str(inst), instance_to_dict(gen_fig1()[0]))
+    save_json(str(alloc), {"cake": [["0", "1/2"]], "goods": []})
+    return str(inst), str(alloc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--axiom", "ejr-beta", "--beta", "1/0"],
+    ["audit", "--bound", "gpav", "--t-min", "1/0"],
+    ["verify", "--axiom", "ejr-1", "--margin", "nan"],
+])
+def test_bad_numeric_argument_is_usage_error(fig1_files, capsys, argv):
+    inst, alloc = fig1_files
+    code, _ = run_cli(capsys, *argv, "--instance", inst, "--allocation", alloc)
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("field, value", [("alpha", "2/0"), ("cake_length", None)])
+def test_malformed_instance_file_is_usage_error(tmp_path, capsys, field, value):
+    data = instance_to_dict(gen_fig1()[0])
+    data[field] = value
+    path = tmp_path / "bad.json"
+    save_json(str(path), data)
+    code, _ = run_cli(capsys, "run", "--rule", "gmes", "--instance", str(path))
+    assert code == EXIT_USAGE
+
+
+def test_missing_construction_parameter_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "thm6.json")
+    code, _ = run_cli(capsys, "gen", "--construction", "thm6", "--n", "8", "--out", out)
+    assert code == EXIT_USAGE
+
+
+def test_zero_oracle_grid_is_usage_error(fig1_files, capsys):
+    inst, _ = fig1_files
+    code, _ = run_cli(capsys, "oracle", "--check", "opt", "--grid", "0", "--instance", inst)
+    assert code == EXIT_USAGE
+
+
+def test_value_error_inside_a_rule_is_internal(fig1_files, capsys, monkeypatch):
+    def broken(inst):
+        raise ValueError("a fault inside the rule")
+
+    monkeypatch.setattr(cli, "generalized_mes", broken)
+    inst, _ = fig1_files
+    code = dispatch(["run", "--rule", "gmes", "--instance", inst])
+    assert code == EXIT_INTERNAL
+    assert "ValueError: a fault inside the rule" in capsys.readouterr().err
+
+
+INFLATED_ITERATIONS = """
+from mixvote import cli
+from mixvote.errors import InvariantError
+
+assert False, "this script must run under python -O"
+
+rule = cli.generalized_mes
+
+def inflated(inst):
+    bundle, ledger = rule(inst)
+    ledger.iterations = 10**9
+    return bundle, ledger
+
+cli.generalized_mes = inflated
+try:
+    cli.bench_mes([(6, 2, 2)])
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_bench_iteration_bound_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INFLATED_ITERATIONS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvariantError: iterations 1000000000 exceed progress bound 20")

@@ -275,6 +275,23 @@ class TestValidation:
                 alpha=F(1),
             )
 
+    @pytest.mark.parametrize("c, pairs", [(1, [(-1, "-1/2"), (0, 1)]), (1, [(0, "1/2"), (1, 2)]), (0, [(0, 1)])])
+    def test_approval_ends_checked(self, c, pairs):
+        with pytest.raises(MalformedIntervalError, match=rf"agent 0 approves cake outside \[0, {c}\]"):
+            Instance(
+                cake_length=F(c), goods=("g1",), agents=(Bundle(cake=iv(*pairs)),), alpha=F(1)
+            )
+
+    @pytest.mark.parametrize("bundle, message", [
+        (Bundle(cake=iv((0, 1))), "allocation cake outside"),
+        (Bundle(cake=iv((-1, 0), ("1/2", "3/5"))), "allocation cake outside"),
+        (Bundle(goods=frozenset({"g1", "zzz"})), "allocation contains unknown goods"),
+    ])
+    def test_allocation_outside_instance_rejected(self, fig1, bundle, message):
+        with pytest.raises(InvalidAllocationError, match=message):
+            fig1.validate_allocation(bundle)
+        fig1.validate_allocation(Bundle(cake=fig1.full_cake(), goods=frozenset({"g1"})))
+
     def test_oversize_allocation_rejected(self, fig1):
         big = Bundle(cake=fig1.full_cake(), goods=frozenset({"g1", "g2"}))
         with pytest.raises(InvalidAllocationError):

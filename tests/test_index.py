@@ -23,6 +23,7 @@ from mixvote import (
     atomize,
     audit_degree,
     cohesive_profiles,
+    generalized_pav,
     greedy_ejr_m,
     normalize,
     verify_cake_ejr,
@@ -31,9 +32,9 @@ from mixvote import (
     verify_ejr_m,
 )
 from mixvote.cli import EXIT_INTERNAL, dispatch
-from mixvote.core import instance_from_dict, instance_to_dict, save_json, utilities
+from mixvote.core import instance_from_dict, instance_to_dict, save_json, utilities, utility
 from mixvote.errors import CapacityError, InvariantError
-from mixvote.oracle import EnumerationConfig, enumerate_allocations
+from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
 from mixvote.verify import DEGREE_BOUNDS
 
@@ -261,6 +262,41 @@ def test_audit_and_profiles_match_fraction_scan(inst):
                 ] == entries
                 got = report.witness
                 assert (got and (got.group, got.t, got.average, got.bound, got.slack)) == best
+
+
+@st.composite
+def raw_allocations(draw, inst):
+    """Bundles ``utilities`` must score without validating them: partial
+    cakes, pieces touching 0 and c or running past c, and goods the
+    instance lacks."""
+    cake = draw(partial_cakes(inst))
+    c = inst.cake_length
+    if c > 0:
+        cut = c * draw(st.fractions(0, 1, max_denominator=BIG_PRIME))
+        ends = draw(st.sets(st.sampled_from(["left", "right", "past"])))
+        pieces = list(cake.intervals)
+        pieces += [(F(0), cut)] * ("left" in ends) + [(c - cut, c)] * ("right" in ends)
+        pieces += [(cut, c + 1)] * ("past" in ends)
+        cake = normalize(pieces)
+    goods = draw(st.sets(st.sampled_from(inst.goods + ("x0", "x1"))))
+    return Bundle(cake=cake, goods=frozenset(goods))
+
+
+@given(instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_utilities_match_per_agent_intersection(inst, data):
+    for alloc in [Bundle(inst.full_cake(), frozenset(inst.goods)), data.draw(raw_allocations(inst))]:
+        assert utilities(inst, alloc) == [utility(inst, i, alloc) for i in range(inst.n)]
+
+
+@given(instances(max_agents=3))
+@settings(max_examples=30, deadline=None)
+def test_gpav_certified_bound_covers_grid_oracle(inst):
+    sol = generalized_pav(inst)
+    _, opt = oracle_discretized_opt(inst, "gpav", EnumerationConfig(cake_grid=3))
+    assert sol.score.value + sol.optimality_gap + 2 * sol.score.abs_error_bound >= float(opt)
+    if inst.cake_length == 0:
+        assert abs(sol.score.value - float(opt)) <= 1e-9
 
 
 class RecordingTieBreaker(greedy.DefaultTieBreaker):
