@@ -100,6 +100,12 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.tie_breaker == "script" and args.script is None:
+        print("--script is required for --tie-breaker script", file=sys.stderr)
+        return EXIT_USAGE
+    if args.script is not None and args.tie_breaker != "script":
+        print("--script requires --tie-breaker script", file=sys.stderr)
+        return EXIT_USAGE
     inst = _load(args.instance, instance_from_dict)
     base = args.out or str(Path(args.instance).with_suffix("")) + f".{args.rule}"
     alloc_path = base + ".alloc.json"

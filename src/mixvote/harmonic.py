@@ -103,8 +103,8 @@ def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicVal
     last.  Raises DomainError for negative x or a tolerance below what
     double precision can certify.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
     if isinstance(x, float) and not math.isfinite(x):
         raise DomainError("x must be finite")
     x_frac = Fraction(x)

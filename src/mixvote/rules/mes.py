@@ -4,9 +4,9 @@ Every agent starts with a budget of alpha/n.  The remaining cake is kept
 divided into all-or-nothing intervals; in each step the cheapest
 per-utility purchase (price rho) among remaining goods and intervals is
 bought, with approvers paying min(budget, share).  Prices only rise as
-budgets shrink, so candidates live in a lazy min-heap and are re-priced
-on pop; a candidate that has become unaffordable can never recover and is
-dropped permanently.
+budgets shrink, so goods and intervals share one lazy min-heap and are
+re-priced on pop; a candidate that has become unaffordable can never
+recover and is dropped permanently.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core import (
-    Bundle,
-    Instance,
-    atomize,
-    normalize,
-)
+from ..core import Bundle, Instance, atomize, normalize
 from ..errors import InvariantError
 
 _GOOD, _CAKE = 0, 1  # equal-price ties prefer goods, then leftmost cake
@@ -83,119 +78,79 @@ class PaymentLedger:
             raise InvariantError("budgets spent differ from the payments")
 
 
-@dataclass
-class _CakeAtom:
-    lo: Fraction
-    hi: Fraction
-    approvers: frozenset[int]
-
-
 def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
     """Run the rule to exhaustion; returns the allocation and payment ledger."""
-    n = inst.n
-    share = inst.alpha / n
-    budgets: dict[int, Fraction] = {i: share for i in range(n)}
-    active: set[int] = {i for i in range(n) if not inst.agents[i].is_empty}
+    share = inst.alpha / inst.n
+    budgets = [share] * inst.n
+    active = {i for i, agent in enumerate(inst.agents) if not agent.is_empty}
     ledger = PaymentLedger(initial_budget=share)
 
-    cake_atoms: dict[int, _CakeAtom] = {}
-    goods_left: dict[str, frozenset[int]] = {}
-    for atom in atomize(inst, inst.full_cake(), inst.goods):
-        if atom.is_good:
-            goods_left[atom.good] = atom.approvers
-        else:
-            lo, hi = atom.interval
-            cake_atoms[len(cake_atoms)] = _CakeAtom(lo, hi, atom.approvers)
+    atoms = atomize(inst, inst.full_cake(), inst.goods)  # goods in instance order, then cake
+    # unbought candidates by atom position: None for a good, else the left
+    # end of the interval's cake still for sale
+    unbought = {k: None if a.is_good else a.interval[0] for k, a in enumerate(atoms)}
 
-    heap: list[tuple] = []
-
-    def good_rho(name: str) -> Fraction | None:
-        payers = [budgets[i] for i in goods_left[name] if i in active]
+    def key(k: int) -> tuple | None:
+        """Heap entry of candidate k at the current budgets, or None once no
+        active approver can pay (budgets only shrink, so for good)."""
+        payers = [i for i in atoms[k].approvers if i in active]
         if not payers:
             return None
-        return mes_price(payers, Fraction(1))
+        lo = unbought[k]
+        if lo is not None:
+            return Fraction(1, len(payers)), _CAKE, lo, k
+        rho = mes_price([budgets[i] for i in payers], Fraction(1))
+        return None if rho is None else (rho, _GOOD, k, k)
 
-    def cake_key(aid: int) -> tuple[Fraction, Fraction] | None:
-        atom = cake_atoms[aid]
-        count = sum(1 for i in atom.approvers if i in active)
-        if count == 0:
-            return None
-        return Fraction(1, count), atom.lo
-
-    for name in goods_left:
-        rho = good_rho(name)
-        if rho is not None:
-            heapq.heappush(heap, (rho, _GOOD, inst.good_index[name], name))
-    for aid in cake_atoms:
-        key = cake_key(aid)
-        if key is not None:
-            heapq.heappush(heap, (key[0], _CAKE, key[1], aid))
-
-    bought_goods: set[str] = set()
-    bought_cake: list[tuple[Fraction, Fraction]] = []
+    heap = [entry for k in unbought if (entry := key(k)) is not None]
+    heapq.heapify(heap)
     last_rho: Fraction | None = None
-
-    def pay(payers: list[int], amounts: dict[int, Fraction]) -> None:
-        for i in payers:
-            budgets[i] -= amounts[i]
+    while heap:
+        entry = heapq.heappop(heap)
+        rho, _, _, k = entry
+        if k not in unbought:
+            continue
+        now = key(k)
+        if now is None:
+            del unbought[k]
+            continue
+        if now != entry:
+            heapq.heappush(heap, now)
+            continue
+        atom, lo = atoms[k], unbought[k]
+        payers = sorted(i for i in atom.approvers if i in active)
+        if lo is None:
+            item, cost, x = atom.good, Fraction(1), None
+            payments = {i: min(budgets[i], rho) for i in payers}
+        else:
+            x = min(atom.interval[1], lo + len(payers) * min(budgets[i] for i in payers))
+            item, cost = (lo, x), x - lo
+            # no budget binds: rho = 1/len(payers), cost <= len(payers) * min budget
+            payments = dict.fromkeys(payers, cost * rho)
+        for i, amount in payments.items():
+            budgets[i] -= amount
             if budgets[i] == 0:
                 active.discard(i)
-
-    while heap:
-        rho, kind, order, ident = heapq.heappop(heap)
-        if kind == _GOOD:
-            if ident in bought_goods:
-                continue
-            now = good_rho(ident)
-            if now is None:
-                continue  # budgets only shrink; never affordable again
-            if now != rho:
-                heapq.heappush(heap, (now, _GOOD, order, ident))
-                continue
-            payers = sorted(i for i in goods_left[ident] if i in active)
-            payments = {i: min(budgets[i], rho) for i in payers}
-            pay(payers, payments)
-            bought_goods.add(ident)
-            del goods_left[ident]
-            ledger.purchases.append(
-                Purchase(item=ident, cost=Fraction(1), rho=rho, x=None, payments=payments)
-            )
+        ledger.purchases.append(Purchase(item=item, cost=cost, rho=rho, x=x, payments=payments))
+        # the rest of a partly bought interval is re-keyed only now, since
+        # key reads the budgets just paid
+        unbought[k] = x
+        again = key(k) if x is not None and x < atom.interval[1] else None
+        if again is None:
+            del unbought[k]
         else:
-            if ident not in cake_atoms:
-                continue
-            now = cake_key(ident)
-            if now is None:
-                del cake_atoms[ident]
-                continue
-            if now != (rho, order):
-                heapq.heappush(heap, (now[0], _CAKE, now[1], ident))
-                continue
-            atom = cake_atoms[ident]
-            payers = sorted(i for i in atom.approvers if i in active)
-            b_min = min(budgets[i] for i in payers)
-            x = min(atom.hi, atom.lo + len(payers) * b_min)
-            length = x - atom.lo
-            # no budget binds: rho = 1/len(payers), length <= len(payers) * b_min
-            payments = {i: length * rho for i in payers}
-            pay(payers, payments)
-            bought_cake.append((atom.lo, x))
-            ledger.purchases.append(
-                Purchase(item=(atom.lo, x), cost=length, rho=rho, x=x, payments=payments)
-            )
-            if x < atom.hi:
-                atom.lo = x
-                key = cake_key(ident)
-                if key is not None:
-                    heapq.heappush(heap, (key[0], _CAKE, key[1], ident))
-            else:
-                del cake_atoms[ident]
+            heapq.heappush(heap, again)
         if last_rho is not None and rho < last_rho:
             raise InvariantError(f"price {rho} fell below the previous {last_rho}")
         last_rho = rho
         ledger.iterations += 1
 
-    allocation = Bundle(cake=normalize(bought_cake), goods=frozenset(bought_goods))
-    ledger.final_budgets = dict(budgets)
+    bought = ledger.purchases
+    allocation = Bundle(
+        cake=normalize([p.item for p in bought if p.x is not None]),
+        goods=frozenset(p.item for p in bought if p.x is None),
+    )
+    ledger.final_budgets = dict(enumerate(budgets))
     if allocation.size() > inst.alpha:
         raise InvariantError(
             f"gmes allocation size {allocation.size()} exceeds alpha {inst.alpha}"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ..core import Bundle, Instance
 from ..errors import CapacityError, UnsupportedInstanceError
@@ -17,14 +16,11 @@ from ..errors import CapacityError, UnsupportedInstanceError
 DEFAULT_GOOD_CAP = 20
 
 
-def _nash_key(inst: Instance, goods: frozenset[str]) -> tuple[int, Fraction]:
-    positive = []
-    for agent in inst.agents:
-        u = len(agent.goods & goods)
-        if u > 0:
-            positive.append(u)
-    product = math.prod(positive) if positive else Fraction(0)
-    return len(positive), Fraction(product)
+def _nash_key(masks: list[int], goods_mask: int) -> tuple[int, int]:
+    """(agents with positive utility, product of those utilities) for the
+    goods in ``goods_mask`` (bits in instance order, as in the index)."""
+    positive = [u for mask in masks if (u := (mask & goods_mask).bit_count())]
+    return len(positive), math.prod(positive) if positive else 0
 
 
 def mnw_indivisible(
@@ -42,17 +38,17 @@ def mnw_indivisible(
             f"goods enumeration capped at {good_cap} (instance has {inst.m})"
         )
     limit = min(inst.m, math.floor(inst.alpha))
-    best_key: tuple[int, Fraction] | None = None
-    best: list[frozenset[str]] = []
+    masks = inst.index.masks
+    best_key: tuple[int, int] | None = None
+    best: list[tuple[int, ...]] = []
     for size in range(limit + 1):
         for combo in itertools.combinations(range(inst.m), size):
-            goods = frozenset(inst.goods[i] for i in combo)
-            key = _nash_key(inst, goods)
+            key = _nash_key(masks, sum(1 << k for k in combo))
             if best_key is None or key > best_key:
                 best_key = key
-                best = [goods]
+                best = [combo]
             elif key == best_key:
-                best.append(goods)
-    bundles = [Bundle(goods=g) for g in best]
+                best.append(combo)
+    bundles = [Bundle(goods=frozenset(inst.goods[k] for k in combo)) for combo in best]
     bundles.sort(key=lambda b: b.key(inst.good_index))
     return bundles

@@ -263,6 +263,8 @@ def generalized_pav(
     in enumeration order with the highest score wins; the reported gap
     covers every other subset's certified upper bound.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
     if inst.m > good_cap and not force:
         raise CapacityError(
             f"goods enumeration capped at {good_cap} (instance has {inst.m}); "

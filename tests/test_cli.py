@@ -218,6 +218,28 @@ def test_bad_numeric_argument_is_usage_error(fig1_files, capsys, argv):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["--harmonic-tol", "nan", "run", "--rule", "gpav"],
+    ["run", "--rule", "gpav", "--eps", "nan"],
+    ["run", "--rule", "gpav", "--eps", "0"],
+])
+def test_uncertifiable_tolerance_is_usage_error(fig1_files, capsys, argv):
+    inst, _ = fig1_files
+    code, _ = run_cli(capsys, *argv, "--instance", inst)
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tie-breaker", "script"], "--script is required for --tie-breaker script"),
+    (["--script", "script.json"], "--script requires --tie-breaker script"),
+])
+def test_tie_breaker_and_script_go_together(fig1_files, capsys, flags, message):
+    inst, _ = fig1_files
+    code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", inst, *flags])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("alpha", "2/0"), ("cake_length", None)])
 def test_malformed_instance_file_is_usage_error(tmp_path, capsys, field, value):
     data = instance_to_dict(gen_fig1()[0])

@@ -81,6 +81,12 @@ class TestCertifiedBounds:
         with pytest.raises(DomainError):
             harmonic(F(1, 3), tol=1e-16)
 
+    @pytest.mark.parametrize("x", [F(1, 2), 0.5, 3])
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+    def test_non_positive_or_nan_tolerance_rejected(self, x, tol):
+        with pytest.raises(DomainError):
+            harmonic(x, tol)
+
 
 class TestGrowthProperties:
     def test_recurrence_on_random_points(self):

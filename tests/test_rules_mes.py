@@ -1,5 +1,7 @@
 """Equal-shares rule tests: pricing, ledgers, and the indivisible reference oracle."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +19,8 @@ from mixvote import (
     verify_cake_ejr,
     verify_ejr_1,
 )
-from mixvote.generate import gen_random, gen_thm4
+from mixvote.core import allocation_to_dict, format_rational
+from mixvote.generate import gen_fig1, gen_random, gen_thm4
 
 from conftest import make_mixed, reference_mes_indivisible
 
@@ -190,3 +193,50 @@ def test_ledger_validation_survives_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("InvariantError: payments 9/10 differ from the allocated size 19/10")
+
+
+def _rational(q):
+    return None if q is None else format_rational(q)
+
+
+def ledger_text(inst: Instance) -> str:
+    """The gmes allocation and its whole ledger, purchases and payments in order."""
+    alloc, ledger = generalized_mes(inst)
+    return json.dumps({
+        "allocation": allocation_to_dict(inst, alloc),
+        "initial_budget": _rational(ledger.initial_budget),
+        "iterations": ledger.iterations,
+        "purchases": [
+            [
+                p.item if isinstance(p.item, str) else [_rational(e) for e in p.item],
+                _rational(p.cost), _rational(p.rho), _rational(p.x),
+                [[i, _rational(v)] for i, v in p.payments.items()],
+            ]
+            for p in ledger.purchases
+        ],
+        "final_budgets": [[i, _rational(b)] for i, b in ledger.final_budgets.items()],
+    }, sort_keys=True)
+
+
+# sha256 of the ledger texts, one per line; pins the exact purchase sequence
+GOLDEN_LEDGERS = {
+    "make_mixed(0..39)": (
+        lambda: [make_mixed(seed) for seed in range(40)],
+        "1128cbf98a0cdec1317a87ac78b3c39467f98abcac800c17fcc2939bf5bae46a",
+    ),
+    "fig1": (
+        lambda: [gen_fig1()[0]],
+        "c770a511363f586941fa35c4405700017fafacfa199b8d79972d26e8452f4495",
+    ),
+    "thm4(t=5/2, n=20)": (
+        lambda: [gen_thm4(F(5, 2), 20)[0]],
+        "4a457f13cd0c8e89e41acdddac0af823e79f098e128114c1d9d524ca8ba6c426",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_LEDGERS))
+def test_golden_ledgers(name):
+    instances, expected = GOLDEN_LEDGERS[name]
+    text = "\n".join(ledger_text(inst) for inst in instances())
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

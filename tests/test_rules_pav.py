@@ -22,7 +22,7 @@ from mixvote import (
     verify_ejr_m,
 )
 from mixvote.core import atomize
-from mixvote.errors import CapacityError
+from mixvote.errors import CapacityError, DomainError
 from mixvote.generate import gen_random
 from mixvote.harmonic import harmonic
 from mixvote.oracle import oracle_discretized_opt
@@ -156,6 +156,14 @@ def test_goods_cap_enforced():
         generalized_pav(inst)
     sol = generalized_pav(inst, force=True)
     assert sol.allocation.size() <= 2
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("with_cake", [False, True])
+def test_eps_checked_before_solving(fig1, eps, with_cake):
+    inst = fig1 if with_cake else gen_random(n=3, m=3, cake_atoms=0, alpha=F(2), seed=1)
+    with pytest.raises(DomainError, match="eps must be finite and positive"):
+        generalized_pav(inst, eps=eps)
 
 
 # ---------------------------------------------------------------------------
