@@ -100,6 +100,9 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.tie_breaker == "script" and args.rule != "greedy-ejr-m":
+        print("--tie-breaker script applies to --rule greedy-ejr-m only", file=sys.stderr)
+        return EXIT_USAGE
     if args.tie_breaker == "script" and args.script is None:
         print("--script is required for --tie-breaker script", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Harmonic-score maximization over mixed bundles.
 
-The outer loop enumerates goods subsets exactly.  For each subset the cake
-part is a concave maximization over the lengths taken from each class of
-atoms (atoms with one approver set), under box bounds and one budget; the
+The outer search runs over goods subsets.  For each subset the cake part is
+a concave maximization over the lengths taken from each class of atoms
+(atoms with one approver set), under box bounds and one budget; the
 objective is concave because H' is decreasing.  One primal active-set
 Newton method solves it (`_active_set_newton`), and the rationalized point
 is certified by its duality gap against the greedy-fill linear maximizer
@@ -11,11 +11,18 @@ only counts its goods per agent from the index's approval bitmasks, and
 atoms are refilled for the winning subset alone.  Outputs carry rational
 cake endpoints, so downstream axiom checks stay exact; only the score and
 the gap are floats.
+
+The goods subsets are searched by depth-first branch and bound.  A node
+fixes some goods in and some out and leaves the rest undecided.  Its
+relaxation lets every undecided good be taken in part: each becomes one
+more class of length 1, with the good's approvers, in the same cake
+problem, under the budget left by the goods fixed in.  Every completion of
+the node is a feasible point of that relaxation, so the relaxation's value
+plus its error bound plus its certified gap bounds every leaf below it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +49,14 @@ _CERT_SLACK = 1e-12
 _MAX_STEPS = 200
 _MAX_BACKTRACKS = 40
 
+# a subtree with at most this many goods subsets is searched without a
+# bound: there a relaxation solve costs about as much as the leaves it saves
+_SMALL_SUBTREE = 8
+
+# error bound of one agent's H term in a score: tol on the series path, an
+# ulp of H_u < 16 on the exact integer path (u <= 10**6)
+_TERM_ERROR_FLOOR = 2.0**-49
+
 
 @dataclass(frozen=True)
 class PavSolution:
@@ -49,6 +64,9 @@ class PavSolution:
     score: HarmonicValue
     optimality_gap: float
     atom_lengths: dict[tuple[Fraction, Fraction], Fraction]
+    # work done by the search: goods subsets solved, relaxations solved
+    subsets_solved: int = 0
+    bounds_solved: int = 0
 
 
 def _linmax_gap(g: np.ndarray, y: np.ndarray, lengths: np.ndarray, budget: float) -> float:
@@ -209,14 +227,24 @@ class _CakeClasses:
         self.parts = [sorted(g, key=lambda a: a.interval) for g in groups.values()]
 
     def solve(
-        self, inst: Instance, goods_mask: int, budget: Fraction, eps: float, tol: float
+        self,
+        inst: Instance,
+        goods_mask: int,
+        budget: Fraction,
+        eps: float,
+        tol: float,
+        relaxed: tuple[frozenset[int], ...] = (),
     ) -> tuple[list[Fraction], HarmonicValue, float]:
         """Class lengths, score and certified gap for the goods in ``goods_mask``
-        (bits in instance order, as in the index's approval masks)."""
+        (bits in instance order, as in the index's approval masks).  Each
+        approver set in ``relaxed`` joins as one more class of length 1: a
+        good that may be taken in part."""
         utils = [(mask & goods_mask).bit_count() for mask in inst.index.masks]
-        y_rat, gap = _solve_classes(utils, self.members, self.lengths, budget, eps)
-        for members, amount in zip(self.members, y_rat):
-            for i in members:
+        members = self.members + list(relaxed)
+        lengths = self.lengths + [Fraction(1)] * len(relaxed)
+        y_rat, gap = _solve_classes(utils, members, lengths, budget, eps)
+        for group, amount in zip(members, y_rat):
+            for i in group:
                 utils[i] += amount
         return y_rat, harmonic_sum(utils, tol), gap
 
@@ -256,12 +284,26 @@ def generalized_pav(
     good_cap: int = DEFAULT_GOOD_CAP,
     tol: float = DEFAULT_TOL,
 ) -> PavSolution:
-    """Enumerate goods subsets exactly; solve the cake part per subset.
+    """Best goods subset of at most floor(alpha) goods, with its cake part.
 
-    Each subset's cake part goes to one active-set Newton solve whose
-    rationalized point carries a certified duality gap.  The first subset
-    in enumeration order with the highest score wins; the reported gap
-    covers every other subset's certified upper bound.
+    The winner is the first subset with the highest score in enumeration
+    order (by size, then in ``itertools.combinations`` order of instance
+    positions).  A depth-first branch and bound finds it without solving
+    most subsets: goods go most approved first (ties by position), and the
+    search takes a good before it leaves the good out, so it meets a strong
+    incumbent early.  A node is pruned only when its relaxation bound (see
+    the module docstring) plus a float slack lies strictly below the
+    incumbent's score.  The slack covers the error of a leaf's own reported
+    score, so no pruned subset could have tied or beaten the winner, and
+    each solved subset gets the same cake solve, hence the same numbers, as
+    in a plain enumeration.  A subtree of at most ``_SMALL_SUBTREE`` subsets
+    is searched without a bound, as is a node whose relaxation cannot be
+    certified.
+
+    Each cake part goes to one active-set Newton solve whose rationalized
+    point carries a certified duality gap.  The reported gap covers the
+    certified upper bound of every solved subset; a pruned subset's bound
+    lies below the winner's score.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
@@ -271,16 +313,55 @@ def generalized_pav(
             "pass force=True to override"
         )
     table = _CakeClasses(atomize(inst, inst.full_cake(), ()))
-    solved = [
-        (combo, *table.solve(inst, sum(1 << k for k in combo), inst.alpha - size, eps, tol))
-        for size in range(min(inst.m, math.floor(inst.alpha)) + 1)
-        for combo in itertools.combinations(range(inst.m), size)
-    ]
-    # max keeps the first of equal scores
-    combo, y_rat, score, gap = max(solved, key=lambda s: s[2].value)
-    best_upper = max(s.value + s.abs_error_bound + g for _, _, s, g in solved)
+    approvers = inst.index.good_approvers
+    most = min(inst.m, math.floor(inst.alpha))
+    order = sorted(range(inst.m), key=lambda k: (-len(approvers[k]), k))
+    slack = inst.n * max(tol, _TERM_ERROR_FLOOR) + _CERT_SLACK
+    best = None  # (score, rank, mask, class lengths, gap) of the incumbent
+    best_upper = -math.inf
+    solved = bounds = 0
+
+    def leaf(mask: int) -> None:
+        nonlocal best, best_upper, solved
+        size = mask.bit_count()
+        y_rat, score, gap = table.solve(inst, mask, inst.alpha - size, eps, tol)
+        solved += 1
+        best_upper = max(best_upper, score.value + score.abs_error_bound + gap)
+        rank = (size, [k for k in range(inst.m) if mask >> k & 1])
+        # a tie goes to the subset that comes first in enumeration order
+        if best is None or score.value > best[0].value or (
+            score.value == best[0].value and rank < best[1]
+        ):
+            best = (score, rank, mask, y_rat, gap)
+
+    def pruned(depth: int, mask: int) -> bool:
+        nonlocal bounds
+        taken = mask.bit_count()
+        leaves = sum(math.comb(inst.m - depth, j) for j in range(most - taken + 1))
+        if best is None or leaves <= _SMALL_SUBTREE:
+            return False
+        relaxed = tuple(approvers[k] for k in order[depth:] if approvers[k])
+        bounds += 1
+        try:
+            _, relax, gap = table.solve(inst, mask, inst.alpha - taken, eps, tol, relaxed)
+        except DomainError:  # an uncertified relaxation bounds nothing
+            return False
+        return relax.value + relax.abs_error_bound + gap + slack < best[0].value
+
+    def visit(depth: int, mask: int) -> None:
+        if depth == inst.m or mask.bit_count() == most:
+            leaf(mask)
+        elif not pruned(depth, mask):
+            visit(depth + 1, mask | 1 << order[depth])
+            visit(depth + 1, mask)
+
+    visit(0, 0)
+    score, _, mask, y_rat, gap = best
     atom_lengths = table.refill(y_rat)
     pieces = [(lo, lo + ln) for (lo, _hi), ln in atom_lengths.items() if ln > 0]
     global_gap = max(best_upper - score.value, 0.0) + score.abs_error_bound
-    allocation = Bundle(normalize(pieces), frozenset(inst.goods[k] for k in combo))
-    return PavSolution(allocation, score, max(gap, global_gap), atom_lengths)
+    goods = frozenset(g for k, g in enumerate(inst.goods) if mask >> k & 1)
+    allocation = Bundle(normalize(pieces), goods)
+    return PavSolution(
+        allocation, score, max(gap, global_gap), atom_lengths, solved, bounds
+    )

@@ -240,6 +240,21 @@ def test_tie_breaker_and_script_go_together(fig1_files, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["gmes", "gpav", "mnw"])
+@pytest.mark.parametrize("script", [[], [{"bogus": 1}]])
+def test_script_tie_breaker_is_greedy_only(fig1_files, tmp_path, capsys, rule, script):
+    inst, _ = fig1_files
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    code = dispatch([
+        "run", "--rule", rule, "--instance", inst,
+        "--tie-breaker", "script", "--script", str(path),
+    ])
+    assert code == EXIT_USAGE
+    assert "--tie-breaker script applies to --rule greedy-ejr-m only" in capsys.readouterr().err
+    assert not (tmp_path / f"fig1.{rule}.alloc.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [("alpha", "2/0"), ("cake_length", None)])
 def test_malformed_instance_file_is_usage_error(tmp_path, capsys, field, value):
     data = instance_to_dict(gen_fig1()[0])

@@ -1,6 +1,10 @@
 """Harmonic-score rule tests: exact anchors, oracle agreement, swap optimality,
-and the cake solver's certificate on hard and independently solved inputs."""
+the branch and bound over goods against a plain enumeration, and the cake
+solver's certificate on hard and independently solved inputs."""
 
+import hashlib
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -23,13 +27,14 @@ from mixvote import (
 )
 from mixvote.core import atomize
 from mixvote.errors import CapacityError, DomainError
-from mixvote.generate import gen_random
-from mixvote.harmonic import harmonic
+from mixvote.generate import gen_fig1, gen_random
+from mixvote.harmonic import HarmonicValue, harmonic
 from mixvote.oracle import oracle_discretized_opt
-from mixvote.rules import concave_cake_opt
+from mixvote.rules import concave_cake_opt, pav
 from mixvote.rules.pav import _CERT_SLACK, _solve_classes
 
 from conftest import make_mixed
+from test_index import instances
 
 
 class TestFig1:
@@ -148,6 +153,144 @@ def test_no_profitable_swaps(seed):
             if cand.size() > inst.alpha:
                 continue
             assert gpav_score(inst, cand).value <= base + slack
+
+
+# ---------------------------------------------------------------------------
+# The branch and bound over goods subsets against a plain enumeration
+
+ANCHOR = dict(seed=1, n=40, m=10, cake_atoms=12, alpha=F(5), density=0.4)
+
+
+def enumerate_pav(inst):
+    """Every goods subset of at most floor(alpha) goods, each with its own
+    cake solve: the first highest score wins.  Returns the winner's goods,
+    atom lengths, score and gap, and the gap that covers every subset."""
+    atoms = atomize(inst, inst.full_cake(), ())
+    best, upper = None, -math.inf
+    for size in range(min(inst.m, math.floor(inst.alpha)) + 1):
+        for combo in itertools.combinations(inst.goods, size):
+            lengths, score, gap = concave_cake_opt(
+                inst, atoms, frozenset(combo), inst.alpha - size
+            )
+            upper = max(upper, score.value + score.abs_error_bound + gap)
+            if best is None or score.value > best[2].value:
+                best = (frozenset(combo), lengths, score, gap)
+    goods, lengths, score, gap = best
+    global_gap = max(gap, max(upper - score.value, 0.0) + score.abs_error_bound)
+    return goods, lengths, score, gap, global_gap
+
+
+def assert_matches_enumeration(inst, sol):
+    goods, lengths, score, own_gap, global_gap = enumerate_pav(inst)
+    assert sol.allocation.goods == goods
+    assert list(sol.atom_lengths.items()) == list(lengths.items())
+    assert sol.score == score
+    assert own_gap <= sol.optimality_gap <= global_gap
+
+
+def pin(inst, sol):
+    """Digest of the goods, the atom lengths in order and the score."""
+    goods = [g for g in inst.goods if g in sol.allocation.goods]
+    lengths = [(str(lo), str(hi), str(ln)) for (lo, hi), ln in sol.atom_lengths.items()]
+    text = repr((goods, lengths, sol.score.value.hex(), sol.score.abs_error_bound.hex()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# outputs of the plain enumeration that the branch and bound replaced
+GOLDEN_PINS = {
+    "fig1": "658cf56a5b07052f",
+    "anchor": "3bffb36adf55bfcf",
+    **{f"mixed{s}": h for s, h in enumerate([
+        "db1aef1473bfe302", "40b2c40d6c3a8ec6", "e868e2f7356aa0e1", "f3260b9e5754daaa",
+        "c3d9d1d70973e671", "3eedb25091b7cd08", "d7cfb00f65e179fa", "3b8af8741dc6389d",
+        "9e38be11841dba81", "4f3aa05848d01cf3", "588d5e5a620b101e", "7c60d167c8b95697",
+        "c30c98c6f4517a53", "4e2953a848b568a7", "2018515a9e6fe6c0", "40b2c40d6c3a8ec6",
+        "999c2b3a7f18d8a0", "d2788ca328c18e79", "6ea6d21c9bf068ff", "7c9c6f99d1eec121",
+        "dfcafa9c8a3ae62e", "fd38d188b1d8c31b", "06dae3098a756019", "976c67f7dcb2ac22",
+        "6d6e0b183889449b", "10215af270d3f7c9", "60979533e70253bb", "6dea6df3b516b8ab",
+        "1d66066db178ba30", "deb9bf12efaaa21f", "34c408efba4b1c7d", "df3ad94f743db5bb",
+        "ae894b48a7f875b7", "169fb188264e21eb", "7456cfbe5fdd9dd8", "db1aef1473bfe302",
+        "20c48abe618c996e", "193a37ce3e54afe3", "9c8275590cffadd7", "ca7730bd59ce4750",
+    ])},
+}
+
+
+def pinned_instances():
+    yield "fig1", gen_fig1()[0]
+    yield "anchor", gen_random(**ANCHOR)
+    for s in range(40):
+        yield f"mixed{s}", make_mixed(s)
+
+
+def test_golden_pins():
+    got = {name: pin(inst, generalized_pav(inst)) for name, inst in pinned_instances()}
+    assert got == GOLDEN_PINS
+
+
+def test_anchor_solves_few_subsets():
+    sol = generalized_pav(gen_random(**ANCHOR))
+    assert sol.subsets_solved + sol.bounds_solved < 638 // 8
+
+
+def test_small_search_solves_every_subset():
+    inst = gen_random(n=5, m=3, cake_atoms=2, alpha=F(2), seed=4)
+    sol = generalized_pav(inst)
+    assert (sol.subsets_solved, sol.bounds_solved) == (7, 0)
+
+
+def test_uncertified_relaxation_expands_the_node(monkeypatch):
+    solve = pav._CakeClasses.solve
+
+    def no_certified_bound(self, inst, goods_mask, budget, eps, tol, relaxed=()):
+        if relaxed:
+            raise DomainError("cake solver could not certify the relaxation")
+        return solve(self, inst, goods_mask, budget, eps, tol)
+
+    monkeypatch.setattr(pav._CakeClasses, "solve", no_certified_bound)
+    inst = gen_random(n=12, m=7, cake_atoms=3, alpha=F(4), density=0.4, seed=5)
+    sol = generalized_pav(inst)
+    assert sol.bounds_solved > 0
+    assert sol.subsets_solved == sum(math.comb(7, k) for k in range(5))
+    assert_matches_enumeration(inst, sol)
+
+
+@st.composite
+def instances_with_copies(draw):
+    """Instances with a copied good (exact score ties) or a good nobody
+    approves, on top of the index tests' instances (c = 0 included)."""
+    inst = draw(instances())
+    copies = draw(st.lists(st.sampled_from(inst.goods), max_size=2)) if inst.goods else []
+    extra = [(f"c{k}", g) for k, g in enumerate(copies)]
+    if draw(st.booleans()):
+        extra.append(("nobody", None))
+    agents = tuple(
+        Bundle(a.cake, a.goods | {name for name, g in extra if g in a.goods})
+        for a in inst.agents
+    )
+    goods = inst.goods + tuple(name for name, _ in extra)
+    return Instance(inst.cake_length, goods, agents, inst.alpha)
+
+
+pav_harmonic_sum = pav.harmonic_sum
+
+
+def exact_harmonic_sum(xs, tol):
+    """A score with its error bound dropped, as if computed exactly: a tight
+    relaxation then equals the best leaf below it to the last bit."""
+    return HarmonicValue(pav_harmonic_sum(xs, tol).value, 0.0)
+
+
+@pytest.mark.parametrize("small_subtree, exact_scores", [
+    (pav._SMALL_SUBTREE, False), (0, False), (0, True),
+])
+@settings(max_examples=60, deadline=None)
+@given(inst=instances_with_copies())
+def test_branch_and_bound_matches_enumeration(small_subtree, exact_scores, inst):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pav, "_SMALL_SUBTREE", small_subtree)
+        if exact_scores:
+            mp.setattr(pav, "harmonic_sum", exact_harmonic_sum)
+        assert_matches_enumeration(inst, generalized_pav(inst))
 
 
 def test_goods_cap_enforced():
