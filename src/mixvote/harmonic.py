@@ -139,13 +139,19 @@ def gpav_score(inst: Instance, allocation: Bundle, tol: float = DEFAULT_TOL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Vectorized H and its derivatives (the derivatives feed the concave cake
-# solver; same tail technique)
+# Vectorized H and its derivatives (H feeds the cake search's first-order
+# bound, the derivatives its solver; same tail technique)
 
 
-def harmonic_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized H_x for nonnegative float arrays (no certificate)."""
+def harmonic_vec(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized H_x for finite x >= 0: values and certified error bounds.
+
+    Every element takes the series path of `harmonic`, integers included,
+    with the same bound: the tail remainder plus the rounding slack.
+    """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all() or (x < 0).any():
+        raise DomainError("harmonic numbers require finite x >= 0")
     k = np.arange(1, _K + 1, dtype=float)
     partial = (x[..., None] / (k * (x[..., None] + k))).sum(axis=-1)
     z1 = _K + 1.0 + x
@@ -155,7 +161,9 @@ def harmonic_vec(x: np.ndarray) -> np.ndarray:
         inv = 1.0 / z
         inv2 = inv * inv
         tail += sign * (-0.5 * inv - inv2 / 12.0 + inv2**2 / 120.0 - inv2**3 / 252.0)
-    return partial + tail
+    value = partial + tail
+    bound = 1.0 / (240.0 * z0**8) + 1.0 / (240.0 * z1**8) + _ROUNDING_SLACK * np.maximum(1.0, value)
+    return value, bound
 
 
 def harmonic_deriv_vec(x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,13 @@ more class of length 1, with the good's approvers, in the same cake
 problem, under the budget left by the goods fixed in.  Every completion of
 the node is a feasible point of that relaxation, so the relaxation's value
 plus its error bound plus its certified gap bounds every leaf below it.
+
+Before any Newton solve, a leaf or a node is screened by a first-order
+bound that costs one gradient: H is concave, so no feasible point scores
+above f(y0) + max_z grad f(y0).(z - y0) at the proportional fill y0, the
+Newton start.  f(y0) comes with certified error bounds from `harmonic_vec`,
+and the max is the same greedy fill that certifies the solver's gap.  The
+Newton solve runs only where this bound fails to dismiss the subproblem.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from ..harmonic import (
     harmonic_deriv2_vec,
     harmonic_deriv_vec,
     harmonic_sum,
+    harmonic_vec,
 )
 
 DEFAULT_GOOD_CAP = 16
@@ -64,9 +73,11 @@ class PavSolution:
     score: HarmonicValue
     optimality_gap: float
     atom_lengths: dict[tuple[Fraction, Fraction], Fraction]
-    # work done by the search: goods subsets solved, relaxations solved
+    # work done by the search: goods subsets solved, relaxations solved, and
+    # leaves and nodes dismissed by the first-order bound without a solve
     subsets_solved: int = 0
     bounds_solved: int = 0
+    screened: int = 0
 
 
 def _linmax_gap(g: np.ndarray, y: np.ndarray, lengths: np.ndarray, budget: float) -> float:
@@ -162,6 +173,15 @@ def _active_set_newton(
     return y, gap
 
 
+def _incidence(nagents: int, groups: list[frozenset[int]]) -> np.ndarray:
+    """Agent-by-group 0/1 matrix: column c marks the members of ``groups[c]``."""
+    inc = np.zeros((nagents, len(groups)))
+    for c, members in enumerate(groups):
+        for i in members:
+            inc[i, c] = 1.0
+    return inc
+
+
 def _solve_classes(
     base_utils: list[Fraction],
     classes: list[frozenset[int]],
@@ -174,20 +194,27 @@ def _solve_classes(
     Returns rational lengths summing to at most the budget and a certified
     duality gap.  Exact shortcuts when the budget is slack or zero.
     """
-    nclasses = len(classes)
+    base = np.array([float(u) for u in base_utils])
+    lengths = np.array([float(l) for l in class_lengths])
+    return _solve(base, _incidence(len(base_utils), classes), lengths, class_lengths, budget, eps)
+
+
+def _solve(
+    base: np.ndarray,
+    inc: np.ndarray,
+    lengths: np.ndarray,
+    class_lengths: list[Fraction],
+    budget: Fraction,
+    eps: float,
+) -> tuple[list[Fraction], float]:
+    """`_solve_classes` on a built incidence matrix and float lengths."""
+    nclasses = len(class_lengths)
     if nclasses == 0 or budget <= 0:
         return [Fraction(0)] * nclasses, 0.0
     total = sum(class_lengths, Fraction(0))
     if total <= budget:
         return list(class_lengths), 0.0
 
-    nagents = len(base_utils)
-    inc = np.zeros((nagents, nclasses))
-    for c, members in enumerate(classes):
-        for i in members:
-            inc[i, c] = 1.0
-    base = np.array([float(u) for u in base_utils])
-    lengths = np.array([float(l) for l in class_lengths])
     bud = float(budget)
     target = eps / 4.0
 
@@ -215,9 +242,12 @@ def _solve_classes(
 
 class _CakeClasses:
     """Approved cake atoms grouped by approver set, in first-seen order, with
-    each class's total length and its atoms from left to right."""
+    each class's total length and its atoms from left to right.  The float
+    side of the solver is built here once per instance: the agent-by-class
+    incidence matrix and lengths, and an agent-by-good matrix whose columns
+    join as classes of length 1 when goods are relaxed."""
 
-    def __init__(self, atoms: list[Atom]):
+    def __init__(self, inst: Instance, atoms: list[Atom]):
         self.atoms = [a for a in atoms if not a.is_good and a.approvers]
         groups: dict[frozenset[int], list[Atom]] = {}
         for atom in self.atoms:
@@ -225,28 +255,60 @@ class _CakeClasses:
         self.members = list(groups)
         self.lengths = [sum((a.size() for a in g), Fraction(0)) for g in groups.values()]
         self.parts = [sorted(g, key=lambda a: a.interval) for g in groups.values()]
+        self.total = sum(self.lengths, Fraction(0))
+        self.masks = inst.index.masks
+        self.good_approvers = inst.index.good_approvers
+        self.inc = _incidence(inst.n, self.members)
+        self.flengths = np.array([float(l) for l in self.lengths])
+        self.goods_inc = _incidence(inst.n, self.good_approvers)
+
+    def _columns(
+        self, goods_mask: int, relaxed: Sequence[int]
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Goods counted per agent, and the incidence matrix and float
+        lengths with one column per relaxed good appended."""
+        utils = [(mask & goods_mask).bit_count() for mask in self.masks]
+        if not relaxed:
+            return utils, self.inc, self.flengths
+        inc = np.hstack([self.inc, self.goods_inc[:, relaxed]])
+        return utils, inc, np.concatenate([self.flengths, np.ones(len(relaxed))])
 
     def solve(
         self,
-        inst: Instance,
         goods_mask: int,
         budget: Fraction,
         eps: float,
         tol: float,
-        relaxed: tuple[frozenset[int], ...] = (),
+        relaxed: Sequence[int] = (),
     ) -> tuple[list[Fraction], HarmonicValue, float]:
         """Class lengths, score and certified gap for the goods in ``goods_mask``
         (bits in instance order, as in the index's approval masks).  Each
-        approver set in ``relaxed`` joins as one more class of length 1: a
-        good that may be taken in part."""
-        utils = [(mask & goods_mask).bit_count() for mask in inst.index.masks]
-        members = self.members + list(relaxed)
-        lengths = self.lengths + [Fraction(1)] * len(relaxed)
-        y_rat, gap = _solve_classes(utils, members, lengths, budget, eps)
+        good position in ``relaxed`` joins as one more class of length 1, with
+        the good's approvers: a good that may be taken in part."""
+        utils, inc, lengths = self._columns(goods_mask, relaxed)
+        members = self.members + [self.good_approvers[k] for k in relaxed]
+        class_lengths = self.lengths + [Fraction(1)] * len(relaxed)
+        y_rat, gap = _solve(np.array(utils, dtype=float), inc, lengths, class_lengths, budget, eps)
         for group, amount in zip(members, y_rat):
             for i in group:
                 utils[i] += amount
         return y_rat, harmonic_sum(utils, tol), gap
+
+    def bound(self, goods_mask: int, budget: Fraction, relaxed: Sequence[int] = ()) -> float:
+        """Certified upper bound on the best score of the problem ``solve``
+        solves, from one gradient: H is concave, so no feasible point scores
+        above f(y0) + max_z grad f(y0).(z - y0), where y0 = L*B/sum(L) is the
+        Newton start and the max is `_linmax_gap`.  inf when ``solve`` is
+        exact without a Newton solve (no classes, no budget, or a slack one)."""
+        if budget <= 0 or self.total + len(relaxed) <= budget:
+            return math.inf
+        utils, inc, lengths = self._columns(goods_mask, relaxed)
+        bud = float(budget)
+        y0 = lengths * (bud / lengths.sum())
+        u = np.array(utils, dtype=float) + inc @ y0
+        values, bounds = harmonic_vec(u)
+        gap = _linmax_gap(inc.T @ harmonic_deriv_vec(u), y0, lengths, bud)
+        return float(values.sum() + bounds.sum()) + gap + _CERT_SLACK
 
     def refill(self, y_rat: list[Fraction]) -> dict[tuple[Fraction, Fraction], Fraction]:
         """Per-atom lengths: each class's amount fills its atoms left to right."""
@@ -271,9 +333,9 @@ def concave_cake_opt(
     Atoms sharing an approver set are interchangeable for the score, so they
     are merged for the solve and refilled left to right afterwards.
     """
-    table = _CakeClasses(atoms)
+    table = _CakeClasses(inst, atoms)
     goods_mask = sum(1 << k for k, g in enumerate(inst.goods) if g in fixed_goods)
-    y_rat, score, gap = table.solve(inst, goods_mask, budget, eps, tol)
+    y_rat, score, gap = table.solve(goods_mask, budget, eps, tol)
     return table.refill(y_rat), score, gap
 
 
@@ -298,12 +360,16 @@ def generalized_pav(
     each solved subset gets the same cake solve, hence the same numbers, as
     in a plain enumeration.  A subtree of at most ``_SMALL_SUBTREE`` subsets
     is searched without a bound, as is a node whose relaxation cannot be
-    certified.
+    certified.  Once an incumbent exists, every leaf and every bounded node
+    is first screened by the first-order bound (see the module docstring)
+    under the same rule, and solved only when that bound does not dismiss
+    it; a subproblem the solver settles without Newton (no cake classes, no
+    budget, or a slack one) is solved directly.
 
     Each cake part goes to one active-set Newton solve whose rationalized
     point carries a certified duality gap.  The reported gap covers the
-    certified upper bound of every solved subset; a pruned subset's bound
-    lies below the winner's score.
+    certified upper bound of every solved subset; a pruned or screened
+    subset's bound lies below the winner's score.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
@@ -312,19 +378,23 @@ def generalized_pav(
             f"goods enumeration capped at {good_cap} (instance has {inst.m}); "
             "pass force=True to override"
         )
-    table = _CakeClasses(atomize(inst, inst.full_cake(), ()))
+    table = _CakeClasses(inst, atomize(inst, inst.full_cake(), ()))
     approvers = inst.index.good_approvers
     most = min(inst.m, math.floor(inst.alpha))
     order = sorted(range(inst.m), key=lambda k: (-len(approvers[k]), k))
     slack = inst.n * max(tol, _TERM_ERROR_FLOOR) + _CERT_SLACK
     best = None  # (score, rank, mask, class lengths, gap) of the incumbent
     best_upper = -math.inf
-    solved = bounds = 0
+    solved = bounds = screened = 0
 
     def leaf(mask: int) -> None:
-        nonlocal best, best_upper, solved
+        nonlocal best, best_upper, solved, screened
         size = mask.bit_count()
-        y_rat, score, gap = table.solve(inst, mask, inst.alpha - size, eps, tol)
+        budget = inst.alpha - size
+        if best is not None and table.bound(mask, budget) + slack < best[0].value:
+            screened += 1
+            return
+        y_rat, score, gap = table.solve(mask, budget, eps, tol)
         solved += 1
         best_upper = max(best_upper, score.value + score.abs_error_bound + gap)
         rank = (size, [k for k in range(inst.m) if mask >> k & 1])
@@ -335,15 +405,19 @@ def generalized_pav(
             best = (score, rank, mask, y_rat, gap)
 
     def pruned(depth: int, mask: int) -> bool:
-        nonlocal bounds
+        nonlocal bounds, screened
         taken = mask.bit_count()
         leaves = sum(math.comb(inst.m - depth, j) for j in range(most - taken + 1))
         if best is None or leaves <= _SMALL_SUBTREE:
             return False
-        relaxed = tuple(approvers[k] for k in order[depth:] if approvers[k])
+        relaxed = [k for k in order[depth:] if approvers[k]]
+        budget = inst.alpha - taken
+        if table.bound(mask, budget, relaxed) + slack < best[0].value:
+            screened += 1
+            return True
         bounds += 1
         try:
-            _, relax, gap = table.solve(inst, mask, inst.alpha - taken, eps, tol, relaxed)
+            _, relax, gap = table.solve(mask, budget, eps, tol, relaxed)
         except DomainError:  # an uncertified relaxation bounds nothing
             return False
         return relax.value + relax.abs_error_bound + gap + slack < best[0].value
@@ -363,5 +437,5 @@ def generalized_pav(
     goods = frozenset(g for k, g in enumerate(inst.goods) if mask >> k & 1)
     allocation = Bundle(normalize(pieces), goods)
     return PavSolution(
-        allocation, score, max(gap, global_gap), atom_lengths, solved, bounds
+        allocation, score, max(gap, global_gap), atom_lengths, solved, bounds, screened
     )

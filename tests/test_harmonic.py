@@ -12,6 +12,8 @@ from fractions import Fraction as F
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvote import Bundle, gpav_score, harmonic
 from mixvote.errors import DomainError
@@ -20,6 +22,7 @@ from mixvote.harmonic import (
     _exact_integer_harmonic,
     exact_pav_score,
     harmonic_deriv_vec,
+    harmonic_vec,
 )
 
 mp.mp.dps = 40
@@ -86,6 +89,33 @@ class TestCertifiedBounds:
     def test_non_positive_or_nan_tolerance_rejected(self, x, tol):
         with pytest.raises(DomainError):
             harmonic(x, tol)
+
+
+def assert_vec_certified(xs) -> None:
+    """Every element of harmonic_vec lies within its bound of mpmath's H_x."""
+    values, bounds = harmonic_vec(np.array(xs, dtype=float))
+    assert values.shape == bounds.shape == (len(xs),)
+    for x, value, bound in zip(xs, values, bounds):
+        exact = mp.harmonic(mp.mpf(float(x)))
+        assert abs(mp.mpf(float(value)) - exact) <= bound, (x, value, bound)
+
+
+class TestCertifiedVector:
+    def test_bound_holds_at_anchor_points(self):
+        assert_vec_certified([0.0, 1e-300, 0.5, *range(1, 51), 1e6, 1e12, 1e15])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.floats(min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=8,
+    ))
+    def test_bound_holds_on_drawn_floats(self, xs):
+        assert_vec_certified(xs)
+
+    @pytest.mark.parametrize("x", [-0.5, float("nan"), float("inf")])
+    def test_outside_domain_rejected(self, x):
+        with pytest.raises(DomainError):
+            harmonic_vec(np.array([1.0, x]))
 
 
 class TestGrowthProperties:

@@ -230,6 +230,9 @@ def test_golden_pins():
 def test_anchor_solves_few_subsets():
     sol = generalized_pav(gen_random(**ANCHOR))
     assert sol.subsets_solved + sol.bounds_solved < 638 // 8
+    # the first-order bound dismisses leaves the search alone would solve
+    assert sol.screened > 0
+    assert sol.subsets_solved <= 29
 
 
 def test_small_search_solves_every_subset():
@@ -241,12 +244,13 @@ def test_small_search_solves_every_subset():
 def test_uncertified_relaxation_expands_the_node(monkeypatch):
     solve = pav._CakeClasses.solve
 
-    def no_certified_bound(self, inst, goods_mask, budget, eps, tol, relaxed=()):
+    def no_certified_bound(self, goods_mask, budget, eps, tol, relaxed=()):
         if relaxed:
             raise DomainError("cake solver could not certify the relaxation")
-        return solve(self, inst, goods_mask, budget, eps, tol)
+        return solve(self, goods_mask, budget, eps, tol)
 
     monkeypatch.setattr(pav._CakeClasses, "solve", no_certified_bound)
+    monkeypatch.setattr(pav._CakeClasses, "bound", lambda self, *args: math.inf)
     inst = gen_random(n=12, m=7, cake_atoms=3, alpha=F(4), density=0.4, seed=5)
     sol = generalized_pav(inst)
     assert sol.bounds_solved > 0
@@ -269,6 +273,30 @@ def instances_with_copies(draw):
     )
     goods = inst.goods + tuple(name for name, _ in extra)
     return Instance(inst.cake_length, goods, agents, inst.alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances_with_copies(), data=st.data())
+def test_first_order_bound_covers_the_solved_score(inst, data):
+    """The first-order bound plus the search's slack is at least the score of
+    the solved subproblem, for goods fixed in, goods relaxed and a budget as
+    the search sets them, or a budget that leaves the solve nontrivial."""
+    def subset(ks, max_size=None):
+        if not ks:
+            return []
+        return data.draw(st.lists(st.sampled_from(ks), unique=True, max_size=max_size))
+
+    table = pav._CakeClasses(inst, atomize(inst, inst.full_cake(), ()))
+    taken = subset(range(inst.m), min(inst.m, math.floor(inst.alpha)))
+    relaxed = subset([k for k in range(inst.m) if k not in taken and inst.index.good_approvers[k]])
+    budget = inst.alpha - len(taken)
+    if data.draw(st.booleans()):
+        budget = (table.total + len(relaxed)) * F(data.draw(st.integers(1, 99)), 100)
+    mask = sum(1 << k for k in taken)
+    upper = table.bound(mask, budget, relaxed)
+    _, score, _ = table.solve(mask, budget, pav.DEFAULT_EPS, pav.DEFAULT_TOL, relaxed)
+    slack = inst.n * max(pav.DEFAULT_TOL, pav._TERM_ERROR_FLOOR) + _CERT_SLACK
+    assert upper + slack >= score.value
 
 
 pav_harmonic_sum = pav.harmonic_sum
