@@ -1,7 +1,9 @@
 """Exact model of mixed-goods instances: rationals, interval sets, bundles, atoms.
 
-All quantities (lengths, sizes, budgets, utilities) are exact
-``fractions.Fraction`` values; nothing in this module touches floats.
+All quantities (lengths, sizes, budgets, utilities) are exact rationals:
+``fractions.Fraction`` values, or ints over one common denominator in the
+instance index and the allocation pass; nothing in this module touches
+floats.
 Goods are identified by their names; their order in ``Instance.goods``
 is the canonical order used for tie-breaking everywhere.
 """
@@ -266,15 +268,22 @@ class Instance:
     def sorted_goods(self, goods: Iterable[str]) -> list[str]:
         return sorted(goods, key=self.good_index.__getitem__)
 
-    def validate_allocation(self, bundle: Bundle) -> None:
+    def validate_allocation(
+        self, bundle: Bundle, *extra_denominators: int
+    ) -> tuple[int, int, list[int]]:
+        """Raise InvalidAllocationError unless the bundle holds only the
+        instance's goods, lies in [0, c] and has size at most alpha; return
+        its pass ``allocation_units(self, bundle, *extra_denominators)``."""
         if not bundle.goods <= self.good_index.keys():
             raise InvalidAllocationError("allocation contains unknown goods")
         if not _within(bundle.cake, self.cake_length):
             raise InvalidAllocationError("allocation cake outside [0, c]")
-        if bundle.size() > self.alpha:
+        unit, size, utils = allocation_units(self, bundle, *extra_denominators)
+        if size * self.alpha.denominator > self.alpha.numerator * unit:
             raise InvalidAllocationError(
-                f"allocation size {bundle.size()} exceeds alpha {self.alpha}"
+                f"allocation size {Fraction(size, unit)} exceeds alpha {self.alpha}"
             )
+        return unit, size, utils
 
 
 def bundle_size(b: Bundle) -> Fraction:
@@ -289,15 +298,10 @@ def utility(inst: Instance, agent: int, allocation: Bundle) -> Fraction:
 
 
 def utilities(inst: Instance, allocation: Bundle) -> list[Fraction]:
-    """Every agent's utility: each atom of the allocation adds its size to
-    its approvers (goods the instance lacks and cake outside [0, c] to nobody)."""
-    goods = [g for g in allocation.goods if g in inst.good_index]
-    utils = [Fraction(0)] * inst.n
-    for atom in atomize(inst, allocation.cake, goods):
-        size = atom.size()
-        for i in atom.approvers:
-            utils[i] += size
-    return utils
+    """Every agent's utility, read from ``allocation_units`` (goods the
+    instance lacks and cake outside [0, c] count for nobody)."""
+    unit, _, utils = allocation_units(inst, allocation)
+    return [Fraction(u, unit) for u in utils]
 
 
 def common_bundle(inst: Instance, group: Iterable[int]) -> Bundle:
@@ -495,6 +499,46 @@ class InstanceIndex:
         goods = frozenset(self.goods[k] for k in _bits(row.mask & ((1 << m) - 1)))
         cake = tuple((self.points[a], self.points[b]) for a, b in _runs(row.mask >> m))
         return Bundle(IntervalSet(cake), goods)
+
+
+def allocation_units(
+    inst: Instance, bundle: Bundle, *extra_denominators: int
+) -> tuple[int, int, list[int]]:
+    """One integer pass over a raw bundle: ``(unit, size, utils)``.
+
+    ``unit`` is the lcm of the index denominator, the denominators of the
+    bundle's cake endpoints and ``extra_denominators``; ``size`` (the
+    bundle's size) and ``utils[i]`` (agent i's utility) are numerators over
+    it.  Each cake piece adds its overlap with an index cell to that cell's
+    approvers, and each good adds ``unit`` to its approvers; goods the
+    instance lacks and cake outside [0, c] count toward the size only.
+    """
+    index = inst.index
+    intervals = bundle.cake.intervals
+    unit = math.lcm(
+        index.denominator, *extra_denominators, *(p.denominator for iv in intervals for p in iv)
+    )
+    utils = [0] * inst.n
+    size = len(bundle.goods) * unit
+    for g in bundle.goods:
+        k = inst.good_index.get(g)
+        if k is not None:
+            for i in index.good_approvers[k]:
+                utils[i] += unit
+    scale = unit // index.denominator
+    points = index.points_d if scale == 1 else [p * scale for p in index.points_d]
+    cells = index.cells
+    for lo, hi in intervals:
+        lo = lo.numerator * (unit // lo.denominator)
+        hi = hi.numerator * (unit // hi.denominator)
+        size += hi - lo
+        # cells j with points[j] < hi and points[j + 1] > lo, inside [0, c]
+        first = max(bisect_right(points, lo) - 1, 0)
+        for j in range(first, min(bisect_left(points, hi), len(cells))):
+            piece = min(points[j + 1], hi) - max(points[j], lo)
+            for i in cells[j]:
+                utils[i] += piece
+    return unit, size, utils
 
 
 def approval_closure(

@@ -367,6 +367,8 @@ def gen_random(
         raise DomainError("need at least one agent")
     if m + cake_atoms < 1:
         raise DomainError("need at least one good or cake atom")
+    if not 0 <= density <= 1:
+        raise DomainError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     if cake_atoms > 0:
         c = Fraction(cake_length) if cake_length is not None else Fraction(cake_atoms, 2)

@@ -11,10 +11,13 @@ re-validates against the raw definition.
 
 The closure comes from the instance index (``Instance.index``), whose rows
 carry each bundle's goods count, cake length and size as ints at the
-index denominator D.  A scan puts the utilities (and beta) on one common
-denominator, the lcm of D and theirs, derives each tier's threshold from
-the row ints, and compares ints; ints at a common denominator are still
-exact rationals, and witnesses are converted back to ``Fraction``.
+index denominator D.  One integer pass over the allocation
+(``core.allocation_units``, run by ``Instance.validate_allocation``)
+gives its validity, size and every agent's utility on a common
+denominator: the lcm of D, the allocation's cake endpoints and beta.  A
+scan derives each tier's threshold from the row ints and compares ints;
+ints at a common denominator are still exact rationals, and witnesses are
+converted back to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from typing import Callable, Iterator
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
+    EMPTY_BUNDLE,
     Bundle,
     ClosureRow,
     Instance,
     InstanceIndex,
+    allocation_units,
     format_rational,
-    utilities,
 )
 from .errors import DomainError, UnsupportedInstanceError
 from .rules.greedy import exact_size
@@ -84,13 +88,6 @@ def _ranks(values: list) -> list[int]:
     return rank
 
 
-def _on_common_denominator(index: InstanceIndex, values: list[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the index denominator and the values' denominators, and
-    the values as numerators over it."""
-    unit = math.lcm(index.denominator, *(x.denominator for x in values))
-    return unit, [x.numerator * (unit // x.denominator) for x in values]
-
-
 def _profile_tiers(
     index: InstanceIndex,
     rank: list[int],
@@ -114,24 +111,21 @@ def cohesive_profiles(
     max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> list[CohesiveProfile]:
     """All deduplicated (common bundle, size) tiers with a positive threshold."""
-    utils = (
-        utilities(inst, allocation)
-        if allocation is not None
-        else [Fraction(0)] * inst.n
-    )
     index = inst.index
-    unit = index.denominator
+    unit, _, u = allocation_units(inst, EMPTY_BUNDLE if allocation is None else allocation)
+    scale = unit // index.denominator
     profiles = []
-    for row, members in _profile_tiers(index, _ranks(utils), max_closure):
+    for row, members in _profile_tiers(index, _ranks(u), max_closure):
+        size, ell = row.size_d * scale, row.ell_d * scale
         for k in range(1, len(members) + 1):
-            cap = k * index.share_d
+            cap = k * index.share_d * scale
             group = tuple(sorted(members[:k]))
             profiles.append(
                 CohesiveProfile(
                     group=group,
-                    t_cohesive_sup=Fraction(min(cap, row.size_d), unit),
-                    t_exact_max=Fraction(exact_size(row.m_star, row.ell_d, cap, unit), unit),
-                    group_utilities=tuple(sorted(utils[i] for i in group)),
+                    t_cohesive_sup=Fraction(min(cap, size), unit),
+                    t_exact_max=Fraction(exact_size(row.m_star, ell, cap, unit), unit),
+                    group_utilities=tuple(sorted(Fraction(u[i], unit) for i in group)),
                 )
             )
     return profiles
@@ -154,12 +148,10 @@ def _scan(
     at least t - beta.  The reported witness is the most violated tier
     (ties: smaller t, then lexicographically smaller group).
     """
-    inst.validate_allocation(allocation)
-    utils = utilities(inst, allocation)
+    unit, _, u = inst.validate_allocation(allocation, beta.denominator)
     index = inst.index
-    unit, u = _on_common_denominator(index, utils + [beta])
     # a member fails a tier when its utility is at most t - off
-    off = u.pop() + (0 if strict else 1)
+    off = beta.numerator * (unit // beta.denominator) + (0 if strict else 1)
     scale = unit // index.denominator
     share = index.share_d * scale
     # ((-violation, t), group, agent with the group's max utility); smallest wins
@@ -182,7 +174,7 @@ def _scan(
     if worst is not None:
         (_, t), group, i = worst
         t = Fraction(t, unit)
-        witness = Witness(group=group, t=t, threshold=t - beta, max_utility=utils[i])
+        witness = Witness(group=group, t=t, threshold=t - beta, max_utility=Fraction(u[i], unit))
     return AxiomReport(axiom=axiom, passed=witness is None, witness=witness)
 
 
@@ -340,10 +332,8 @@ def audit_degree(
         name, f = bound, DEGREE_BOUNDS[bound]
     else:
         name, f = getattr(bound, "__name__", "custom"), bound
-    inst.validate_allocation(allocation)
-    utils = utilities(inst, allocation)
+    unit, _, u = inst.validate_allocation(allocation)
     index = inst.index
-    unit, u = _on_common_denominator(index, utils)
     scale = unit // index.denominator
     share = index.share_d * scale
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator -> (t, f(t))

@@ -197,6 +197,21 @@ def test_bench_subcommand(capsys):
     assert all(r["iterations"] <= r["iteration_bound"] for r in rows)
 
 
+@pytest.mark.parametrize("density", ["nan", "-1", "1.5"])
+def test_density_outside_unit_interval_is_usage_error(tmp_path, capsys, density):
+    out = tmp_path / "random.json"
+    code = dispatch([
+        "gen", "--construction", "random", "--n", "3", "--m", "2",
+        "--cake-atoms", "2", "--alpha", "2", "--density", density, "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert "density must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    code = dispatch(["bench", "--sizes", "3:1:1", "--density", density])
+    assert code == EXIT_USAGE
+    assert "density must lie in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.fixture
 def fig1_files(tmp_path):
     """fig1 as an instance file plus an allocation file (its whole cake)."""

@@ -162,6 +162,13 @@ class TestRandom:
         inst = gen_random(n=2, m=2, cake_atoms=0, alpha=F(1), density=0.0, seed=0)
         assert any(not a.is_empty for a in inst.agents)
 
+    @pytest.mark.parametrize(
+        "density", [-1.0, -1e-300, 1.0 + 1e-15, 2.0, float("nan"), float("inf")]
+    )
+    def test_density_outside_unit_interval_rejected(self, density):
+        with pytest.raises(DomainError, match="density must lie in"):
+            gen_random(n=3, m=2, cake_atoms=2, alpha=F(2), density=density, seed=0)
+
 
 def test_dispatcher_names():
     inst, meta = gen_construction(ConstructionSpec("prop4", {"beta": 1}))

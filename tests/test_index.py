@@ -1,6 +1,6 @@
-"""The per-instance integer index: differential tests against naive
-Fraction references, index lifetime, capacity semantics, and the greedy
-invariants that must hold under ``python -O``."""
+"""The per-instance integer index and the integer allocation pass:
+differential tests against naive Fraction references, index lifetime,
+capacity semantics, and the invariants that must hold under ``python -O``."""
 
 import gc
 import itertools
@@ -31,9 +31,16 @@ from mixvote import (
     verify_ejr_beta,
     verify_ejr_m,
 )
-from mixvote.cli import EXIT_INTERNAL, dispatch
-from mixvote.core import instance_from_dict, instance_to_dict, save_json, utilities, utility
-from mixvote.errors import CapacityError, InvariantError
+from mixvote.cli import EXIT_INTERNAL, EXIT_USAGE, dispatch
+from mixvote.core import (
+    allocation_units,
+    instance_from_dict,
+    instance_to_dict,
+    save_json,
+    utilities,
+    utility,
+)
+from mixvote.errors import CapacityError, InvalidAllocationError, InvariantError
 from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
 from mixvote.verify import DEGREE_BOUNDS
@@ -87,6 +94,24 @@ def exact_size_ref(m_star, ell, cap):
     return min(ub, min(m_star, ub.__floor__()) + ell)
 
 
+def naive_utilities(inst, allocation):
+    """Per-agent bundle intersection; shares no code with the allocation pass."""
+    return [utility(inst, i, allocation) for i in range(inst.n)]
+
+
+def naive_validate(inst, bundle):
+    """The error ``validate_allocation`` must raise, or None, from Fractions."""
+    if not bundle.goods <= set(inst.goods):
+        return InvalidAllocationError("allocation contains unknown goods")
+    if any(lo < 0 or hi > inst.cake_length for lo, hi in bundle.cake.intervals):
+        return InvalidAllocationError("allocation cake outside [0, c]")
+    if bundle.size() > inst.alpha:
+        return InvalidAllocationError(
+            f"allocation size {bundle.size()} exceeds alpha {inst.alpha}"
+        )
+    return None
+
+
 def naive_tiers(inst, utils):
     """(bundle, approvers sorted worst-utility-first) per positive closure bundle."""
     for bundle, approvers in naive_closure(inst):
@@ -96,7 +121,7 @@ def naive_tiers(inst, utils):
 
 def naive_scan(inst, allocation, exact, beta=F(0), strict=False):
     """Most violated tier as (group, t, threshold, max utility), or None."""
-    utils = utilities(inst, allocation)
+    utils = naive_utilities(inst, allocation)
     worst = None
     for bundle, members in naive_tiers(inst, utils):
         for k in range(1, len(members) + 1):
@@ -116,7 +141,7 @@ def naive_scan(inst, allocation, exact, beta=F(0), strict=False):
 
 
 def naive_audit(inst, allocation, f, t_min=F(1)):
-    utils = utilities(inst, allocation)
+    utils = naive_utilities(inst, allocation)
     entries = []
     for bundle, members in naive_tiers(inst, utils):
         for k in range(1, len(members) + 1):
@@ -130,7 +155,7 @@ def naive_audit(inst, allocation, f, t_min=F(1)):
 
 
 def naive_profiles(inst, allocation=None):
-    utils = utilities(inst, allocation) if allocation is not None else [F(0)] * inst.n
+    utils = naive_utilities(inst, allocation) if allocation is not None else [F(0)] * inst.n
     out = []
     for bundle, members in naive_tiers(inst, utils):
         for k in range(1, len(members) + 1):
@@ -289,6 +314,35 @@ def test_utilities_match_per_agent_intersection(inst, data):
         assert utilities(inst, alloc) == [utility(inst, i, alloc) for i in range(inst.n)]
 
 
+@given(instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_allocation_pass_matches_fraction_reference(inst, data):
+    extra = data.draw(st.lists(st.sampled_from([1, 2, 5, 7, BIG_PRIME]), max_size=2))
+    goods = data.draw(st.sets(st.sampled_from(inst.goods))) if inst.goods else set()
+    bundles = [
+        Bundle(inst.full_cake(), frozenset(inst.goods)),
+        Bundle(data.draw(partial_cakes(inst)), frozenset(goods)),
+        data.draw(raw_allocations(inst)),
+    ]
+    if inst.alpha <= inst.cake_length:
+        # exactly alpha is valid; alpha + 1/BIG_PRIME**2 is not, a gap floats mostly lose
+        bundles.append(Bundle(normalize([(F(0), inst.alpha)])))
+        bundles.append(Bundle(normalize([(F(0), inst.alpha + F(1, BIG_PRIME**2))])))
+    for alloc in bundles:
+        unit, size, utils = allocation_units(inst, alloc, *extra)
+        denominators = [p.denominator for iv in alloc.cake.intervals for p in iv]
+        assert all(unit % q == 0 for q in [inst.index.denominator, *extra, *denominators])
+        assert F(size, unit) == alloc.size()
+        assert [F(u, unit) for u in utils] == naive_utilities(inst, alloc)
+        expected = naive_validate(inst, alloc)
+        if expected is None:
+            assert inst.validate_allocation(alloc, *extra) == (unit, size, utils)
+        else:
+            with pytest.raises(type(expected)) as info:
+                inst.validate_allocation(alloc, *extra)
+            assert str(info.value) == str(expected)
+
+
 @given(instances(max_agents=3))
 @settings(max_examples=30, deadline=None)
 def test_gpav_certified_bound_covers_grid_oracle(inst):
@@ -442,3 +496,58 @@ def test_invariant_error_maps_to_internal_exit_code(tmp_path, fig1, monkeypatch)
         greedy_ejr_m(fig1)
     code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", str(path)])
     assert code == EXIT_INTERNAL
+
+
+# ---------------------------------------------------------------------------
+# Allocation validation under python -O
+
+
+INVALID_ALLOCATIONS = """
+from fractions import Fraction
+from mixvote import audit_degree, verify_ejr_1, verify_ejr_m
+from mixvote.core import Bundle, normalize
+from mixvote.errors import InvalidAllocationError
+from mixvote.generate import gen_fig1
+
+assert False, "this script must run under python -O"
+
+inst = gen_fig1()[0]
+for bundle in (
+    Bundle(inst.full_cake(), frozenset(inst.goods)),
+    Bundle(normalize([(Fraction(0), Fraction(1))])),
+):
+    for check in (verify_ejr_m, verify_ejr_1, lambda i, b: audit_degree(i, b, "ejr-1")):
+        try:
+            check(inst, bundle)
+        except InvalidAllocationError as exc:
+            print("InvalidAllocationError:", exc)
+"""
+
+OVERSIZE = "allocation size 29/10 exceeds alpha 2"
+PAST_C = "allocation cake outside [0, c]"
+
+
+def test_allocation_checks_survive_optimize_flag(tmp_path, fig1):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVALID_ALLOCATIONS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [OVERSIZE] * 3 + [PAST_C] * 3
+    assert proc.stdout.splitlines() == [f"InvalidAllocationError: {m}" for m in expected]
+    inst = tmp_path / "fig1.json"
+    save_json(str(inst), instance_to_dict(fig1))
+    for cake, goods, message in (
+        ([["0", "9/10"]], ["g1", "g2"], OVERSIZE),
+        ([["0", "1"]], [], PAST_C),
+    ):
+        alloc = tmp_path / "alloc.json"
+        save_json(str(alloc), {"cake": cake, "goods": goods})
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "mixvote.cli", "verify", "--axiom", "ejr-m",
+             "--instance", str(inst), "--allocation", str(alloc)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert f"error: {message}" in proc.stderr
