@@ -165,38 +165,31 @@ def gen_thm4(
     return inst, meta
 
 
-def _thm6_case1(t: Fraction, n: int, alpha: int, eps: Fraction) -> tuple[Instance, dict]:
+def _thm6_tiers(t: Fraction, n: int, alpha: int, eps: Fraction) -> tuple[Instance, dict]:
+    """Tiers N_0..N_ft of the target group and dummy tiers D_1..D_ft.  N_k
+    approves the ceil(t) main goods and the k goods of tier k; D_k approves
+    the tier-k goods alone and the last dummy tier takes the agents left."""
     ft = math.floor(t)
     ct = math.ceil(t)
     r = n // alpha
-    sizes_n = {0: r - 1}
-    for k in range(1, ft):
-        sizes_n[k] = r
-    sizes_n[ft] = math.ceil(t * r) - ft * r + 1
-    sizes_d = {1: 1}
-    for k in range(2, ft):
-        sizes_d[k] = (k - 1) * r
-    sizes_d[ft] = 2 * ft * r - math.ceil(t * r) - 1
-    if ft == 1:
-        raise InvariantError("case 1 requires t >= 2")
-    _require(sizes_d[ft] >= 0, f"dummy tier {ft} would have {sizes_d[ft]} agents")
-    total = sum(sizes_n.values()) + sum(sizes_d.values())
-    _require(total == n, f"construction totals {total} agents, expected {n}")
+    sizes_n = [r - 1] + [r] * (ft - 1) + [math.ceil(t * r) - ft * r + 1]
+    sizes_d = [1 if k == 1 else (k - 1) * r for k in range(1, ft)]
+    sizes_d.append(n - sum(sizes_n) - sum(sizes_d))
 
     main_goods = [f"g{j + 1}" for j in range(ct)]
-    tier_goods = {k: [f"d{k}_{j + 1}" for j in range(k)] for k in range(1, ft + 1)}
-    goods = tuple(main_goods + [g for k in range(1, ft + 1) for g in tier_goods[k]])
+    tier_goods = [[f"d{k}_{j + 1}" for j in range(k)] for k in range(ft + 1)]
+    goods = tuple(main_goods + [g for tier in tier_goods for g in tier])
 
     agents: list[Bundle] = []
     tiers_n: dict[int, list[int]] = {}
     tiers_d: dict[int, list[int]] = {}
     for k in range(0, ft + 1):
         tiers_n[k] = list(range(len(agents), len(agents) + sizes_n[k]))
-        approved = set(main_goods) | (set(tier_goods[k]) if k >= 1 else set())
+        approved = set(main_goods) | set(tier_goods[k])
         agents += [Bundle(goods=frozenset(approved))] * sizes_n[k]
     for k in range(1, ft + 1):
-        tiers_d[k] = list(range(len(agents), len(agents) + sizes_d[k]))
-        agents += [Bundle(goods=frozenset(tier_goods[k]))] * sizes_d[k]
+        tiers_d[k] = list(range(len(agents), len(agents) + sizes_d[k - 1]))
+        agents += [Bundle(goods=frozenset(tier_goods[k]))] * sizes_d[k - 1]
 
     inst = Instance(
         cake_length=Fraction(0), goods=goods, agents=tuple(agents), alpha=Fraction(alpha)
@@ -221,45 +214,6 @@ def _thm6_case1(t: Fraction, n: int, alpha: int, eps: Fraction) -> tuple[Instanc
         "degree_bound": format_rational(
             Fraction(ft) * (1 - Fraction(ft + 1) / (2 * t))
         ),
-    }
-    return inst, meta
-
-
-def _thm6_case2(t: Fraction, n: int, alpha: int, eps: Fraction) -> tuple[Instance, dict]:
-    ct = math.ceil(t)
-    r = n // alpha
-    n0 = r - 1
-    n1 = math.ceil(t * r) - r + 1
-    d1 = n - math.ceil(t * r)
-    _require(d1 >= 1, f"dummy tier needs at least one agent, got {d1}")
-    main_goods = [f"g{j + 1}" for j in range(ct)]
-    dummy_good = "d1_1"
-    goods = tuple(main_goods + [dummy_good])
-    agents = (
-        [Bundle(goods=frozenset(main_goods))] * n0
-        + [Bundle(goods=frozenset(main_goods) | {dummy_good})] * n1
-        + [Bundle(goods=frozenset({dummy_good}))] * d1
-    )
-    inst = Instance(
-        cake_length=Fraction(0), goods=goods, agents=tuple(agents), alpha=Fraction(alpha)
-    )
-    target = list(range(n0 + n1))
-    script = [
-        {
-            "group": list(range(n0, n)),
-            "witness": {"goods": [dummy_good], "cake": []},
-        }
-    ]
-    avg = Fraction(n1) / (n0 + n1)
-    meta = {
-        "construction": "thm6",
-        "t": format_rational(t),
-        "eps": format_rational(eps),
-        "alpha": alpha,
-        "target_group": target,
-        "script": script,
-        "average_satisfaction": format_rational(avg),
-        "degree_bound": format_rational(Fraction(1) * (1 - Fraction(2) / (2 * t))),
     }
     return inst, meta
 
@@ -291,9 +245,7 @@ def gen_thm6(t: Fraction, n: int, eps: Fraction) -> tuple[Instance, dict]:
         f"closing inequality fails: floor(t)*(floor(t)^2+floor(t)+2)/(n*t) "
         f"= {closing} > eps = {eps}",
     )
-    if t >= 2:
-        return _thm6_case1(t, n, alpha, eps)
-    return _thm6_case2(t, n, alpha, eps)
+    return _thm6_tiers(t, n, alpha, eps)
 
 
 def gen_appendix(
@@ -365,6 +317,8 @@ def gen_random(
     independently with the given probability."""
     if n < 1:
         raise DomainError("need at least one agent")
+    if m < 0 or cake_atoms < 0:
+        raise DomainError(f"m and cake_atoms must be nonnegative, got {m} and {cake_atoms}")
     if m + cake_atoms < 1:
         raise DomainError("need at least one good or cake atom")
     if not 0 <= density <= 1:

@@ -2,8 +2,10 @@
 
 H_x is the value of the series sum_{k>=1} x/(k(x+k)); it extends the integer
 harmonic numbers 1 + 1/2 + ... + 1/x continuously and strictly monotonically.
-Integer arguments short-circuit to the exact rational sum, so score
-comparisons between indivisible allocations carry no tolerance slack.
+Integer arguments up to 10**4 short-circuit to the exact rational sum, so
+score comparisons between indivisible allocations carry no tolerance slack
+beyond the final rounding; larger ones take the series, whose exact sum
+grows too costly (about 70 s at 10**6).
 
 For non-integer arguments the series is truncated after K terms and the tail
 is evaluated in closed form with a bracketed correction: the tail equals a
@@ -28,7 +30,7 @@ from .errors import DomainError
 DEFAULT_TOL = 1e-12
 
 _K = 48  # truncation point of the direct series
-_EXACT_INTEGER_LIMIT = 10**6
+_EXACT_INTEGER_LIMIT = 10**4
 
 # float-arithmetic slack: ~K additions of O(1) terms plus the tail formula
 _ROUNDING_SLACK = 5.0e-14
@@ -99,7 +101,7 @@ def _series_value(x: float) -> tuple[float, float]:
 def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicValue:
     """Generalized harmonic number H_x with |value - H_x| <= tol.
 
-    Integer x up to 10**6 uses the exact rational sum, converted to float
+    Integer x up to 10**4 uses the exact rational sum, converted to float
     last.  Raises DomainError for negative x or a tolerance below what
     double precision can certify.
     """

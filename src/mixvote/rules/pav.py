@@ -17,15 +17,15 @@ fixes some goods in and some out and leaves the rest undecided.  Its
 relaxation lets every undecided good be taken in part: each becomes one
 more class of length 1, with the good's approvers, in the same cake
 problem, under the budget left by the goods fixed in.  Every completion of
-the node is a feasible point of that relaxation, so the relaxation's value
-plus its error bound plus its certified gap bounds every leaf below it.
+the node is a feasible point of that relaxation, so a bound on the
+relaxation bounds every leaf below it.  A leaf, where no good is left to
+take, has no relaxed goods.
 
-Before any Newton solve, a leaf or a node is screened by a first-order
-bound that costs one gradient: H is concave, so no feasible point scores
-above f(y0) + max_z grad f(y0).(z - y0) at the proportional fill y0, the
-Newton start.  f(y0) comes with certified error bounds from `harmonic_vec`,
-and the max is the same greedy fill that certifies the solver's gap.  The
-Newton solve runs only where this bound fails to dismiss the subproblem.
+The one bound costs one gradient and no Newton solve: H is concave, so no
+feasible point scores above f(y0) + max_z grad f(y0).(z - y0) at the
+proportional fill y0 (the Newton start; all of every class when the budget
+is slack).  f(y0) comes with certified error bounds from `harmonic_vec`,
+and the max is the same greedy fill that certifies the solver's gap.
 """
 
 from __future__ import annotations
@@ -58,12 +58,8 @@ _CERT_SLACK = 1e-12
 _MAX_STEPS = 200
 _MAX_BACKTRACKS = 40
 
-# a subtree with at most this many goods subsets is searched without a
-# bound: there a relaxation solve costs about as much as the leaves it saves
-_SMALL_SUBTREE = 8
-
 # error bound of one agent's H term in a score: tol on the series path, an
-# ulp of H_u < 16 on the exact integer path (u <= 10**6)
+# ulp of H_u < 10 on the exact integer path (u <= 10**4)
 _TERM_ERROR_FLOOR = 2.0**-49
 
 
@@ -73,10 +69,9 @@ class PavSolution:
     score: HarmonicValue
     optimality_gap: float
     atom_lengths: dict[tuple[Fraction, Fraction], Fraction]
-    # work done by the search: goods subsets solved, relaxations solved, and
-    # leaves and nodes dismissed by the first-order bound without a solve
+    # work done by the search: goods subsets solved, and leaves and nodes
+    # dismissed by the first-order bound without a solve
     subsets_solved: int = 0
-    bounds_solved: int = 0
     screened: int = 0
 
 
@@ -245,7 +240,7 @@ class _CakeClasses:
     each class's total length and its atoms from left to right.  The float
     side of the solver is built here once per instance: the agent-by-class
     incidence matrix and lengths, and an agent-by-good matrix whose columns
-    join as classes of length 1 when goods are relaxed."""
+    join the bound as classes of length 1 when goods are relaxed."""
 
     def __init__(self, inst: Instance, atoms: list[Atom]):
         self.atoms = [a for a in atoms if not a.is_good and a.approvers]
@@ -255,57 +250,42 @@ class _CakeClasses:
         self.members = list(groups)
         self.lengths = [sum((a.size() for a in g), Fraction(0)) for g in groups.values()]
         self.parts = [sorted(g, key=lambda a: a.interval) for g in groups.values()]
-        self.total = sum(self.lengths, Fraction(0))
         self.masks = inst.index.masks
-        self.good_approvers = inst.index.good_approvers
         self.inc = _incidence(inst.n, self.members)
         self.flengths = np.array([float(l) for l in self.lengths])
-        self.goods_inc = _incidence(inst.n, self.good_approvers)
-
-    def _columns(
-        self, goods_mask: int, relaxed: Sequence[int]
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Goods counted per agent, and the incidence matrix and float
-        lengths with one column per relaxed good appended."""
-        utils = [(mask & goods_mask).bit_count() for mask in self.masks]
-        if not relaxed:
-            return utils, self.inc, self.flengths
-        inc = np.hstack([self.inc, self.goods_inc[:, relaxed]])
-        return utils, inc, np.concatenate([self.flengths, np.ones(len(relaxed))])
+        self.goods_inc = _incidence(inst.n, inst.index.good_approvers)
 
     def solve(
-        self,
-        goods_mask: int,
-        budget: Fraction,
-        eps: float,
-        tol: float,
-        relaxed: Sequence[int] = (),
+        self, goods_mask: int, budget: Fraction, eps: float, tol: float
     ) -> tuple[list[Fraction], HarmonicValue, float]:
         """Class lengths, score and certified gap for the goods in ``goods_mask``
-        (bits in instance order, as in the index's approval masks).  Each
-        good position in ``relaxed`` joins as one more class of length 1, with
-        the good's approvers: a good that may be taken in part."""
-        utils, inc, lengths = self._columns(goods_mask, relaxed)
-        members = self.members + [self.good_approvers[k] for k in relaxed]
-        class_lengths = self.lengths + [Fraction(1)] * len(relaxed)
-        y_rat, gap = _solve(np.array(utils, dtype=float), inc, lengths, class_lengths, budget, eps)
-        for group, amount in zip(members, y_rat):
+        (bits in instance order, as in the index's approval masks)."""
+        utils = [(mask & goods_mask).bit_count() for mask in self.masks]
+        base = np.array(utils, dtype=float)
+        y_rat, gap = _solve(base, self.inc, self.flengths, self.lengths, budget, eps)
+        for group, amount in zip(self.members, y_rat):
             for i in group:
                 utils[i] += amount
         return y_rat, harmonic_sum(utils, tol), gap
 
-    def bound(self, goods_mask: int, budget: Fraction, relaxed: Sequence[int] = ()) -> float:
-        """Certified upper bound on the best score of the problem ``solve``
-        solves, from one gradient: H is concave, so no feasible point scores
-        above f(y0) + max_z grad f(y0).(z - y0), where y0 = L*B/sum(L) is the
-        Newton start and the max is `_linmax_gap`.  inf when ``solve`` is
-        exact without a Newton solve (no classes, no budget, or a slack one)."""
-        if budget <= 0 or self.total + len(relaxed) <= budget:
+    def bound(self, goods_mask: int, budget: Fraction, relaxed: Sequence[int]) -> float:
+        """Certified upper bound on the best score of the goods in ``goods_mask``
+        plus the cake and, taken in part, the goods in ``relaxed``: each joins
+        as one more class of length 1, with the good's approvers.  H is
+        concave, so no feasible point scores above
+        f(y0) + max_z grad f(y0).(z - y0) at any y0; here y0 = L*min(1, B/sum(L))
+        with B clamped at 0, and the max is `_linmax_gap`.  Exact when the
+        budget is slack or zero; inf when there are no classes."""
+        inc, lengths = self.inc, self.flengths
+        if relaxed:
+            inc = np.hstack([inc, self.goods_inc[:, relaxed]])
+            lengths = np.concatenate([lengths, np.ones(len(relaxed))])
+        if not len(lengths):
             return math.inf
-        utils, inc, lengths = self._columns(goods_mask, relaxed)
-        bud = float(budget)
-        y0 = lengths * (bud / lengths.sum())
-        u = np.array(utils, dtype=float) + inc @ y0
+        bud = float(max(budget, 0))
+        y0 = lengths * min(1.0, bud / lengths.sum())
+        u = np.array([(mask & goods_mask).bit_count() for mask in self.masks], dtype=float)
+        u += inc @ y0
         values, bounds = harmonic_vec(u)
         gap = _linmax_gap(inc.T @ harmonic_deriv_vec(u), y0, lengths, bud)
         return float(values.sum() + bounds.sum()) + gap + _CERT_SLACK
@@ -353,23 +333,17 @@ def generalized_pav(
     positions).  A depth-first branch and bound finds it without solving
     most subsets: goods go most approved first (ties by position), and the
     search takes a good before it leaves the good out, so it meets a strong
-    incumbent early.  A node is pruned only when its relaxation bound (see
-    the module docstring) plus a float slack lies strictly below the
-    incumbent's score.  The slack covers the error of a leaf's own reported
-    score, so no pruned subset could have tied or beaten the winner, and
-    each solved subset gets the same cake solve, hence the same numbers, as
-    in a plain enumeration.  A subtree of at most ``_SMALL_SUBTREE`` subsets
-    is searched without a bound, as is a node whose relaxation cannot be
-    certified.  Once an incumbent exists, every leaf and every bounded node
-    is first screened by the first-order bound (see the module docstring)
-    under the same rule, and solved only when that bound does not dismiss
-    it; a subproblem the solver settles without Newton (no cake classes, no
-    budget, or a slack one) is solved directly.
+    incumbent early.  Once an incumbent exists, every node and every leaf
+    is dismissed when its first-order bound (see the module docstring) plus
+    a float slack lies strictly below the incumbent's score.  The slack
+    covers the error of a leaf's own reported score, so no dismissed subset
+    could have tied or beaten the winner, and each solved leaf gets the same
+    cake solve, hence the same numbers, as in a plain enumeration.
 
     Each cake part goes to one active-set Newton solve whose rationalized
     point carries a certified duality gap.  The reported gap covers the
-    certified upper bound of every solved subset; a pruned or screened
-    subset's bound lies below the winner's score.
+    certified upper bound of every solved subset; a screened subset's bound
+    lies below the winner's score.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
@@ -385,49 +359,29 @@ def generalized_pav(
     slack = inst.n * max(tol, _TERM_ERROR_FLOOR) + _CERT_SLACK
     best = None  # (score, rank, mask, class lengths, gap) of the incumbent
     best_upper = -math.inf
-    solved = bounds = screened = 0
+    solved = screened = 0
 
-    def leaf(mask: int) -> None:
+    def visit(depth: int, mask: int) -> None:
         nonlocal best, best_upper, solved, screened
         size = mask.bit_count()
         budget = inst.alpha - size
-        if best is not None and table.bound(mask, budget) + slack < best[0].value:
+        is_leaf = depth == inst.m or size == most
+        relaxed = [] if is_leaf else [k for k in order[depth:] if approvers[k]]
+        if best is not None and table.bound(mask, budget, relaxed) + slack < best[0].value:
             screened += 1
-            return
-        y_rat, score, gap = table.solve(mask, budget, eps, tol)
-        solved += 1
-        best_upper = max(best_upper, score.value + score.abs_error_bound + gap)
-        rank = (size, [k for k in range(inst.m) if mask >> k & 1])
-        # a tie goes to the subset that comes first in enumeration order
-        if best is None or score.value > best[0].value or (
-            score.value == best[0].value and rank < best[1]
-        ):
-            best = (score, rank, mask, y_rat, gap)
-
-    def pruned(depth: int, mask: int) -> bool:
-        nonlocal bounds, screened
-        taken = mask.bit_count()
-        leaves = sum(math.comb(inst.m - depth, j) for j in range(most - taken + 1))
-        if best is None or leaves <= _SMALL_SUBTREE:
-            return False
-        relaxed = [k for k in order[depth:] if approvers[k]]
-        budget = inst.alpha - taken
-        if table.bound(mask, budget, relaxed) + slack < best[0].value:
-            screened += 1
-            return True
-        bounds += 1
-        try:
-            _, relax, gap = table.solve(mask, budget, eps, tol, relaxed)
-        except DomainError:  # an uncertified relaxation bounds nothing
-            return False
-        return relax.value + relax.abs_error_bound + gap + slack < best[0].value
-
-    def visit(depth: int, mask: int) -> None:
-        if depth == inst.m or mask.bit_count() == most:
-            leaf(mask)
-        elif not pruned(depth, mask):
+        elif not is_leaf:
             visit(depth + 1, mask | 1 << order[depth])
             visit(depth + 1, mask)
+        else:
+            y_rat, score, gap = table.solve(mask, budget, eps, tol)
+            solved += 1
+            best_upper = max(best_upper, score.value + score.abs_error_bound + gap)
+            rank = (size, [k for k in range(inst.m) if mask >> k & 1])
+            # a tie goes to the subset that comes first in enumeration order
+            if best is None or score.value > best[0].value or (
+                score.value == best[0].value and rank < best[1]
+            ):
+                best = (score, rank, mask, y_rat, gap)
 
     visit(0, 0)
     score, _, mask, y_rat, gap = best
@@ -437,5 +391,5 @@ def generalized_pav(
     goods = frozenset(g for k, g in enumerate(inst.goods) if mask >> k & 1)
     allocation = Bundle(normalize(pieces), goods)
     return PavSolution(
-        allocation, score, max(gap, global_gap), atom_lengths, solved, bounds, screened
+        allocation, score, max(gap, global_gap), atom_lengths, solved, screened
     )

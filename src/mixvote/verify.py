@@ -34,7 +34,6 @@ from .core import (
     ClosureRow,
     Instance,
     InstanceIndex,
-    allocation_units,
     format_rational,
 )
 from .errors import DomainError, UnsupportedInstanceError
@@ -110,9 +109,10 @@ def cohesive_profiles(
     allocation: Bundle | None = None,
     max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> list[CohesiveProfile]:
-    """All deduplicated (common bundle, size) tiers with a positive threshold."""
+    """All deduplicated (common bundle, size) tiers with a positive threshold,
+    ranked by the utilities of a valid ``allocation`` (none: all zero)."""
     index = inst.index
-    unit, _, u = allocation_units(inst, EMPTY_BUNDLE if allocation is None else allocation)
+    unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
     scale = unit // index.denominator
     profiles = []
     for row, members in _profile_tiers(index, _ranks(u), max_closure):

@@ -212,6 +212,21 @@ def test_density_outside_unit_interval_is_usage_error(tmp_path, capsys, density)
     assert "density must lie in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, atoms", [("2", "-1"), ("-4", "6")])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, m, atoms):
+    out = tmp_path / "random.json"
+    code = dispatch([
+        "gen", "--construction", "random", "--n", "3", "--m", m,
+        "--cake-atoms", atoms, "--alpha", "1", "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert "m and cake_atoms must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    code = dispatch(["bench", "--sizes", f"3:{m}:{atoms}"])
+    assert code == EXIT_USAGE
+    assert "m and cake_atoms must be nonnegative" in capsys.readouterr().err
+
+
 @pytest.fixture
 def fig1_files(tmp_path):
     """fig1 as an instance file plus an allocation file (its whole cake)."""

@@ -169,6 +169,11 @@ class TestRandom:
         with pytest.raises(DomainError, match="density must lie in"):
             gen_random(n=3, m=2, cake_atoms=2, alpha=F(2), density=density, seed=0)
 
+    @pytest.mark.parametrize("m, cake_atoms", [(2, -1), (-4, 6), (-1, -1)])
+    def test_negative_counts_rejected(self, m, cake_atoms):
+        with pytest.raises(DomainError, match="m and cake_atoms must be nonnegative"):
+            gen_random(n=3, m=m, cake_atoms=cake_atoms, alpha=F(1), seed=0)
+
 
 def test_dispatcher_names():
     inst, meta = gen_construction(ConstructionSpec("prop4", {"beta": 1}))

@@ -7,6 +7,7 @@ for the tail.
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -53,6 +54,14 @@ class TestExactValues:
     def test_large_integer_matches_mpmath(self):
         hv = harmonic(10_000)
         assert abs(hv.value - mpmath_h(F(10_000))) <= 1e-11
+
+    def test_integer_beyond_exact_limit_is_fast_and_certified(self):
+        # the exact rational sum at 10**6 takes about a minute; the series
+        # takes microseconds and certifies its bound
+        started = time.perf_counter()
+        hv = harmonic(10**6)
+        assert time.perf_counter() - started < 1.0
+        assert abs(hv.value - mpmath_h(F(10**6))) <= hv.abs_error_bound <= TOL
 
     def test_paper_growth_anchor(self):
         assert harmonic(F(19, 10)).value + harmonic(F(9, 10)).value > 1.45 + 0.93

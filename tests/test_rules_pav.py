@@ -229,32 +229,23 @@ def test_golden_pins():
 
 def test_anchor_solves_few_subsets():
     sol = generalized_pav(gen_random(**ANCHOR))
-    assert sol.subsets_solved + sol.bounds_solved < 638 // 8
-    # the first-order bound dismisses leaves the search alone would solve
+    assert sol.subsets_solved <= 8
     assert sol.screened > 0
-    assert sol.subsets_solved <= 29
 
 
-def test_small_search_solves_every_subset():
-    inst = gen_random(n=5, m=3, cake_atoms=2, alpha=F(2), seed=4)
-    sol = generalized_pav(inst)
-    assert (sol.subsets_solved, sol.bounds_solved) == (7, 0)
+def test_slack_budget_subsets_are_screened():
+    """The bound is exact, not inf, when the budget covers all the cake: a
+    bound that dismissed nothing here would solve all 4,096 subsets."""
+    sol = generalized_pav(gen_random(n=20, m=12, cake_atoms=4, alpha=F(14), seed=2))
+    assert sol.subsets_solved <= 16
+    assert sol.screened > 0
 
 
 def test_uncertified_relaxation_expands_the_node(monkeypatch):
-    solve = pav._CakeClasses.solve
-
-    def no_certified_bound(self, goods_mask, budget, eps, tol, relaxed=()):
-        if relaxed:
-            raise DomainError("cake solver could not certify the relaxation")
-        return solve(self, goods_mask, budget, eps, tol)
-
-    monkeypatch.setattr(pav._CakeClasses, "solve", no_certified_bound)
     monkeypatch.setattr(pav._CakeClasses, "bound", lambda self, *args: math.inf)
     inst = gen_random(n=12, m=7, cake_atoms=3, alpha=F(4), density=0.4, seed=5)
     sol = generalized_pav(inst)
-    assert sol.bounds_solved > 0
-    assert sol.subsets_solved == sum(math.comb(7, k) for k in range(5))
+    assert (sol.subsets_solved, sol.screened) == (sum(math.comb(7, k) for k in range(5)), 0)
     assert_matches_enumeration(inst, sol)
 
 
@@ -278,9 +269,9 @@ def instances_with_copies(draw):
 @settings(max_examples=100, deadline=None)
 @given(inst=instances_with_copies(), data=st.data())
 def test_first_order_bound_covers_the_solved_score(inst, data):
-    """The first-order bound plus the search's slack is at least the score of
-    the solved subproblem, for goods fixed in, goods relaxed and a budget as
-    the search sets them, or a budget that leaves the solve nontrivial."""
+    """A node's first-order bound plus the search's slack is at least the
+    solved score of every leaf below it, for goods fixed in, goods relaxed
+    and a budget as the search sets them, or any budget from zero to slack."""
     def subset(ks, max_size=None):
         if not ks:
             return []
@@ -291,34 +282,48 @@ def test_first_order_bound_covers_the_solved_score(inst, data):
     relaxed = subset([k for k in range(inst.m) if k not in taken and inst.index.good_approvers[k]])
     budget = inst.alpha - len(taken)
     if data.draw(st.booleans()):
-        budget = (table.total + len(relaxed)) * F(data.draw(st.integers(1, 99)), 100)
+        total = sum(table.lengths, F(0)) + len(relaxed)
+        budget = total * F(data.draw(st.integers(0, 150)), 100)
     mask = sum(1 << k for k in taken)
     upper = table.bound(mask, budget, relaxed)
-    _, score, _ = table.solve(mask, budget, pav.DEFAULT_EPS, pav.DEFAULT_TOL, relaxed)
     slack = inst.n * max(pav.DEFAULT_TOL, pav._TERM_ERROR_FLOOR) + _CERT_SLACK
-    assert upper + slack >= score.value
+    for _ in range(3):
+        completion = subset(relaxed, math.floor(budget))
+        leaf = mask | sum(1 << k for k in completion)
+        _, score, _ = table.solve(leaf, budget - len(completion), pav.DEFAULT_EPS, pav.DEFAULT_TOL)
+        assert upper + slack >= score.value
 
 
 pav_harmonic_sum = pav.harmonic_sum
 
 
 def exact_harmonic_sum(xs, tol):
-    """A score with its error bound dropped, as if computed exactly: a tight
-    relaxation then equals the best leaf below it to the last bit."""
+    """A score with its error bound dropped, as if computed exactly: a leaf's
+    score then meets, up to the last bits, a bound that is exact for it (a
+    slack or zero budget)."""
     return HarmonicValue(pav_harmonic_sum(xs, tol).value, 0.0)
 
 
-@pytest.mark.parametrize("small_subtree, exact_scores", [
-    (pav._SMALL_SUBTREE, False), (0, False), (0, True),
-])
+@pytest.mark.parametrize("exact_scores", [False, True])
 @settings(max_examples=60, deadline=None)
 @given(inst=instances_with_copies())
-def test_branch_and_bound_matches_enumeration(small_subtree, exact_scores, inst):
+def test_branch_and_bound_matches_enumeration(exact_scores, inst):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pav, "_SMALL_SUBTREE", small_subtree)
         if exact_scores:
             mp.setattr(pav, "harmonic_sum", exact_harmonic_sum)
         assert_matches_enumeration(inst, generalized_pav(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances_with_copies())
+def test_unscreened_search_matches_enumeration(inst):
+    """With no certified bound the search visits every subset, so its
+    branching order and tie-break alone must pick the enumeration's leaf."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pav._CakeClasses, "bound", lambda self, *args: math.inf)
+        sol = generalized_pav(inst)
+    assert sol.screened == 0
+    assert_matches_enumeration(inst, sol)
 
 
 def test_goods_cap_enforced():

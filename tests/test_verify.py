@@ -78,6 +78,17 @@ class TestFig1Anchors:
         with pytest.raises(InvalidAllocationError):
             verify_ejr_m(fig1, big)
 
+    @pytest.mark.parametrize("bundle, message", [
+        (Bundle(goods=frozenset({"g1", "zz"})), "unknown goods"),
+        (Bundle(cake=normalize([(F(0), F(5))]), goods=frozenset({"g1"})), r"outside \[0, c\]"),
+        (Bundle(cake=normalize([(F(0), F(1, 2))]), goods=frozenset({"g1", "g2"})), "exceeds alpha"),
+    ])
+    def test_profiles_reject_what_the_audit_rejects(self, fig1, bundle, message):
+        with pytest.raises(InvalidAllocationError, match=message):
+            audit_degree(fig1, bundle, "ejr-m")
+        with pytest.raises(InvalidAllocationError, match=message):
+            cohesive_profiles(fig1, bundle)
+
 
 class TestAgainstDefinitionalOracle:
     @pytest.mark.parametrize("seed", range(16))
