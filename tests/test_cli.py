@@ -42,6 +42,8 @@ def test_gen_run_verify_flow(tmp_path, capsys):
     alloc_path = report["outputs"]["allocation"]
     ledger = json.loads((tmp_path / "fig1.gmes.ledger.json").read_text())
     assert ledger["purchases"][0]["payments"] == {"0": "9/20", "1": "9/20"}
+    # the ledger's work counters stay in the library
+    assert set(ledger) == {"initial_budget", "iterations", "purchases", "final_budgets"}
     alloc = json.loads(open(alloc_path).read())
     assert alloc["cake"] == [["0", "9/10"]]
     assert alloc["size"] == "9/10"

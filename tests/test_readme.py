@@ -19,3 +19,5 @@ def test_library_sketch_runs():
     w = report.witness
     assert (w.group, w.t, w.max_utility) == ((0,), 1, Fraction(9, 10))
     assert namespace["pav"].subsets_solved > 0
+    ledger = namespace["ledger"]
+    assert ledger.pops == ledger.iterations + ledger.stale > 0

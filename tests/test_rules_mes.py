@@ -1,6 +1,8 @@
-"""Equal-shares rule tests: pricing, ledgers, and the indivisible reference oracle."""
+"""Equal-shares rule tests: pricing, ledgers, the indivisible reference
+oracle, and the integer loop against the Fraction reference loop."""
 
 import hashlib
+import heapq
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvote import (
     Bundle,
@@ -19,10 +23,14 @@ from mixvote import (
     verify_cake_ejr,
     verify_ejr_1,
 )
-from mixvote.core import allocation_to_dict, format_rational
+from mixvote.core import allocation_to_dict, atomize, format_rational
+from mixvote.errors import DomainError
 from mixvote.generate import gen_fig1, gen_random, gen_thm4
+from mixvote.rules import PaymentLedger, Purchase
 
 from conftest import make_mixed, reference_mes_indivisible
+from test_index import BIG_PRIME
+from test_index import instances as index_instances
 
 
 class TestMesPrice:
@@ -47,6 +55,16 @@ class TestMesPrice:
         assert sum(min(b, rho) for b in budgets) == F(3, 2)
         smaller = rho - F(1, 1000)
         assert sum(min(b, smaller) for b in budgets) < F(3, 2)
+
+    @pytest.mark.parametrize("budgets, cost", [
+        ([F(1)], F(0)),
+        ([F(1)], F(-1, 2)),
+        ([F(1), F(-1, 3)], F(1)),
+    ])
+    def test_domain_errors(self, budgets, cost):
+        with pytest.raises(DomainError):
+            mes_price(budgets, cost)
+        assert issubclass(DomainError, ValueError)  # callers catching ValueError still do
 
 
 class TestFig1:
@@ -195,13 +213,52 @@ def test_ledger_validation_survives_optimize_flag():
     assert proc.stdout.startswith("InvariantError: payments 9/10 differ from the allocated size 19/10")
 
 
+TAMPERED_PAYMENTS = """
+import dataclasses
+from fractions import Fraction as F
+from mixvote.errors import InvariantError
+from mixvote.generate import gen_fig1
+from mixvote.rules import generalized_mes
+
+assert False, "this script must run under python -O"
+
+inst = gen_fig1()[0]
+alloc, ledger = generalized_mes(inst)
+bought = ledger.purchases[0]
+# each keeps the purchase's total at its cost of 9/10
+for payments in ({0: F(9, 10), 1: F(0)}, {0: F(27, 20), 1: F(-9, 20)}, {0: F(9, 20), 2: F(9, 20)}):
+    ledger.purchases[0] = dataclasses.replace(bought, payments=payments)
+    try:
+        ledger.validate(inst, alloc)
+        print("accepted")
+    except InvariantError as exc:
+        print("InvariantError:", exc)
+"""
+
+
+def test_payment_checks_survive_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_PAYMENTS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    item = (F(0), F(9, 10))
+    assert proc.stdout.splitlines() == [
+        f"InvariantError: payment 0 by agent 1 for {item} is not positive",
+        f"InvariantError: payment -9/20 by agent 1 for {item} is not positive",
+        f"InvariantError: payer 2 of {item} is not an agent",
+    ]
+
+
 def _rational(q):
     return None if q is None else format_rational(q)
 
 
-def ledger_text(inst: Instance) -> str:
-    """The gmes allocation and its whole ledger, purchases and payments in order."""
-    alloc, ledger = generalized_mes(inst)
+def ledger_text(inst: Instance, rule=generalized_mes) -> str:
+    """The allocation and the whole ledger of ``rule``, purchases and
+    payments in order."""
+    alloc, ledger = rule(inst)
     return json.dumps({
         "allocation": allocation_to_dict(inst, alloc),
         "initial_budget": _rational(ledger.initial_budget),
@@ -240,3 +297,126 @@ def test_golden_ledgers(name):
     instances, expected = GOLDEN_LEDGERS[name]
     text = "\n".join(ledger_text(inst) for inst in instances())
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference: the rule as written before its money moved to ints
+# over one growing unit, kept to check the integer loop purchase by purchase
+
+
+def reference_price(budgets, cost):
+    total = sum(budgets, F(0))
+    if total < cost:
+        return None
+    b = sorted(budgets)
+    paid = F(0)
+    for idx, cap in enumerate(b):
+        payers = len(b) - idx
+        rho = (cost - paid) / payers
+        if rho <= cap:
+            return rho
+        paid += cap
+    return b[-1]
+
+
+def reference_gmes(inst):
+    share = inst.alpha / inst.n
+    budgets = [share] * inst.n
+    active = {i for i, agent in enumerate(inst.agents) if not agent.is_empty}
+    ledger = PaymentLedger(initial_budget=share)
+    atoms = atomize(inst, inst.full_cake(), inst.goods)
+    unbought = {k: None if a.is_good else a.interval[0] for k, a in enumerate(atoms)}
+
+    def key(k):
+        payers = [i for i in atoms[k].approvers if i in active]
+        if not payers:
+            return None
+        lo = unbought[k]
+        if lo is not None:
+            return F(1, len(payers)), 1, lo, k
+        rho = reference_price([budgets[i] for i in payers], F(1))
+        return None if rho is None else (rho, 0, k, k)
+
+    heap = [entry for k in unbought if (entry := key(k)) is not None]
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        rho, _, _, k = entry
+        if k not in unbought:
+            continue
+        now = key(k)
+        if now is None:
+            del unbought[k]
+            continue
+        if now != entry:
+            heapq.heappush(heap, now)
+            continue
+        atom, lo = atoms[k], unbought[k]
+        payers = sorted(i for i in atom.approvers if i in active)
+        if lo is None:
+            item, cost, x = atom.good, F(1), None
+            payments = {i: min(budgets[i], rho) for i in payers}
+        else:
+            x = min(atom.interval[1], lo + len(payers) * min(budgets[i] for i in payers))
+            item, cost = (lo, x), x - lo
+            payments = dict.fromkeys(payers, cost * rho)
+        for i, amount in payments.items():
+            budgets[i] -= amount
+            if budgets[i] == 0:
+                active.discard(i)
+        ledger.purchases.append(Purchase(item=item, cost=cost, rho=rho, x=x, payments=payments))
+        unbought[k] = x
+        again = key(k) if x is not None and x < atom.interval[1] else None
+        if again is None:
+            del unbought[k]
+        else:
+            heapq.heappush(heap, again)
+        ledger.iterations += 1
+    bought = ledger.purchases
+    allocation = Bundle(
+        cake=normalize([p.item for p in bought if p.x is not None]),
+        goods=frozenset(p.item for p in bought if p.x is None),
+    )
+    ledger.final_budgets = dict(enumerate(budgets))
+    return allocation, ledger
+
+
+@given(index_instances())
+@settings(max_examples=150, deadline=None)
+def test_integer_loop_matches_fraction_reference(inst):
+    assert ledger_text(inst) == ledger_text(inst, reference_gmes)
+    _, ledger = generalized_mes(inst)
+    assert ledger.pops == ledger.iterations + ledger.stale
+
+
+@given(
+    st.lists(st.fractions(0, 2, max_denominator=BIG_PRIME), max_size=6),
+    st.fractions(F(1, BIG_PRIME), 3, max_denominator=BIG_PRIME),
+)
+@settings(max_examples=200, deadline=None)
+def test_mes_price_matches_fraction_reference(budgets, cost):
+    assert mes_price(budgets, cost) == reference_price(budgets, cost)
+
+
+def test_rescales_keep_every_amount_exact():
+    """Cells [0, 1], [1, 2] and [2, 3] with 13, 11 and 7 payers are each
+    bought to their end, so every payer owes 1/13, 1/11 and then 1/7, and
+    the good is bought last at (1 - paid)/2 with four budgets binding; the
+    budget alpha/n sits over the prime 10**9 + 7.  Each of the four
+    payments is a fraction of the unit before it, so the unit grows four
+    times."""
+    def agent(reach, good):
+        return Bundle(cake=normalize([(F(0), F(reach))]), goods=frozenset({"g1"} if good else ()))
+
+    agents = [agent(3, i < 2) for i in range(7)]
+    agents += [agent(2, i < 2) for i in range(4)]
+    agents += [agent(1, True) for _ in range(2)]
+    share = F(360_000_001, BIG_PRIME)
+    inst = Instance(cake_length=F(3), goods=("g1", "g2"), agents=tuple(agents), alpha=13 * share)
+    assert ledger_text(inst) == ledger_text(inst, reference_gmes)
+    alloc, ledger = generalized_mes(inst)
+    assert [len(p.payments) for p in ledger.purchases] == [13, 11, 7, 6]
+    assert [p.rho for p in ledger.purchases[:3]] == [F(1, 13), F(1, 11), F(1, 7)]
+    assert ledger.purchases[3].rho.denominator == 2 * 7 * 11 * 13 * BIG_PRIME
+    assert (ledger.rescales, ledger.pops, ledger.stale) == (4, 5, 1)
+    assert alloc == Bundle(cake=inst.full_cake(), goods=frozenset({"g1"}))
