@@ -6,6 +6,13 @@ instance index and the allocation pass; nothing in this module touches
 floats.
 Goods are identified by their names; their order in ``Instance.goods``
 is the canonical order used for tie-breaking everywhere.
+
+The path from instance JSON to the index stays on ints where it can:
+``instance_from_dict`` parses each distinct endpoint string once, reading
+plain ``"p/q"`` digit strings by ``int`` (``parse_rational``); ``normalize``
+keeps pairs that are already canonical, as the serialization always is,
+without sorting; and ``InstanceIndex`` keys endpoints by their
+``(numerator, denominator)`` ints, so no ``Fraction`` is hashed.
 """
 
 from __future__ import annotations
@@ -30,8 +37,20 @@ Rational = Fraction
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse a rational from "p/q" (or a bare integer); DomainError otherwise."""
+    """Parse a rational from "p/q" (or a bare integer); DomainError otherwise.
+
+    A string of ASCII digits, optionally followed by "/" and ASCII digits,
+    is split and read by ``int``; anything else (signs, spaces, underscores,
+    decimals such as "0.1") goes to ``Fraction``.  Floats and bools are
+    rejected: a JSON ``0.1`` or ``true`` is not an exact rational, although
+    ``Fraction`` would take both."""
+    if isinstance(text, (float, bool)):
+        raise DomainError(f"not a rational number: {text!r}")
     try:
+        if type(text) is str:
+            p, slash, q = text.partition("/")
+            if p.isascii() and p.isdigit() and (not slash or (q.isascii() and q.isdigit())):
+                return Fraction(int(p), int(q) if slash else 1)
         return Fraction(text)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
@@ -39,7 +58,7 @@ def parse_rational(text: str | int) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as "p/q", omitting "/q" for integers."""
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +153,26 @@ class IntervalSet:
 
 
 def normalize(pairs: Iterable[tuple[Fraction, Fraction]]) -> IntervalSet:
-    """Sort, merge, and drop degenerate pairs; reject reversed pairs."""
+    """Sort, merge, and drop degenerate pairs; reject reversed pairs.
+
+    Pairs that are already canonical (``Fraction`` tuples with ``lo < hi``,
+    each ``hi`` below the next ``lo``) are kept as they are."""
+    pairs = tuple(pairs)
+    # one linear check, comparing by cross-multiplied ints (a Fraction
+    # comparison goes through the numbers ABCs); None stands for -inf
+    last = None
+    for pair in pairs:
+        if type(pair) is not tuple:
+            break
+        lo, hi = pair
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            break
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if ln * hd >= hn * ld or (last is not None and last[0] * ld >= ln * last[1]):
+            break
+        last = hn, hd
+    else:
+        return IntervalSet(pairs)
     cleaned: list[tuple[Fraction, Fraction]] = []
     for lo, hi in pairs:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -396,18 +434,25 @@ class InstanceIndex:
     """
 
     def __init__(self, inst: Instance):
-        endpoints = {Fraction(0), inst.cake_length}
+        # endpoints keyed by their (numerator, denominator) ints: hashing
+        # a Fraction costs a modular inverse, hashing two ints does not
+        endpoints = {(0, 1): Fraction(0)}
+        c = inst.cake_length
+        endpoints.setdefault((c.numerator, c.denominator), c)
         for bundle in inst.agents:
-            for lo, hi in bundle.cake.intervals:
-                endpoints.update((lo, hi))
-        points = sorted(endpoints)
-        where = {p: j for j, p in enumerate(points)}
+            for pair in bundle.cake.intervals:
+                for p in pair:
+                    endpoints.setdefault((p.numerator, p.denominator), p)
         share = inst.alpha / inst.n
+        D = math.lcm(share.denominator, *(d for _, d in endpoints))
+        at_d = sorted((num * (D // d), (num, d)) for num, d in endpoints)
+        where = {key: j for j, (_, key) in enumerate(at_d)}
+        points = [endpoints[key] for _, key in at_d]
         self.goods = inst.goods
         self.points = points
-        self.denominator = math.lcm(share.denominator, *(p.denominator for p in points))
-        self.share_d = (share * self.denominator).numerator
-        self.points_d = [(p * self.denominator).numerator for p in points]
+        self.denominator = D
+        self.share_d = share.numerator * (D // share.denominator)
+        self.points_d = [p_d for p_d, _ in at_d]
         m = inst.m
         good_approvers: list[list[int]] = [[] for _ in range(m)]
         starts: list[list[int]] = [[] for _ in points]
@@ -420,7 +465,8 @@ class InstanceIndex:
                 good_approvers[k].append(i)
                 mask |= 1 << k
             for lo, hi in bundle.cake.intervals:
-                a, b = where[lo], where[hi]
+                a = where[lo.numerator, lo.denominator]
+                b = where[hi.numerator, hi.denominator]
                 starts[a].append(i)
                 ends[b].append(i)
                 mask |= ((1 << b) - (1 << a)) << m
@@ -611,19 +657,37 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _goods_list(data: dict, default=None) -> list:
+    goods = data.get("goods", default)
+    if not isinstance(goods, list):
+        raise DomainError(f"goods must be a list of names, got {goods!r}")
+    return goods
+
+
 def instance_from_dict(data: dict) -> Instance:
+    # endpoints repeat across agents: parse each distinct string once
+    parsed: dict[str, Fraction] = {}
+
+    def rational(text) -> Fraction:
+        if type(text) is not str:
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
     agents = tuple(
         Bundle(
-            cake=IntervalSet.from_json(entry.get("cake", [])),
-            goods=frozenset(entry.get("goods", [])),
+            cake=normalize([(rational(lo), rational(hi)) for lo, hi in entry.get("cake", [])]),
+            goods=frozenset(_goods_list(entry, [])),
         )
         for entry in data["agents"]
     )
     return Instance(
-        cake_length=parse_rational(data["cake_length"]),
-        goods=tuple(data["goods"]),
+        cake_length=rational(data["cake_length"]),
+        goods=tuple(_goods_list(data)),
         agents=agents,
-        alpha=parse_rational(data["alpha"]),
+        alpha=rational(data["alpha"]),
     )
 
 
@@ -638,7 +702,7 @@ def allocation_to_dict(inst: Instance, bundle: Bundle) -> dict:
 def allocation_from_dict(data: dict) -> Bundle:
     return Bundle(
         cake=IntervalSet.from_json(data.get("cake", [])),
-        goods=frozenset(data.get("goods", [])),
+        goods=frozenset(_goods_list(data, [])),
     )
 
 

@@ -297,6 +297,56 @@ def test_malformed_instance_file_is_usage_error(tmp_path, capsys, field, value):
     assert code == EXIT_USAGE
 
 
+def _fig1_with(tmp_path, edit) -> str:
+    data = instance_to_dict(gen_fig1()[0])
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(alpha=0.1),
+    lambda d: d.update(alpha=True),
+    lambda d: d.update(cake_length=0.9),
+    lambda d: d["agents"][0]["cake"][0].__setitem__(1, 0.1),
+    lambda d: d["agents"][0]["cake"][0].__setitem__(0, False),
+], ids=["float-alpha", "bool-alpha", "float-cake-length", "float-endpoint", "bool-endpoint"])
+def test_json_float_or_bool_rational_is_usage_error(tmp_path, capsys, edit):
+    code = dispatch(["run", "--rule", "gmes", "--instance", _fig1_with(tmp_path, edit)])
+    assert code == EXIT_USAGE
+    assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(alpha=2),
+    lambda d: d.update(alpha="1.5"),
+    lambda d: d["agents"][0]["cake"][0].__setitem__(1, "0.1"),
+], ids=["int-alpha", "decimal-alpha", "decimal-endpoint"])
+def test_json_integer_and_decimal_string_are_accepted(tmp_path, capsys, edit):
+    code, _ = run_cli(capsys, "run", "--rule", "gmes", "--instance", _fig1_with(tmp_path, edit))
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["agents"][0].update(goods="g1"),
+    lambda d: d.update(goods="g1g2"),
+], ids=["agent-goods", "instance-goods"])
+def test_goods_string_in_instance_is_usage_error(tmp_path, capsys, edit):
+    code = dispatch(["run", "--rule", "gmes", "--instance", _fig1_with(tmp_path, edit)])
+    assert code == EXIT_USAGE
+    assert "goods must be a list" in capsys.readouterr().err
+
+
+def test_goods_string_in_allocation_is_usage_error(fig1_files, tmp_path, capsys):
+    inst, _ = fig1_files
+    alloc = tmp_path / "goods-string.json"
+    save_json(str(alloc), {"cake": [], "goods": "g1"})
+    code = dispatch(["verify", "--axiom", "ejr-m", "--instance", inst, "--allocation", str(alloc)])
+    assert code == EXIT_USAGE
+    assert "goods must be a list" in capsys.readouterr().err
+
+
 def test_missing_construction_parameter_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "thm6.json")
     code, _ = run_cli(capsys, "gen", "--construction", "thm6", "--n", "8", "--out", out)

@@ -1,6 +1,7 @@
 """Model-layer tests: intervals, bundles, utilities, atoms, serialization."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -23,15 +24,19 @@ from mixvote import (
 from mixvote.core import (
     allocation_from_dict,
     allocation_to_dict,
+    format_rational,
     instance_from_dict,
     instance_to_dict,
+    parse_rational,
     utilities,
 )
 from mixvote.errors import (
+    DomainError,
     InvalidAllocationError,
     InvalidGroupError,
     MalformedIntervalError,
 )
+from mixvote.generate import gen_fig1, gen_random
 
 from conftest import make_mixed
 
@@ -177,6 +182,121 @@ class TestAtomize:
         assert total == inst.cake_length + inst.m
 
 
+def merge_reference(pairs):
+    """The sort-and-merge normalization, written out without a fast path."""
+    cleaned = []
+    for lo, hi in pairs:
+        lo, hi = F(lo), F(hi)
+        if lo > hi:
+            raise MalformedIntervalError(f"reversed interval [{lo}, {hi}]")
+        if lo < hi:
+            cleaned.append((lo, hi))
+    merged = []
+    for lo, hi in sorted(cleaned):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+grid_points = st.sampled_from([F(k, 6) for k in range(7)])
+
+
+@st.composite
+def pair_lists(draw):
+    """Raw pair lists (touching, degenerate, unsorted, reversed, int-typed)
+    and canonical ones, some of them with int endpoints."""
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(grid_points, grid_points), max_size=6))
+    else:
+        ends = sorted(draw(st.lists(grid_points, max_size=8)))
+        pairs = list(zip(ends[::2], ends[1::2]))
+    if draw(st.booleans()):
+        pairs = [
+            tuple(int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in pair)
+            for pair in pairs
+        ]
+    return pairs
+
+
+@given(pair_lists())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_sort_and_merge(pairs):
+    try:
+        expected = merge_reference(pairs)
+    except MalformedIntervalError as exc:
+        with pytest.raises(MalformedIntervalError, match=re.escape(str(exc))):
+            normalize(pairs)
+        return
+    got = normalize(iter(pairs)).intervals
+    assert got == expected
+    assert all(type(pair) is tuple and all(type(x) is F for x in pair) for pair in got)
+
+
+def test_normalize_keeps_canonical_pairs():
+    pairs = [(F(0), F(1, 3)), (F(1, 2), F(1))]
+    assert all(a is b for a, b in zip(normalize(pairs).intervals, pairs))
+
+
+def parse_reference(text):
+    try:
+        return F(text)
+    except (TypeError, ValueError, ArithmeticError):
+        return DomainError
+
+
+def parse_or_error(text):
+    try:
+        return parse_rational(text)
+    except DomainError:
+        return DomainError
+
+
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_parse_fast_path_matches_fraction(p, q, zeros):
+    for text in (f"{p}/{q}", str(p), format_rational(F(p, q)), "0" * zeros + f"{p}/{q}"):
+        value = parse_rational(text)
+        assert value == F(text) and type(value) is F
+
+
+FALLBACK_CORPUS = [
+    "1/0", "0/0", "1/-2", "-3/4", "+1/2", " 1/2 ", " 1/2", "1_0/2_0", "1e-1", "0.1",
+    "1.5/2", "١/٢", "²/3", "", "/", "1/", "/2", "-", "1//2", "1/2/3", "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", FALLBACK_CORPUS)
+def test_parse_fallback_matches_fraction(text):
+    assert parse_or_error(text) == parse_reference(text)
+
+
+@given(st.text(alphabet="0123456789/-+ ._e١", max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_fraction_on_any_text(text):
+    assert parse_or_error(text) == parse_reference(text)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), True, False, None, [1, 2]])
+def test_parse_rejects_floats_bools_and_non_numbers(value):
+    with pytest.raises(DomainError, match="not a rational number"):
+        parse_rational(value)
+
+
+def test_parse_keeps_integers_and_decimal_strings():
+    assert parse_rational(3) == F(3)
+    assert parse_rational("0.1") == F(1, 10)
+    assert parse_rational("-3/6") == F(-1, 2)
+
+
+@pytest.mark.parametrize("value, text", [
+    (F(3, 6), "1/2"), (F(4), "4"), (F(-2, 3), "-2/3"), (7, "7"), (F(0), "0"),
+])
+def test_format_rational(value, text):
+    assert format_rational(value) == text
+
+
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
 
@@ -237,6 +357,32 @@ def test_allocation_round_trip(fig1):
     data = allocation_to_dict(fig1, alloc)
     assert data["size"] == "3/2"
     assert allocation_from_dict(json.loads(json.dumps(data))) == alloc
+
+
+# Pinned digests of the canonical serialization: a change to the parse,
+# the formatting or the index must leave every one of them as it is.
+DIGEST_PINS = {
+    "fig1": (
+        lambda: gen_fig1()[0],
+        "50dafe1e3f8eef5667e1d165ecb8e72b366ab65812a2be018c3e1c820b1da66f",
+    ),
+    "random-n8-m3-atoms5-seed11": (
+        lambda: gen_random(n=8, m=3, cake_atoms=5, alpha=F(3), density=0.5, seed=11),
+        "cdb8f46c53a0cc743fc6de4cc047c2446d5256f369ff986dc576263a1f0f1169",
+    ),
+    "mes-scale-n60-seed1": (
+        lambda: gen_random(n=60, m=6, cake_atoms=6, alpha=F(9, 4), density=0.05, seed=1),
+        "ae702d804ec7864d2c9a9d968b8ad0a9341a247e8674dedfdc67678215143218",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_PINS))
+def test_digest_pins(name):
+    build, digest = DIGEST_PINS[name]
+    inst = build()
+    assert instance_digest(inst) == digest
+    assert instance_digest(instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))) == digest
 
 
 def test_digest_stable_under_key_order(fig1):

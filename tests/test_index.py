@@ -4,6 +4,7 @@ capacity semantics, and the invariants that must hold under ``python -O``."""
 
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,40 @@ def naive_atomize(inst, cake, goods):
             )
             atoms.append(Atom(approvers, interval=(a, b)))
     return atoms
+
+
+def reference_index(inst):
+    """The index fields from a Fraction-keyed build: sorted Fraction
+    endpoints, cell approvers by midpoint, goods approvers by scan."""
+    points = sorted(
+        {F(0), inst.cake_length}
+        | {p for b in inst.agents for iv in b.cake.intervals for p in iv}
+    )
+    share = inst.alpha / inst.n
+    D = math.lcm(share.denominator, *(p.denominator for p in points))
+    where = {p: j for j, p in enumerate(points)}
+    m = inst.m
+    masks = []
+    for b in inst.agents:
+        mask = sum(1 << inst.good_index[g] for g in b.goods)
+        for lo, hi in b.cake.intervals:
+            mask |= sum(1 << (m + j) for j in range(where[lo], where[hi]))
+        masks.append(mask)
+    cells = [
+        frozenset(i for i, b in enumerate(inst.agents) if b.cake.contains_point((a + z) / 2))
+        for a, z in zip(points, points[1:])
+    ]
+    return {
+        "points": points,
+        "points_d": [int(p * D) for p in points],
+        "denominator": D,
+        "share_d": int(share * D),
+        "masks": masks,
+        "cells": cells,
+        "good_approvers": [
+            frozenset(i for i, b in enumerate(inst.agents) if g in b.goods) for g in inst.goods
+        ],
+    }
 
 
 def exact_size_ref(m_star, ell, cap):
@@ -243,6 +278,22 @@ def test_atomize_matches_midpoint_scan(inst, data):
     cake = data.draw(partial_cakes(inst))
     goods = data.draw(st.sets(st.sampled_from(inst.goods))) if inst.goods else ()
     assert atomize(inst, cake, goods) == naive_atomize(inst, cake, goods)
+
+
+@given(instances(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_index_matches_fraction_keyed_build(inst, reparse):
+    if reparse:
+        inst = instance_from_dict(instance_to_dict(inst))
+    index = inst.index
+    expected = reference_index(inst)
+    assert {field: getattr(index, field) for field in expected} == expected
+    assert all(type(p) is F for p in index.points)
+    # the points are the instance's own endpoint objects (0 may be new)
+    own = {id(inst.cake_length)} | {
+        id(p) for b in inst.agents for iv in b.cake.intervals for p in iv
+    }
+    assert all(id(p) in own or p == 0 for p in index.points)
 
 
 @given(instances(max_agents=4))
