@@ -241,8 +241,12 @@ EMPTY_BUNDLE = Bundle()
 
 
 def _within(cake: IntervalSet, c: Fraction) -> bool:
-    """True if the normalized set lies in [0, c], read from its endpoints."""
-    return not cake.intervals or (cake.intervals[0][0] >= 0 and cake.intervals[-1][1] <= c)
+    """True if the normalized set lies in [0, c], read from its endpoints
+    by cross-multiplied ints (denominators are positive)."""
+    if not cake.intervals:
+        return True
+    lo, hi = cake.intervals[0][0], cake.intervals[-1][1]
+    return lo.numerator >= 0 and hi.numerator * c.denominator <= c.numerator * hi.denominator
 
 
 @dataclass(frozen=True)
@@ -382,6 +386,37 @@ class Atom:
 DEFAULT_CLOSURE_CAP = 1 << 17
 
 
+def achievable_exact_size(m_star: int, ell_star: Fraction, cap: Fraction) -> Fraction:
+    """Largest exact-witness size from a bundle with ``m_star`` goods and
+    cake length ``ell_star``, subject to ``t <= cap``.
+
+    The achievable sizes form the union of [j, j + ell_star] over integer
+    j = 0..m_star; the maximum at or below the cap is closed-form
+    (``exact_size``).  Returns 0 when no positive size is achievable.
+    """
+    if m_star < 0 or ell_star < 0:
+        raise ValueError("m_star and ell_star must be nonnegative")
+    ell_star, cap = Fraction(ell_star), Fraction(cap)
+    unit = math.lcm(ell_star.denominator, cap.denominator)
+    t = exact_size(m_star, int(ell_star * unit), int(cap * unit), unit)
+    return Fraction(t, unit)
+
+
+def exact_size(m_star: int, ell: int, cap: int, unit: int) -> int:
+    """``achievable_exact_size`` on ints: ``ell`` and ``cap`` (and the
+    result) are numerators over the denominator ``unit``.  The largest
+    achievable size at or below the cap is the smaller of the upper bound
+    ub = min(cap, m_star + ell) and j + ell, for j = min(m_star, floor(ub)).
+
+    It is homogeneous: scaling ``ell``, ``cap`` and ``unit`` by a positive
+    int s scales ub by s, leaves floor(ub / unit) = (s*ub) // (s*unit) as it is,
+    and so scales the result by s."""
+    ub = min(cap, m_star * unit + ell)
+    if ub <= 0:
+        return 0
+    return min(ub, min(m_star, ub // unit) * unit + ell)
+
+
 class ClosureRow(NamedTuple):
     """One bundle of the approval closure, in the index's integers.
 
@@ -429,8 +464,8 @@ class InstanceIndex:
     of its members' masks.  Lengths are kept as ints at one common
     denominator ``D``, the lcm of the denominators of ``c``, of every
     breakpoint and of ``alpha/n``; an int at a common denominator is still
-    an exact rational.  The approval closure is built on first request and
-    kept; a build that fails is not kept.
+    an exact rational.  The approval closure and each mode's tier table
+    are built on first request and kept; a build that fails is not kept.
     """
 
     def __init__(self, inst: Instance):
@@ -484,6 +519,7 @@ class InstanceIndex:
         self.cells = cells
         self.distinct_approvals = len(set(masks))
         self._closure: list[ClosureRow] | None = None
+        self._tiers: dict[bool, list[tuple[ClosureRow, tuple[int, ...]]]] = {}
 
     def closure(
         self,
@@ -501,6 +537,42 @@ class InstanceIndex:
         elif len(self._closure) > max(max_size, self.distinct_approvals):
             raise CapacityError(f"approval closure exceeds {max_size} bundles")
         return self._closure
+
+    def tiers(
+        self, exact: bool, max_size: int = DEFAULT_CLOSURE_CAP
+    ) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+        """The tier table of one mode: ``(row, thresholds)`` for every
+        full-pool closure row of positive size, in closure order, where
+        ``thresholds[k - 1]`` is the threshold of the tier (row, k) at D
+        for k = 1..len(row.approvers).
+
+        A tier's cap is k*alpha/n.  Its cohesive threshold is
+        min(cap, size); its exact threshold (``exact``) is ``exact_size``
+        of the row's goods count and cake length at that cap.  Both depend
+        on the instance only, and both are nondecreasing in k.  Each mode
+        is built on first request and kept; ``max_size`` is checked as in
+        ``closure``, so a build that fails keeps no table.
+        """
+        rows = self.closure(max_size)
+        table = self._tiers.get(exact)
+        if table is None:
+            share, D = self.share_d, self.denominator
+            table = []
+            for row in rows:
+                size, n = row.size_d, len(row.approvers)
+                if size <= 0:
+                    continue
+                if exact:
+                    thresholds = tuple(
+                        exact_size(row.m_star, row.ell_d, k * share, D) for k in range(1, n + 1)
+                    )
+                else:
+                    # k*share up to the size, then the size
+                    full = min(size // share, n)
+                    thresholds = (*range(share, full * share + 1, share), *(size,) * (n - full))
+                table.append((row, thresholds))
+            self._tiers[exact] = table
+        return table
 
     def _build(self, pool: Sequence[int], max_size: int) -> list[ClosureRow]:
         masks = self.masks

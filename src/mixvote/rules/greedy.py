@@ -14,43 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+# achievable_exact_size and exact_size live in core and are re-exported here
 from ..core import (
-    DEFAULT_CLOSURE_CAP,
     Bundle,
     EMPTY_BUNDLE,
     Instance,
+    achievable_exact_size,
     common_bundle,
+    exact_size,
 )
 from ..errors import CapacityError, InvariantError, ScriptError
 
 DEFAULT_AGENT_CAP = 20
-
-
-def achievable_exact_size(m_star: int, ell_star: Fraction, cap: Fraction) -> Fraction:
-    """Largest exact-witness size from a bundle with ``m_star`` goods and
-    cake length ``ell_star``, subject to ``t <= cap``.
-
-    The achievable sizes form the union of [j, j + ell_star] over integer
-    j = 0..m_star; the maximum at or below the cap is closed-form
-    (``exact_size``).  Returns 0 when no positive size is achievable.
-    """
-    if m_star < 0 or ell_star < 0:
-        raise ValueError("m_star and ell_star must be nonnegative")
-    ell_star, cap = Fraction(ell_star), Fraction(cap)
-    unit = math.lcm(ell_star.denominator, cap.denominator)
-    t = exact_size(m_star, int(ell_star * unit), int(cap * unit), unit)
-    return Fraction(t, unit)
-
-
-def exact_size(m_star: int, ell: int, cap: int, unit: int) -> int:
-    """``achievable_exact_size`` on ints: ``ell`` and ``cap`` (and the
-    result) are numerators over the denominator ``unit``.  The largest
-    achievable size at or below the cap is the smaller of the upper bound
-    ub = min(cap, m_star + ell) and j + ell, for j = min(m_star, floor(ub))."""
-    ub = min(cap, m_star * unit + ell)
-    if ub <= 0:
-        return 0
-    return min(ub, min(m_star, ub // unit) * unit + ell)
 
 
 @dataclass(frozen=True)
@@ -151,7 +126,9 @@ def greedy_ejr_m(
     policy = tie_breaker or DefaultTieBreaker()
     index = inst.index
     unit = index.denominator
-    rows = index.closure(DEFAULT_CLOSURE_CAP)
+    # rows of size 0 reach only t = 0, so the exact tier table has every row
+    # that can achieve a round
+    tiers = index.tiers(exact=True)
     remaining = frozenset(range(inst.n))
     allocation = EMPTY_BUNDLE
     rounds: list[GreedyRound] = []
@@ -165,11 +142,11 @@ def greedy_ejr_m(
         pool = sum(1 << i for i in remaining)
         best_t = 0
         achieving: dict[int, tuple[int, int]] = {}  # group mask -> (size_d, row position)
-        for pos, row in enumerate(rows):
+        for pos, (row, thresholds) in enumerate(tiers):
             group = row.agents & pool
             if not group:
                 continue
-            t = exact_size(row.m_star, row.ell_d, group.bit_count() * index.share_d, unit)
+            t = thresholds[group.bit_count() - 1]
             if t > best_t:
                 best_t = t
                 achieving = {group: (row.size_d, pos)}

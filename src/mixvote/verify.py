@@ -14,10 +14,29 @@ carry each bundle's goods count, cake length and size as ints at the
 index denominator D.  One integer pass over the allocation
 (``core.allocation_units``, run by ``Instance.validate_allocation``)
 gives its validity, size and every agent's utility on a common
-denominator: the lcm of D, the allocation's cake endpoints and beta.  A
-scan derives each tier's threshold from the row ints and compares ints;
-ints at a common denominator are still exact rationals, and witnesses are
-converted back to ``Fraction``.
+denominator: the lcm of D, the allocation's cake endpoints and beta.
+
+A tier's threshold depends on the instance only, so the index keeps a
+tier table (``InstanceIndex.tiers``), built once per mode on first use:
+the cohesive supremum min(k*alpha/n, size) or the exact-witness size
+``exact_size`` at that cap, for each row of positive size and each k, as
+ints at D.  A call reads it at its own unit by multiplying by
+scale = unit // D.  That is exact: ``exact_size`` is homogeneous in
+(ell, cap, unit), since scaling all three by s scales the upper bound
+ub by s and leaves floor(ub / unit) as it is, so the threshold at the
+unit is the D-threshold times scale; the cohesive minimum scales the
+same way.  Every reader (``_scan``, ``audit_degree``,
+``cohesive_profiles``) goes through the one tier iterator
+``_profile_tiers``.
+
+Thresholds are nondecreasing in k in both modes (min(k*share, size) and
+``exact_size`` are monotone in the cap).  A member fails a tier when its
+utility is at most the threshold minus an offset, so when a row's
+least-served approver has utility above the row's top threshold minus
+that offset, every member of every tier of that row clears its
+threshold, and the scan skips the row without sorting its approvers.
+Comparisons are on ints; ints at a common denominator are still exact
+rationals, and witnesses are converted back to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -33,11 +52,9 @@ from .core import (
     Bundle,
     ClosureRow,
     Instance,
-    InstanceIndex,
     format_rational,
 )
 from .errors import DomainError, UnsupportedInstanceError
-from .rules.greedy import exact_size
 
 
 @dataclass(frozen=True)
@@ -88,20 +105,30 @@ def _ranks(values: list) -> list[int]:
 
 
 def _profile_tiers(
-    index: InstanceIndex,
-    rank: list[int],
-    max_closure: int,
-) -> Iterator[tuple[ClosureRow, list[int]]]:
-    """Yield (closure row, approvers sorted by rank) for every row of
-    positive size.
+    table: list[tuple[ClosureRow, tuple[int, ...]]],
+    u: list[int],
+    scale: int = 1,
+    off: int | None = None,
+) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
+    """Yield ((row, thresholds), approvers sorted by rank) for every entry
+    of a tier table (``InstanceIndex.tiers``).
 
     Ranks order agents worst-utility-first (ties by index), so the k-th
-    prefix is the hardest group of size k for that bundle.  Callers derive
-    each tier's threshold from the row ints.
+    prefix is the hardest group of size k for that bundle, and its
+    threshold at the utilities' unit is ``thresholds[k - 1] * scale``.
+    With ``off``, a row is skipped when its least-served approver has
+    utility above its top threshold minus ``off``: thresholds are
+    nondecreasing in k, so then no member of any of its tiers is at or
+    below that tier's threshold minus ``off``.
     """
-    for row in index.closure(max_closure):
-        if row.size_d > 0:
-            yield row, sorted(row.approvers, key=rank.__getitem__)
+    rank = _ranks(u)
+    for tier in table:
+        row, thresholds = tier
+        if off is not None:
+            least = min(map(u.__getitem__, row.approvers))
+            if least > thresholds[-1] * scale - off:
+                continue
+        yield tier, sorted(row.approvers, key=rank.__getitem__)
 
 
 def cohesive_profiles(
@@ -113,18 +140,19 @@ def cohesive_profiles(
     ranked by the utilities of a valid ``allocation`` (none: all zero)."""
     index = inst.index
     unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
-    scale = unit // index.denominator
+    D = index.denominator
+    cohesive = index.tiers(exact=False, max_size=max_closure)
+    exact = index.tiers(exact=True, max_size=max_closure)
     profiles = []
-    for row, members in _profile_tiers(index, _ranks(u), max_closure):
-        size, ell = row.size_d * scale, row.ell_d * scale
+    # both tables hold the same rows in the same order
+    for ((_, caps), members), (_, sizes) in zip(_profile_tiers(cohesive, u), exact):
         for k in range(1, len(members) + 1):
-            cap = k * index.share_d * scale
             group = tuple(sorted(members[:k]))
             profiles.append(
                 CohesiveProfile(
                     group=group,
-                    t_cohesive_sup=Fraction(min(cap, size), unit),
-                    t_exact_max=Fraction(exact_size(row.m_star, ell, cap, unit), unit),
+                    t_cohesive_sup=Fraction(caps[k - 1], D),
+                    t_exact_max=Fraction(sizes[k - 1], D),
                     group_utilities=tuple(sorted(Fraction(u[i], unit) for i in group)),
                 )
             )
@@ -153,15 +181,12 @@ def _scan(
     # a member fails a tier when its utility is at most t - off
     off = beta.numerator * (unit // beta.denominator) + (0 if strict else 1)
     scale = unit // index.denominator
-    share = index.share_d * scale
     # ((-violation, t), group, agent with the group's max utility); smallest wins
     worst: tuple | None = None
-    for row, members in _profile_tiers(index, _ranks(u), max_closure):
-        size, ell = row.size_d * scale, row.ell_d * scale
-        for k, i in enumerate(members, 1):
-            t = min(k * share, size)
-            if exact:
-                t = exact_size(row.m_star, ell, t, unit)
+    table = index.tiers(exact, max_size=max_closure)
+    for (_, thresholds), members in _profile_tiers(table, u, scale, off):
+        for k, (i, t) in enumerate(zip(members, thresholds), 1):
+            t *= scale
             if t <= 0 or u[i] > t - off:
                 continue
             head = (u[i] - t, t)
@@ -225,6 +250,8 @@ def verify_ejr_1(
     approximate optimizers."""
     if not math.isfinite(margin):
         raise DomainError(f"margin must be finite, got {margin}")
+    if margin < -1:
+        raise DomainError(f"margin must be at least -1, got {margin}")
     beta = Fraction(1) + Fraction(margin)
     report = verify_ejr_beta(inst, allocation, beta, "strict", max_closure)
     return AxiomReport(axiom="ejr-1", passed=report.passed, witness=report.witness)
@@ -334,19 +361,17 @@ def audit_degree(
         name, f = getattr(bound, "__name__", "custom"), bound
     unit, _, u = inst.validate_allocation(allocation)
     index = inst.index
-    scale = unit // index.denominator
-    share = index.share_d * scale
-    bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator -> (t, f(t))
+    D = index.denominator
+    bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
-    for row, members in _profile_tiers(index, _ranks(u), max_closure):
-        size = row.size_d * scale
+    table = index.tiers(exact=False, max_size=max_closure)
+    for (_, thresholds), members in _profile_tiers(table, u):
         running_sum = 0
-        for k, i in enumerate(members, 1):
+        for k, (i, t) in enumerate(zip(members, thresholds), 1):
             running_sum += u[i]
-            t = min(k * share, size)
             if t not in bounds:
-                t_frac = Fraction(t, unit)
+                t_frac = Fraction(t, D)
                 bounds[t] = None if t_frac < t_min else (t_frac, f(t_frac))
             if bounds[t] is None:
                 continue

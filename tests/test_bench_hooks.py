@@ -24,3 +24,17 @@ _spec.loader.exec_module(spans)
 )
 def test_hook_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
+
+
+def test_tier_counter_unpacks_the_tier_iterator(monkeypatch):
+    """A traced run counts tiers by unpacking each yield of the verifiers'
+    tier iterator as (…, members); a changed yield shape would crash it."""
+    from mixvote import Bundle, verify, verify_ejr_m
+    from mixvote.generate import gen_fig1
+
+    tracer = spans.Tracer()
+    rec = tracer.new_recording()
+    monkeypatch.setattr(verify, "_profile_tiers", tracer._tier_counter(verify._profile_tiers))
+    inst = gen_fig1()[0]
+    assert not verify_ejr_m(inst, Bundle(cake=inst.full_cake())).passed
+    assert rec.counts["verify.tiers"] > 0

@@ -250,6 +250,17 @@ def test_bad_numeric_argument_is_usage_error(fig1_files, capsys, argv):
     assert code == EXIT_USAGE
 
 
+def test_margin_below_minus_one_is_usage_error(fig1_files, capsys):
+    inst, alloc = fig1_files
+    code = dispatch([
+        "verify", "--axiom", "ejr-1", "--margin", "-2", "--instance", inst, "--allocation", alloc,
+    ])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "margin must be at least -1, got -2.0" in err
+    assert "beta" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--harmonic-tol", "nan", "run", "--rule", "gpav"],
     ["run", "--rule", "gpav", "--eps", "nan"],

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixvote import (
@@ -427,6 +427,29 @@ class TestValidation:
             Instance(
                 cake_length=F(c), goods=("g1",), agents=(Bundle(cake=iv(*pairs)),), alpha=F(1)
             )
+
+    @given(
+        st.lists(st.fractions(-2, 3, max_denominator=60), max_size=6),
+        st.fractions(0, 2, max_denominator=60),
+    )
+    @example([F(0), F(2, 3)], F(1, 2))  # hi - c = 1/6: the cross products differ by 1
+    @settings(max_examples=150, deadline=None)
+    def test_cake_containment_matches_fraction_comparison(self, ends, c):
+        ends = sorted(ends)
+        cake = normalize(list(zip(ends[::2], ends[1::2])))
+        outside = any(lo < 0 or hi > c for lo, hi in cake.intervals)
+        goods = frozenset({"g1"})
+        if outside:
+            with pytest.raises(MalformedIntervalError, match="agent 0 approves cake outside"):
+                Instance(cake_length=c, goods=("g1",), agents=(Bundle(cake, goods),), alpha=c + 1)
+        else:
+            Instance(cake_length=c, goods=("g1",), agents=(Bundle(cake, goods),), alpha=c + 1)
+        inst = Instance(cake_length=c, goods=("g1",), agents=(Bundle(goods=goods),), alpha=c + 1)
+        if outside:
+            with pytest.raises(InvalidAllocationError, match="allocation cake outside"):
+                inst.validate_allocation(Bundle(cake))
+        else:
+            inst.validate_allocation(Bundle(cake))
 
     @pytest.mark.parametrize("bundle, message", [
         (Bundle(cake=iv((0, 1))), "allocation cake outside"),

@@ -452,6 +452,28 @@ def test_greedy_rounds_match_pool_closure(inst):
         assert (t_star, groups) == naive_round(inst, remaining)
 
 
+@given(instances())
+@settings(max_examples=80, deadline=None)
+def test_tier_tables_match_fraction_thresholds(inst):
+    index = inst.index
+    positive = [(b, approvers) for b, approvers in naive_closure(inst) if b.size() > 0]
+    for exact in (False, True):
+        table = index.tiers(exact)
+        assert [(index.bundle(row), frozenset(row.approvers)) for row, _ in table] == positive
+        for row, thresholds in table:
+            bundle = index.bundle(row)
+            caps = [F(k) * inst.alpha / inst.n for k in range(1, len(row.approvers) + 1)]
+            if exact:
+                expected = [
+                    exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap) for cap in caps
+                ]
+            else:
+                expected = [min(cap, bundle.size()) for cap in caps]
+            assert [F(t, index.denominator) for t in thresholds] == expected
+            assert list(thresholds) == sorted(thresholds)
+        assert index.tiers(exact) is table
+
+
 # ---------------------------------------------------------------------------
 # Lifetime and capacity
 
@@ -486,6 +508,28 @@ def test_failed_build_is_not_cached(fig1):
     assert approval_closure(fig1, max_size=3) == naive_closure(fig1)
     with pytest.raises(CapacityError):
         verify_ejr_m(fig1, Bundle(), max_closure=2)
+
+
+def test_tier_tables_keep_the_capacity_check(fig1):
+    verify_ejr_m(fig1, Bundle())
+    verify_ejr_1(fig1, Bundle())
+    with pytest.raises(CapacityError):
+        verify_ejr_1(fig1, Bundle(), max_closure=2)
+    with pytest.raises(CapacityError):
+        audit_degree(fig1, Bundle(), "ejr-1", max_closure=2)
+
+
+def test_tier_tables_are_built_per_mode_and_not_on_failure(fig1):
+    index = fig1.index
+    with pytest.raises(CapacityError):
+        verify_ejr_1(fig1, Bundle(), max_closure=2)
+    with pytest.raises(CapacityError):
+        index.tiers(True, max_size=2)
+    assert index._tiers == {}
+    audit_degree(fig1, Bundle(), "ejr-1")
+    assert set(index._tiers) == {False}
+    verify_ejr_m(fig1, Bundle())
+    assert set(index._tiers) == {False, True}
 
 
 @given(instances(), st.integers(1, 12), st.booleans())

@@ -1,5 +1,8 @@
 """Verifier tests: definitional oracles, witnesses, reductions, and audits."""
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -10,6 +13,7 @@ from mixvote import (
     Instance,
     cohesive_profiles,
     common_bundle,
+    generalized_mes,
     greedy_ejr_m,
     normalize,
     utilities,
@@ -18,6 +22,7 @@ from mixvote import (
     verify_ejr_beta,
     verify_ejr_m,
 )
+from mixvote.core import format_rational
 from mixvote.errors import (
     DomainError,
     InvalidAllocationError,
@@ -243,6 +248,12 @@ class TestModesAndErrors:
         with pytest.raises(DomainError):
             verify_ejr_beta(fig1, Bundle(), F(-1), "strict")
 
+    def test_margin_below_minus_one_names_margin(self, fig1):
+        with pytest.raises(DomainError, match=r"^margin must be at least -1, got -2\.0$"):
+            verify_ejr_1(fig1, Bundle(), margin=-2.0)
+        # margin -1 is beta 0, still a valid relaxation
+        assert verify_ejr_1(fig1, Bundle(), margin=-1.0).axiom == "ejr-1"
+
     def test_bad_mode_rejected(self, fig1):
         with pytest.raises(DomainError):
             verify_ejr_beta(fig1, Bundle(), F(1), "sorta")
@@ -302,3 +313,71 @@ def test_closure_capacity_error(fig1):
 
     with pytest.raises(CapacityError):
         cohesive_profiles(fig1, max_closure=2)
+
+
+# ---------------------------------------------------------------------------
+# Golden report pins: sha256 of every report's exact text over make_mixed(0..39)
+# and, per instance, the greedy and gmes outputs and the first 10 cake-grid-3
+# enumerated allocations; pins the verdicts, witnesses, entries and profiles
+
+
+def _profile_texts(inst, alloc):
+    return [
+        [list(p.group), format_rational(p.t_cohesive_sup), format_rational(p.t_exact_max),
+         [format_rational(u) for u in p.group_utilities]]
+        for p in cohesive_profiles(inst, alloc)
+    ]
+
+
+def _audit_text(inst, alloc):
+    report = audit_degree(inst, alloc, "ejr-1")
+    entries = [
+        [list(e.group), format_rational(e.t), format_rational(e.average), format_rational(e.bound), format_rational(e.slack)]
+        for e in report.entries
+    ]
+    return [report.to_dict(), entries]
+
+
+GOLDEN_REPORTS = {
+    "verify_ejr_m": (
+        lambda inst, a: verify_ejr_m(inst, a).to_dict(),
+        "13a5266146fe9e9e37f029cde4d9ec0df7991d599c32c66bbfc5cb5ae096bd98",
+    ),
+    "verify_ejr_1(margin=0)": (
+        lambda inst, a: verify_ejr_1(inst, a).to_dict(),
+        "7487e987f3984386636fac5f0f8e9e2fb68b948b950636701f2ea9ef71e5b463",
+    ),
+    "verify_ejr_1(margin=1e-6)": (
+        lambda inst, a: verify_ejr_1(inst, a, margin=1e-6).to_dict(),
+        "e8cb0159bb470f38cda66072c663b77865556fc6ab0c686bf996f00539093cd5",
+    ),
+    "verify_ejr_beta(1/2, weak)": (
+        lambda inst, a: verify_ejr_beta(inst, a, F(1, 2), "weak").to_dict(),
+        "1cc25f44051eb45a79ea9f9cbf8c6abf447ee781a1c6457f3959d878890791e0",
+    ),
+    "audit_degree(ejr-1)": (_audit_text, "fcde502cc66dd093c6afcb09363353ff48309fe094da2bc826ec8220d46c4970"),
+    "cohesive_profiles": (_profile_texts, "2bdf730410a6b6489ce17d0636e6c08374a2e1c43f5acf5673186e32c11900e6"),
+}
+
+
+def _golden_allocations():
+    cfg = EnumerationConfig(cake_grid=3, max_candidates=1 << 16)
+    for seed in range(40):
+        inst = make_mixed(seed)
+        allocs = [greedy_ejr_m(inst)[0], generalized_mes(inst)[0]]
+        allocs += itertools.islice(enumerate_allocations(inst, cfg), 10)
+        yield from ((inst, alloc) for alloc in allocs)
+
+
+@pytest.fixture(scope="module")
+def golden_allocations():
+    return list(_golden_allocations())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_golden_reports(golden_allocations, name):
+    check, expected = GOLDEN_REPORTS[name]
+    text = "\n".join(
+        json.dumps(check(inst, alloc), sort_keys=True) for inst, alloc in golden_allocations
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
