@@ -240,13 +240,28 @@ class Bundle:
 EMPTY_BUNDLE = Bundle()
 
 
-def _within(cake: IntervalSet, c: Fraction) -> bool:
-    """True if the normalized set lies in [0, c], read from its endpoints
-    by cross-multiplied ints (denominators are positive)."""
-    if not cake.intervals:
-        return True
-    lo, hi = cake.intervals[0][0], cake.intervals[-1][1]
-    return lo.numerator >= 0 and hi.numerator * c.denominator <= c.numerator * hi.denominator
+def _cake_fault(cake: IntervalSet, c: Fraction, c_text: object) -> str | None:
+    """Why the cake's pairs do not measure a subset of [0, c], or None;
+    ``c_text`` stands for c in the message.
+
+    One pass on cross-multiplied ints (denominators are positive) rejects a
+    reversed pair (lo > hi) and a pair that starts before the previous pair
+    ends, then checks that the first lo is at least 0 and the last hi at
+    most c.  Touching pairs (lo equal to the previous hi) and degenerate
+    pairs (lo == hi) measure correctly, so they are accepted."""
+    pairs = cake.intervals
+    pn, pd = -1, 0  # the previous hi, starting below every lo
+    for lo, hi in pairs:
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if ln * pd < pn * ld:
+            return f"with overlapping pairs: [{lo}, {hi}] starts before {Fraction(pn, pd)}"
+        if ln * hd > hn * ld:
+            return f"with a reversed pair [{lo}, {hi}]"
+        pn, pd = hn, hd
+    cn, cd = c.as_integer_ratio()
+    if pairs and (pairs[0][0].numerator < 0 or pn * cd > cn * pd):
+        return f"outside [0, {c_text}]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -280,12 +295,13 @@ class Instance:
         for i, bundle in enumerate(self.agents):
             if not bundle.goods <= good_index.keys():
                 raise InvalidAllocationError(f"agent {i} approves unknown goods")
-            if not _within(bundle.cake, c):
-                raise MalformedIntervalError(
-                    f"agent {i} approves cake outside [0, {c}]"
-                )
+            fault = _cake_fault(bundle.cake, c, c)
+            if fault is not None:
+                raise MalformedIntervalError(f"agent {i} approves cake {fault}")
         object.__setattr__(self, "good_index", good_index)
         object.__setattr__(self, "_index", None)
+        # (bundle, extra denominators, pass) of the last valid allocation
+        object.__setattr__(self, "_last_allocation", None)
 
     @property
     def index(self) -> "InstanceIndex":
@@ -312,20 +328,39 @@ class Instance:
 
     def validate_allocation(
         self, bundle: Bundle, *extra_denominators: int
-    ) -> tuple[int, int, list[int]]:
+    ) -> tuple[int, int, tuple[int, ...]]:
         """Raise InvalidAllocationError unless the bundle holds only the
-        instance's goods, lies in [0, c] and has size at most alpha; return
-        its pass ``allocation_units(self, bundle, *extra_denominators)``."""
+        instance's goods, its cake pairs are ordered and lie in [0, c], and
+        its size is at most alpha; return its pass
+        ``allocation_units(self, bundle, *extra_denominators)``.
+
+        The last valid result is kept with a strong reference to its bundle
+        and returned again for the same bundle object (``is``) and equal
+        extra denominators.  Only bundles whose pairs sit in tuples and
+        whose goods are a frozenset are kept, since nothing can change
+        those between calls; a failed validation is never kept."""
+        last = self._last_allocation
+        if last is not None and last[0] is bundle and last[1] == extra_denominators:
+            return last[2]
         if not bundle.goods <= self.good_index.keys():
             raise InvalidAllocationError("allocation contains unknown goods")
-        if not _within(bundle.cake, self.cake_length):
-            raise InvalidAllocationError("allocation cake outside [0, c]")
-        unit, size, utils = allocation_units(self, bundle, *extra_denominators)
+        fault = _cake_fault(bundle.cake, self.cake_length, "c")
+        if fault is not None:
+            raise InvalidAllocationError(f"allocation cake {fault}")
+        result = allocation_units(self, bundle, *extra_denominators)
+        unit, size, _ = result
         if size * self.alpha.denominator > self.alpha.numerator * unit:
             raise InvalidAllocationError(
                 f"allocation size {Fraction(size, unit)} exceeds alpha {self.alpha}"
             )
-        return unit, size, utils
+        intervals = bundle.cake.intervals
+        if (
+            type(bundle.goods) is frozenset
+            and type(intervals) is tuple
+            and all(type(pair) is tuple for pair in intervals)
+        ):
+            object.__setattr__(self, "_last_allocation", (bundle, extra_denominators, result))
+        return result
 
 
 def bundle_size(b: Bundle) -> Fraction:
@@ -502,6 +537,10 @@ class InstanceIndex:
             for lo, hi in bundle.cake.intervals:
                 a = where[lo.numerator, lo.denominator]
                 b = where[hi.numerator, hi.denominator]
+                if a == b:
+                    # no measure; the sweep below removes ends before it
+                    # adds starts, so it would leave the agent active
+                    continue
                 starts[a].append(i)
                 ends[b].append(i)
                 mask |= ((1 << b) - (1 << a)) << m
@@ -621,7 +660,7 @@ class InstanceIndex:
 
 def allocation_units(
     inst: Instance, bundle: Bundle, *extra_denominators: int
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int, tuple[int, ...]]:
     """One integer pass over a raw bundle: ``(unit, size, utils)``.
 
     ``unit`` is the lcm of the index denominator, the denominators of the
@@ -656,7 +695,7 @@ def allocation_units(
             piece = min(points[j + 1], hi) - max(points[j], lo)
             for i in cells[j]:
                 utils[i] += piece
-    return unit, size, utils
+    return unit, size, tuple(utils)
 
 
 def approval_closure(

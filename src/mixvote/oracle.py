@@ -7,6 +7,13 @@ enumerated bundle is approved all-or-nothing per cell and representable
 exactly in rationals.  Group scans here deliberately iterate over raw agent
 subsets rather than reusing the verifier's closure shortcut, so the two
 paths can check each other.
+
+The enumeration sums on ints: every cell length and each goods subset's
+budget alpha - |goods| sit over one unit, the lcm of alpha's denominator
+and the cell endpoints' denominators.  The cells tile [0, c] left to
+right, so a chosen cell next to the previous chosen one extends its run,
+and the chosen runs form a canonical cake (sorted, disjoint, not
+touching) by construction, with no sort or merge.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Bundle, Instance, atomize, normalize
+from .core import Bundle, Instance, IntervalSet, atomize
 from .errors import CapacityError, DomainError, InvariantError
 from .harmonic import exact_pav_score, gpav_score
 from .verify import verify_ejr_beta
@@ -62,25 +69,31 @@ def enumerate_allocations(inst: Instance, cfg: EnumerationConfig | None = None) 
             f"enumeration would visit {candidates} candidates "
             f"(cap {cfg.max_candidates})"
         )
-    cell_lengths = [hi - lo for lo, hi in cells]
+    # cell lengths and budgets as ints over one unit
+    unit = math.lcm(inst.alpha.denominator, *(p.denominator for cell in cells for p in cell))
+    lengths = [int((hi - lo) * unit) for lo, hi in cells]
+    alpha = inst.alpha.numerator * (unit // inst.alpha.denominator)
     for size in range(max_goods + 1):
+        budget = alpha - size * unit
         for combo in itertools.combinations(range(inst.m), size):
             goods = frozenset(inst.goods[i] for i in combo)
-            budget = inst.alpha - size
             for mask in range(2 ** len(cells)):
-                total = Fraction(0)
-                chosen = []
-                feasible = True
-                for j in range(len(cells)):
+                total = 0
+                runs: list[tuple[Fraction, Fraction]] = []
+                last = -2
+                for j in range(mask.bit_length()):
                     if mask >> j & 1:
-                        total += cell_lengths[j]
+                        total += lengths[j]
                         if total > budget:
-                            feasible = False
                             break
-                        chosen.append(cells[j])
-                if not feasible:
-                    continue
-                yield Bundle(cake=normalize(chosen), goods=goods)
+                        # the cells tile [0, c]: cell j touches cell j - 1
+                        if last == j - 1:
+                            runs[-1] = (runs[-1][0], cells[j][1])
+                        else:
+                            runs.append(cells[j])
+                        last = j
+                else:
+                    yield Bundle(cake=IntervalSet(tuple(runs)), goods=goods)
 
 
 def oracle_no_ejr_beta(

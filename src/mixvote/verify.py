@@ -16,6 +16,21 @@ index denominator D.  One integer pass over the allocation
 gives its validity, size and every agent's utility on a common
 denominator: the lcm of D, the allocation's cake endpoints and beta.
 
+The instance keeps the last valid pass, keyed by the bundle object and
+the extra denominators, so ``verify_ejr_1`` after ``verify_ejr_m`` on the
+same bundle (both at beta denominator 1) reuses it.  An identity key is
+sound: the kept entry holds a strong reference to the bundle, so its
+``id`` cannot be reused while the entry stands, and only bundles whose
+pairs sit in tuples and whose goods are a frozenset are kept, so nothing
+can change what the pass read.  The utilities are kept as a tuple, and a
+failed validation is never kept.
+
+``verify_ejr_1`` scans directly, as the strict relaxation at
+beta = 1 + margin: at margin 0 it takes one module-level ``Fraction(1)``
+instead of building one per call, and it skips ``verify_ejr_beta``'s
+conversion, sign check and label, which its own margin checks already
+cover.
+
 A tier's threshold depends on the instance only, so the index keeps a
 tier table (``InstanceIndex.tiers``), built once per mode on first use:
 the cohesive supremum min(k*alpha/n, size) or the exact-witness size
@@ -44,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
@@ -96,7 +111,10 @@ class AxiomReport:
         return data
 
 
-def _ranks(values: list) -> list[int]:
+_ONE = Fraction(1)
+
+
+def _ranks(values: Sequence[int]) -> list[int]:
     """Each agent's position when agents are sorted by (value, index)."""
     rank = [0] * len(values)
     for r, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
@@ -106,7 +124,7 @@ def _ranks(values: list) -> list[int]:
 
 def _profile_tiers(
     table: list[tuple[ClosureRow, tuple[int, ...]]],
-    u: list[int],
+    u: Sequence[int],
     scale: int = 1,
     off: int | None = None,
 ) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
@@ -252,9 +270,8 @@ def verify_ejr_1(
         raise DomainError(f"margin must be finite, got {margin}")
     if margin < -1:
         raise DomainError(f"margin must be at least -1, got {margin}")
-    beta = Fraction(1) + Fraction(margin)
-    report = verify_ejr_beta(inst, allocation, beta, "strict", max_closure)
-    return AxiomReport(axiom="ejr-1", passed=report.passed, witness=report.witness)
+    beta = _ONE if margin == 0 else _ONE + Fraction(margin)
+    return _scan(inst, allocation, "ejr-1", max_closure, exact=False, beta=beta, strict=True)
 
 
 def verify_cake_ejr(

@@ -250,6 +250,16 @@ def test_bad_numeric_argument_is_usage_error(fig1_files, capsys, argv):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_margin_not_finite_is_usage_error(fig1_files, capsys, margin):
+    inst, alloc = fig1_files
+    code = dispatch([
+        "verify", "--axiom", "ejr-1", "--margin", margin, "--instance", inst, "--allocation", alloc,
+    ])
+    assert code == EXIT_USAGE
+    assert f"margin must be finite, got {margin}" in capsys.readouterr().err
+
+
 def test_margin_below_minus_one_is_usage_error(fig1_files, capsys):
     inst, alloc = fig1_files
     code = dispatch([

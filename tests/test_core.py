@@ -12,6 +12,7 @@ from mixvote import (
     Bundle,
     Instance,
     IntervalSet,
+    approval_closure,
     atomize,
     bundle_size,
     common_bundle,
@@ -20,6 +21,7 @@ from mixvote import (
     measure,
     normalize,
     utility,
+    verify_ejr_m,
 )
 from mixvote.core import (
     allocation_from_dict,
@@ -465,3 +467,67 @@ class TestValidation:
         big = Bundle(cake=fig1.full_cake(), goods=frozenset({"g1", "g2"}))
         with pytest.raises(InvalidAllocationError):
             fig1.validate_allocation(big)
+
+    def test_reversed_approval_rejected(self):
+        # accepted before, with index mask -2, on which greedy_ejr_m never returned
+        with pytest.raises(
+            MalformedIntervalError,
+            match=r"^agent 0 approves cake with a reversed pair \[1/2, 1/4\]$",
+        ):
+            Instance(
+                cake_length=F(1),
+                goods=(),
+                agents=(
+                    Bundle(IntervalSet(((F(1, 2), F(1, 4)),))),
+                    Bundle(IntervalSet(((F(0), F(1)),))),
+                ),
+                alpha=F(1),
+            )
+
+    @pytest.mark.parametrize("pairs, message", [
+        # measured 23/20 for both agents, above c = 9/10, and passed EJR-M
+        (
+            ((F(0), F(1, 2)), (F(1, 4), F(9, 10))),
+            r"overlapping pairs: \[1/4, 9/10\] starts before 1/2",
+        ),
+        (((F(1, 2), F(1, 5)),), r"a reversed pair \[1/2, 1/5\]"),
+    ])
+    def test_unordered_allocation_rejected(self, fig1, pairs, message):
+        bundle = Bundle(IntervalSet(pairs))
+        for _ in range(2):
+            with pytest.raises(InvalidAllocationError, match=rf"^allocation cake with {message}$"):
+                fig1.validate_allocation(bundle)
+            with pytest.raises(InvalidAllocationError, match=message):
+                verify_ejr_m(fig1, bundle)
+
+
+@given(pair_lists(), st.sampled_from([F(5, 6), F(1)]))
+@settings(max_examples=300, deadline=None)
+def test_cake_pairs_are_ordered_or_rejected(pairs, c):
+    """Cakes built without ``normalize``: a reversed pair, or one that
+    starts before the previous pair ends, is rejected in an approval and
+    in an allocation; sorted touching and degenerate pairs are accepted
+    and measure like their normalization."""
+    cake = IntervalSet(tuple(pairs))
+    ordered = all(lo <= hi for lo, hi in pairs) and all(
+        a[1] <= b[0] for a, b in zip(pairs, pairs[1:])
+    )
+    inside = not pairs or (pairs[0][0] >= 0 and pairs[-1][1] <= c)
+    other = Bundle(iv((0, F(1, 2))), frozenset({"g1"}))
+    host = Instance(c, ("g1",), (other,), c + 1)
+    if not (ordered and inside):
+        fault = "with" if not ordered else "outside"
+        with pytest.raises(MalformedIntervalError, match=f"^agent 0 approves cake {fault} "):
+            Instance(c, ("g1",), (Bundle(cake), other), c + 1)
+        with pytest.raises(InvalidAllocationError, match=f"^allocation cake {fault} "):
+            host.validate_allocation(Bundle(cake))
+        return
+    canonical = normalize(pairs)
+    raw = Instance(c, ("g1",), (Bundle(cake), other), c + 1)
+    expected = Instance(c, ("g1",), (Bundle(canonical), other), c + 1)
+    assert approval_closure(raw) == approval_closure(expected)
+    for alloc in (Bundle(cake), Bundle(canonical), other, Bundle(raw.full_cake())):
+        assert utilities(raw, alloc) == utilities(expected, alloc)
+    unit, size, utils = host.validate_allocation(Bundle(cake))
+    assert F(size, unit) == canonical.measure()
+    assert [F(u, unit) for u in utils] == utilities(host, Bundle(canonical))

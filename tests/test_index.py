@@ -20,6 +20,7 @@ from mixvote import (
     Atom,
     Bundle,
     Instance,
+    IntervalSet,
     approval_closure,
     atomize,
     audit_degree,
@@ -475,6 +476,132 @@ def test_tier_tables_match_fraction_thresholds(inst):
 
 
 # ---------------------------------------------------------------------------
+# One allocation pass per bundle, kept on the instance
+
+CHAIN = (
+    verify_ejr_m,
+    verify_ejr_1,
+    lambda inst, alloc: verify_ejr_1(inst, alloc, margin=1e-6),
+    lambda inst, alloc: audit_degree(inst, alloc, "ejr-1"),
+)
+
+
+def fresh(inst):
+    """An equal instance with no index and no kept allocation pass."""
+    return Instance(inst.cake_length, inst.goods, inst.agents, inst.alpha)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except InvalidAllocationError as exc:
+        return f"InvalidAllocationError: {exc}"
+
+
+def chain_on(inst, alloc):
+    """The chain's reports in order, all on ``inst``."""
+    return [outcome(call, inst, alloc) for call in CHAIN]
+
+
+def chain_fresh(inst, alloc):
+    """The chain's reports, each on its own fresh instance."""
+    return [outcome(call, fresh(inst), alloc) for call in CHAIN]
+
+
+@st.composite
+def valid_allocations(draw, inst):
+    """A goods subset within alpha and a partial cake cut to the rest."""
+    goods = sorted(draw(st.sets(st.sampled_from(inst.goods)))) if inst.goods else []
+    goods = goods[: math.floor(inst.alpha)]
+    cake = draw(partial_cakes(inst))
+    cake = cake.prefix(min(cake.measure(), inst.alpha - len(goods)))
+    return Bundle(cake, frozenset(goods))
+
+
+@given(instances(max_agents=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kept_pass_gives_the_reports_of_fresh_instances(inst, data):
+    for alloc in [data.draw(valid_allocations(inst)), *allocations(inst)]:
+        expected = chain_fresh(inst, alloc)
+        assert chain_on(inst, alloc) == expected
+        twin = Bundle(IntervalSet(tuple(alloc.cake.intervals)), frozenset(alloc.goods))
+        assert twin == alloc and twin is not alloc
+        assert chain_on(inst, twin) == expected
+        assert chain_on(inst, alloc) == expected
+
+
+def test_kept_pass_is_keyed_by_the_extra_denominators(fig1):
+    bundle = Bundle(normalize([(F(0), F(1, 2))]), frozenset({"g1"}))
+    kept = fig1.validate_allocation(bundle)
+    assert fig1.validate_allocation(bundle) is kept
+    assert type(kept[2]) is tuple
+    for extra in ((7,), (BIG_PRIME,), (7, 3), ()):
+        got = fig1.validate_allocation(bundle, *extra)
+        assert got == fresh(fig1).validate_allocation(bundle, *extra)
+        assert all(got[0] % q == 0 for q in extra)
+
+
+@given(instances(max_agents=4), st.sampled_from(["intervals", "pair", "goods"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutable_bundles_are_measured_on_every_call(inst, part, data):
+    first, second = data.draw(valid_allocations(inst)), data.draw(valid_allocations(inst))
+    if part == "intervals":
+        pairs = list(first.cake.intervals)
+        bundle = Bundle(IntervalSet(pairs), first.goods)
+        after = Bundle(second.cake, first.goods)
+
+        def mutate():
+            pairs[:] = second.cake.intervals
+    elif part == "pair":
+        if not first.cake.intervals:
+            return
+        pairs = tuple(list(pair) for pair in first.cake.intervals)
+        bundle = Bundle(IntervalSet(pairs), first.goods)
+        lo, hi = first.cake.intervals[0]
+        after = Bundle(normalize([(lo, (lo + hi) / 2), *first.cake.intervals[1:]]), first.goods)
+
+        def mutate():
+            pairs[0][1] = (lo + hi) / 2
+    else:
+        goods = set(first.goods)
+        bundle = Bundle(first.cake, goods)
+        after = Bundle(first.cake, second.goods)
+
+        def mutate():
+            goods.clear()
+            goods.update(second.goods)
+    assert inst.validate_allocation(bundle) == fresh(inst).validate_allocation(first)
+    assert chain_on(inst, bundle) == chain_fresh(inst, first)
+    mutate()
+    assert outcome(inst.validate_allocation, bundle) == outcome(
+        fresh(inst).validate_allocation, after
+    )
+    assert chain_on(inst, bundle) == chain_fresh(inst, after)
+
+
+@given(instances(max_agents=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_invalid_bundles_raise_on_every_call(inst, data):
+    valid = data.draw(valid_allocations(inst))
+    invalid = [Bundle(valid.cake, valid.goods | {"zz"})]
+    if inst.alpha < inst.cake_length + inst.m:
+        invalid.append(Bundle(inst.full_cake(), frozenset(inst.goods)))
+    c = inst.cake_length
+    if c > 0:
+        invalid.append(Bundle(IntervalSet(((c / 2, c / 4),))))
+        invalid.append(Bundle(IntervalSet(((F(0), c / 2), (c / 4, c)))))
+    for bundle in invalid:
+        inst.validate_allocation(valid)
+        for _ in range(2):
+            with pytest.raises(InvalidAllocationError):
+                inst.validate_allocation(bundle)
+            for call in CHAIN:
+                with pytest.raises(InvalidAllocationError):
+                    call(inst, bundle)
+        assert chain_on(inst, valid) == chain_fresh(inst, valid)
+
+
+# ---------------------------------------------------------------------------
 # Lifetime and capacity
 
 
@@ -600,18 +727,30 @@ def test_invariant_error_maps_to_internal_exit_code(tmp_path, fig1, monkeypatch)
 INVALID_ALLOCATIONS = """
 from fractions import Fraction
 from mixvote import audit_degree, verify_ejr_1, verify_ejr_m
-from mixvote.core import Bundle, normalize
+from mixvote.core import Bundle, IntervalSet, normalize
 from mixvote.errors import InvalidAllocationError
 from mixvote.generate import gen_fig1
 
 assert False, "this script must run under python -O"
 
 inst = gen_fig1()[0]
+checks = (verify_ejr_m, verify_ejr_1, lambda i, b: audit_degree(i, b, "ejr-1"))
 for bundle in (
     Bundle(inst.full_cake(), frozenset(inst.goods)),
     Bundle(normalize([(Fraction(0), Fraction(1))])),
 ):
-    for check in (verify_ejr_m, verify_ejr_1, lambda i, b: audit_degree(i, b, "ejr-1")):
+    for check in checks:
+        try:
+            check(inst, bundle)
+        except InvalidAllocationError as exc:
+            print("InvalidAllocationError:", exc)
+# built without normalize; every call after a valid one on the same object
+for bundle in (
+    Bundle(IntervalSet(((Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(9, 10))))),
+    Bundle(IntervalSet(((Fraction(1, 2), Fraction(1, 5)),))),
+):
+    verify_ejr_m(inst, Bundle())
+    for check in checks * 2:
         try:
             check(inst, bundle)
         except InvalidAllocationError as exc:
@@ -620,6 +759,35 @@ for bundle in (
 
 OVERSIZE = "allocation size 29/10 exceeds alpha 2"
 PAST_C = "allocation cake outside [0, c]"
+OVERLAP = "allocation cake with overlapping pairs: [1/4, 9/10] starts before 1/2"
+REVERSED = "allocation cake with a reversed pair [1/2, 1/5]"
+
+REVERSED_APPROVAL = """
+from fractions import Fraction as F
+from mixvote.core import Bundle, Instance, IntervalSet
+from mixvote.errors import MalformedIntervalError
+
+assert False, "this script must run under python -O"
+
+try:
+    Instance(
+        F(1), (), (Bundle(IntervalSet(((F(1, 2), F(1, 4)),))), Bundle(IntervalSet(((F(0), F(1)),)))), F(1)
+    )
+except MalformedIntervalError as exc:
+    print("MalformedIntervalError:", exc)
+"""
+
+
+def test_reversed_approval_rejected_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REVERSED_APPROVAL],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "MalformedIntervalError: agent 0 approves cake with a reversed pair [1/2, 1/4]"
+    ]
 
 
 def test_allocation_checks_survive_optimize_flag(tmp_path, fig1):
@@ -630,6 +798,7 @@ def test_allocation_checks_survive_optimize_flag(tmp_path, fig1):
     )
     assert proc.returncode == 0, proc.stderr
     expected = [OVERSIZE] * 3 + [PAST_C] * 3
+    expected += [OVERLAP] * 6 + [REVERSED] * 6
     assert proc.stdout.splitlines() == [f"InvalidAllocationError: {m}" for m in expected]
     inst = tmp_path / "fig1.json"
     save_json(str(inst), instance_to_dict(fig1))

@@ -1,15 +1,19 @@
 """Oracle tests: enumeration counts, impossibility scans, discretized optima."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvote import (
     Bundle,
     Instance,
     enumerate_allocations,
     generalized_pav,
+    normalize,
     oracle_discretized_opt,
     oracle_min_max_avg,
     oracle_no_ejr_beta,
@@ -17,9 +21,10 @@ from mixvote import (
 from mixvote.errors import CapacityError
 from mixvote.generate import gen_appendix, gen_prop1, gen_prop4, gen_random
 from mixvote.harmonic import harmonic
-from mixvote.oracle import EnumerationConfig
+from mixvote.oracle import EnumerationConfig, _grid_cells
 
 from conftest import make_mixed
+from test_index import instances
 
 
 class TestEnumerationCounts:
@@ -48,6 +53,64 @@ class TestEnumerationCounts:
         for bundle in enumerate_allocations(inst, cfg):
             assert bundle.size() <= inst.alpha
             break
+
+
+def enumerate_ref(inst, cfg):
+    """Reference enumeration on Fractions: cell lengths summed against the
+    budget alpha - |goods|, chosen cells merged by ``normalize``."""
+    cells = _grid_cells(inst, cfg.cake_grid)
+    max_goods = min(inst.m, math.floor(inst.alpha))
+    good_subsets = sum(math.comb(inst.m, k) for k in range(max_goods + 1))
+    candidates = good_subsets * (2 ** len(cells))
+    if candidates > cfg.max_candidates:
+        raise CapacityError(
+            f"enumeration would visit {candidates} candidates "
+            f"(cap {cfg.max_candidates})"
+        )
+    cell_lengths = [hi - lo for lo, hi in cells]
+    for size in range(max_goods + 1):
+        for combo in itertools.combinations(range(inst.m), size):
+            goods = frozenset(inst.goods[i] for i in combo)
+            budget = inst.alpha - size
+            for mask in range(2 ** len(cells)):
+                total = F(0)
+                chosen = []
+                feasible = True
+                for j in range(len(cells)):
+                    if mask >> j & 1:
+                        total += cell_lengths[j]
+                        if total > budget:
+                            feasible = False
+                            break
+                        chosen.append(cells[j])
+                if not feasible:
+                    continue
+                yield Bundle(cake=normalize(chosen), goods=goods)
+
+
+def _listed(enumeration):
+    try:
+        return list(enumeration)
+    except CapacityError as exc:
+        return str(exc)
+
+
+@given(instances(max_agents=4), st.integers(1, 4), st.sampled_from([None, 1, 2, 3, 5]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_enumeration_matches_fraction_reference(inst, grid, share, data):
+    if share is not None:
+        # alpha a fraction of c + m with a small denominator
+        total = inst.cake_length + inst.m
+        k = data.draw(st.integers(1, 2 * share))
+        inst = Instance(inst.cake_length, inst.goods, inst.agents, total * F(k, 2 * share))
+    cfg = EnumerationConfig(cake_grid=grid, max_candidates=1 << 12)
+    got = _listed(enumerate_allocations(inst, cfg))
+    assert got == _listed(enumerate_ref(inst, cfg))
+    if not isinstance(got, str):
+        assert len(got) > 0
+        for bundle in got:
+            assert normalize(bundle.cake.intervals) == bundle.cake
+            assert bundle.size() <= inst.alpha
 
 
 class TestNoEjrBeta:

@@ -3,10 +3,13 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvote import (
     Bundle,
@@ -31,6 +34,7 @@ from mixvote.errors import (
 from mixvote.generate import gen_prop4, gen_random
 from mixvote.oracle import enumerate_allocations, EnumerationConfig
 from mixvote.verify import (
+    AxiomReport,
     audit_degree,
     degree_ejr_1,
     degree_ejr_m,
@@ -305,6 +309,58 @@ class TestDegreeAudit:
     def test_unknown_bound_rejected(self, fig1):
         with pytest.raises(DomainError):
             audit_degree(fig1, Bundle(), "nope")
+
+
+# ---------------------------------------------------------------------------
+# EJR-1 scans directly; it must stay the strict beta relaxation at 1 + margin
+
+
+def _ejr_1_by_definition(inst, alloc, margin):
+    report = verify_ejr_beta(inst, alloc, F(1) + F(margin), "strict")
+    return AxiomReport(axiom="ejr-1", passed=report.passed, witness=report.witness)
+
+
+@pytest.fixture(scope="module")
+def ejr_1_cases():
+    cfg = EnumerationConfig(cake_grid=3, max_candidates=1 << 16)
+    cases = []
+    for seed in range(0, 40, 3):
+        inst = make_mixed(seed)
+        allocs = [greedy_ejr_m(inst)[0], generalized_mes(inst)[0]]
+        allocs += itertools.islice(enumerate_allocations(inst, cfg), 6)
+        cases += [(inst, alloc) for alloc in allocs]
+    return cases
+
+
+@pytest.mark.parametrize("margin", [0, 0.0, -0.0, 1e-6, 0.5, -1, -1.0, 3])
+def test_ejr_1_equals_strict_beta_at_one_plus_margin(ejr_1_cases, margin):
+    failing = 0
+    for inst, alloc in ejr_1_cases:
+        report = verify_ejr_1(inst, alloc, margin)
+        assert report == _ejr_1_by_definition(inst, alloc, margin)
+        failing += not report.passed
+    if margin <= 0.5:
+        assert failing > 0  # the witnesses are compared too
+
+
+@given(st.floats(-1, 10), st.integers(0, 39))
+@settings(max_examples=60, deadline=None)
+def test_ejr_1_equals_strict_beta_at_any_margin(margin, seed):
+    inst = make_mixed(seed)
+    for alloc in [Bundle(), greedy_ejr_m(inst)[0], *some_allocations(inst, 6)]:
+        assert verify_ejr_1(inst, alloc, margin) == _ejr_1_by_definition(inst, alloc, margin)
+
+
+@pytest.mark.parametrize("margin, message", [
+    (float("nan"), "margin must be finite, got nan"),
+    (float("inf"), "margin must be finite, got inf"),
+    (float("-inf"), "margin must be finite, got -inf"),
+    (-2.0, "margin must be at least -1, got -2.0"),
+    (-2, "margin must be at least -1, got -2"),
+])
+def test_ejr_1_margin_errors(fig1, margin, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        verify_ejr_1(fig1, Bundle(), margin)
 
 
 def test_closure_capacity_error(fig1):
