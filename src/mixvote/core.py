@@ -240,28 +240,34 @@ class Bundle:
 EMPTY_BUNDLE = Bundle()
 
 
-def _cake_fault(cake: IntervalSet, c: Fraction, c_text: object) -> str | None:
-    """Why the cake's pairs do not measure a subset of [0, c], or None;
-    ``c_text`` stands for c in the message.
+def _cake_fault(cake: IntervalSet, c: Fraction, c_text: object) -> tuple[str | None, bool]:
+    """Why the cake's pairs do not measure a subset of [0, c], or None; and
+    whether they are canonical.  ``c_text`` stands for c in the message.
 
     One pass on cross-multiplied ints (denominators are positive) rejects a
     reversed pair (lo > hi) and a pair that starts before the previous pair
     ends, then checks that the first lo is at least 0 and the last hi at
     most c.  Touching pairs (lo equal to the previous hi) and degenerate
-    pairs (lo == hi) measure correctly, so they are accepted."""
+    pairs (lo == hi) measure correctly, so they are accepted; they are the
+    pairs that make the cake not canonical (``normalize`` merges or drops
+    them)."""
     pairs = cake.intervals
+    canonical = True
     pn, pd = -1, 0  # the previous hi, starting below every lo
     for lo, hi in pairs:
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        if ln * pd < pn * ld:
-            return f"with overlapping pairs: [{lo}, {hi}] starts before {Fraction(pn, pd)}"
-        if ln * hd > hn * ld:
-            return f"with a reversed pair [{lo}, {hi}]"
+        if ln * pd <= pn * ld or ln * hd >= hn * ld:
+            if ln * pd < pn * ld:
+                start = Fraction(pn, pd)
+                return f"with overlapping pairs: [{lo}, {hi}] starts before {start}", False
+            if ln * hd > hn * ld:
+                return f"with a reversed pair [{lo}, {hi}]", False
+            canonical = False
         pn, pd = hn, hd
     cn, cd = c.as_integer_ratio()
     if pairs and (pairs[0][0].numerator < 0 or pn * cd > cn * pd):
-        return f"outside [0, {c_text}]"
-    return None
+        return f"outside [0, {c_text}]", False
+    return None, canonical
 
 
 @dataclass(frozen=True)
@@ -292,12 +298,19 @@ class Instance:
                 f"alpha must lie in (0, c + m] = (0, {c + m}], got {self.alpha}"
             )
         good_index = {g: k for k, g in enumerate(self.goods)}
-        for i, bundle in enumerate(self.agents):
+        agents = self.agents
+        for i, bundle in enumerate(agents):
             if not bundle.goods <= good_index.keys():
                 raise InvalidAllocationError(f"agent {i} approves unknown goods")
-            fault = _cake_fault(bundle.cake, c, c)
+            fault, canonical = _cake_fault(bundle.cake, c, c)
             if fault is not None:
                 raise MalformedIntervalError(f"agent {i} approves cake {fault}")
+            if not canonical:
+                # keep approvals canonical, as a parsed instance has them
+                if agents is self.agents:
+                    agents = list(agents)
+                agents[i] = Bundle(normalize(bundle.cake.intervals), bundle.goods)
+        object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "good_index", good_index)
         object.__setattr__(self, "_index", None)
         # (bundle, extra denominators, pass) of the last valid allocation
@@ -344,7 +357,7 @@ class Instance:
             return last[2]
         if not bundle.goods <= self.good_index.keys():
             raise InvalidAllocationError("allocation contains unknown goods")
-        fault = _cake_fault(bundle.cake, self.cake_length, "c")
+        fault, _ = _cake_fault(bundle.cake, self.cake_length, "c")
         if fault is not None:
             raise InvalidAllocationError(f"allocation cake {fault}")
         result = allocation_units(self, bundle, *extra_denominators)
@@ -537,10 +550,6 @@ class InstanceIndex:
             for lo, hi in bundle.cake.intervals:
                 a = where[lo.numerator, lo.denominator]
                 b = where[hi.numerator, hi.denominator]
-                if a == b:
-                    # no measure; the sweep below removes ends before it
-                    # adds starts, so it would leave the agent active
-                    continue
                 starts[a].append(i)
                 ends[b].append(i)
                 mask |= ((1 << b) - (1 << a)) << m

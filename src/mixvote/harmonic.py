@@ -7,11 +7,22 @@ score comparisons between indivisible allocations carry no tolerance slack
 beyond the final rounding; larger ones take the series, whose exact sum
 grows too costly (about 70 s at 10**6).
 
-For non-integer arguments the series is truncated after K terms and the tail
-is evaluated in closed form with a bracketed correction: the tail equals a
-difference of two logarithmic asymptotic expansions whose remainders are
-bounded by the first omitted term.  The resulting absolute error bound is
-reported alongside the value and is far below the default tolerance 1e-12.
+Every other argument takes one kernel, `harmonic_vec`: 48 direct terms
+plus the tail psi(49+x) - psi(49), which is log1p(x/49) plus a difference
+of the asymptotic expansions of psi after log; each expansion's remainder
+is below its first omitted term 1/(240 z^8).  Its rounding bound, with
+u = 2**-53: each term x/(x+k)/k is off by 3u relative and all are
+nonnegative, so their sum, below H_48 < 4.5, is off by at most 51u * 4.5
+< 230u; rounding log1p's argument costs u, and rounding a rational x to a
+float 2u, since H'(x) <= 1/x.  Relative to the value: log1p is within 4
+ulps (8u, numpy's SIMD builds), the three additions that finish the value
+cost u each, and one more u is the term's share of the rounding of a
+correctly rounded sum (`math.fsum`) of any number of terms.  The bound is
+the remainders plus 2**-45 = 256u plus 2**-49 = 16u of the value, with
+headroom for the expansion terms (below 0.011) and the bounds' own sums.
+An exact integer term, rounded once to the nearest float, carries 2u of
+its value.  So `harmonic_sum`, a `math.fsum` of terms, is certified to the
+sum of their bounds, at most n * max(tol, 2**-48) for n terms.
 """
 
 from __future__ import annotations
@@ -31,9 +42,7 @@ DEFAULT_TOL = 1e-12
 
 _K = 48  # truncation point of the direct series
 _EXACT_INTEGER_LIMIT = 10**4
-
-# float-arithmetic slack: ~K additions of O(1) terms plus the tail formula
-_ROUNDING_SLACK = 5.0e-14
+_U = 2.0**-53  # unit roundoff of a double
 
 
 @dataclass(frozen=True)
@@ -68,104 +77,81 @@ def _exact_integer_harmonic(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _tail_log_term(z1: float, z0: float) -> tuple[float, float]:
-    """psi(z1) - psi(z0) for z1 >= z0 >= _K, via the asymptotic expansion.
-
-    Returns (value, error bound).  The expansion remainder after the z^-6
-    term is bounded by the first omitted term 1/(240 z^8).
-    """
-
-    def expansion(z: float) -> float:
-        inv = 1.0 / z
-        inv2 = inv * inv
-        return -0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0 - inv2 * inv2 * inv2 / 252.0
-
-    value = math.log1p((z1 - z0) / z0) + expansion(z1) - expansion(z0)
-    err = 1.0 / (240.0 * z0**8) + 1.0 / (240.0 * z1**8)
-    return value, err
-
-
-def _series_value(x: float) -> tuple[float, float]:
-    """H_x for float x >= 0: K direct terms plus the bracketed tail."""
-    if x == 0.0:
-        return 0.0, 0.0
-    partial = 0.0
-    for k in range(_K, 0, -1):
-        partial += x / (k * (x + k))
-    tail, tail_err = _tail_log_term(_K + 1.0 + x, _K + 1.0)
-    value = partial + tail
-    bound = tail_err + _ROUNDING_SLACK * max(1.0, value)
-    return value, bound
-
-
 def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicValue:
     """Generalized harmonic number H_x with |value - H_x| <= tol.
 
     Integer x up to 10**4 uses the exact rational sum, converted to float
-    last.  Raises DomainError for negative x or a tolerance below what
-    double precision can certify.
+    last.  Raises DomainError for negative or non-finite x or a tolerance
+    below what double precision can certify.
     """
+    return harmonic_sum((x,), tol)
+
+
+def harmonic_sum(xs: Iterable[Fraction | int | float], tol: float = DEFAULT_TOL) -> HarmonicValue:
+    """Sum of H over ``xs``, each term certified to ``tol``, by `math.fsum`;
+    the bound covers every term and the rounding of the sum."""
     if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
-    if isinstance(x, float) and not math.isfinite(x):
-        raise DomainError("x must be finite")
-    x_frac = Fraction(x)
-    if x_frac < 0:
-        raise DomainError(f"harmonic numbers require x >= 0, got {x_frac}")
-    if x_frac.denominator == 1 and x_frac.numerator <= _EXACT_INTEGER_LIMIT:
-        exact = _exact_integer_harmonic(x_frac.numerator)
-        value = float(exact)
-        return HarmonicValue(value, math.ulp(value))
-    value, bound = _series_value(float(x_frac))
-    if bound > tol:
-        raise DomainError(
-            f"cannot certify tolerance {tol}; achievable bound is {bound}"
-        )
-    return HarmonicValue(value, bound)
-
-
-def harmonic_sum(xs: Iterable[Fraction | int], tol: float = DEFAULT_TOL) -> HarmonicValue:
-    """Sum of H over ``xs``, in order, with the summed error bounds."""
-    total = bound = 0.0
+    values: list[float] = []
+    args: list[float] = []
     for x in xs:
-        hv = harmonic(x, tol)
-        total += hv.value
-        bound += hv.abs_error_bound
-    return HarmonicValue(total, bound)
+        if type(x) is not Fraction and type(x) is not int:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise DomainError("x must be finite")
+            x = Fraction(x)
+        if x.numerator < 0:
+            raise DomainError(f"harmonic numbers require x >= 0, got {x}")
+        if x.denominator == 1 and x.numerator <= _EXACT_INTEGER_LIMIT:
+            values.append(float(_exact_integer_harmonic(x.numerator)))
+        else:
+            try:
+                args.append(x.numerator / x.denominator)
+            except OverflowError:
+                raise DomainError("x lies beyond the float range") from None
+    bounds = [2 * _U * v for v in values]
+    if args:
+        series, series_bounds = harmonic_vec(np.array(args))
+        worst = float(series_bounds.max())
+        if worst > tol:
+            raise DomainError(f"cannot certify tolerance {tol}; achievable bound is {worst}")
+        values += series.tolist()
+        bounds += series_bounds.tolist()
+    return HarmonicValue(math.fsum(values), math.fsum(bounds))
 
 
 def gpav_score(inst: Instance, allocation: Bundle, tol: float = DEFAULT_TOL) -> HarmonicValue:
     """Sum over agents of H at their utility, with an aggregated error bound."""
-    hv = harmonic_sum(utilities(inst, allocation), tol)
-    return HarmonicValue(hv.value, hv.abs_error_bound + _ROUNDING_SLACK * max(1.0, abs(hv.value)))
+    return harmonic_sum(utilities(inst, allocation), tol)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized H and its derivatives (H feeds the cake search's first-order
-# bound, the derivatives its solver; same tail technique)
+# Vectorized H and its derivatives (H is the one series evaluation, behind
+# every score and the cake search's first-order bound; the derivatives feed
+# the cake solver)
 
 
 def harmonic_vec(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized H_x for finite x >= 0: values and certified error bounds.
 
-    Every element takes the series path of `harmonic`, integers included,
-    with the same bound: the tail remainder plus the rounding slack.
+    Every element takes the series, integers included; each bound is the
+    tail remainder plus the rounding bound derived in the module docstring,
+    so a `math.fsum` of values lies within the sum of their bounds.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all() or (x < 0).any():
         raise DomainError("harmonic numbers require finite x >= 0")
     k = np.arange(1, _K + 1, dtype=float)
-    partial = (x[..., None] / (k * (x[..., None] + k))).sum(axis=-1)
-    z1 = _K + 1.0 + x
+    partial = (x[..., None] / (x[..., None] + k) / k).sum(axis=-1)
     z0 = _K + 1.0
     tail = np.log1p(x / z0)
-    for z, sign in ((z1, 1.0), (np.full_like(x, z0), -1.0)):
+    remainder = 0.0
+    for z, sign in ((z0 + x, 1.0), (z0, -1.0)):
         inv = 1.0 / z
         inv2 = inv * inv
         tail += sign * (-0.5 * inv - inv2 / 12.0 + inv2**2 / 120.0 - inv2**3 / 252.0)
+        remainder = remainder + inv2**4 / 240.0
     value = partial + tail
-    bound = 1.0 / (240.0 * z0**8) + 1.0 / (240.0 * z1**8) + _ROUNDING_SLACK * np.maximum(1.0, value)
-    return value, bound
+    return value, remainder + 2.0**-45 + 2.0**-49 * value
 
 
 def harmonic_deriv_vec(x: np.ndarray) -> np.ndarray:

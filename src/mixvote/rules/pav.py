@@ -58,9 +58,10 @@ _CERT_SLACK = 1e-12
 _MAX_STEPS = 200
 _MAX_BACKTRACKS = 40
 
-# error bound of one agent's H term in a score: tol on the series path, an
-# ulp of H_u < 10 on the exact integer path (u <= 10**4)
-_TERM_ERROR_FLOOR = 2.0**-49
+# error bound of one agent's H term in a score, its share of the sum's
+# rounding included: tol on the series path, 2**-52 of H_u < 10 on the exact
+# integer path (u <= 10**4)
+_TERM_ERROR_FLOOR = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -177,23 +178,6 @@ def _incidence(nagents: int, groups: list[frozenset[int]]) -> np.ndarray:
     return inc
 
 
-def _solve_classes(
-    base_utils: list[Fraction],
-    classes: list[frozenset[int]],
-    class_lengths: list[Fraction],
-    budget: Fraction,
-    eps: float,
-) -> tuple[list[Fraction], float]:
-    """Maximize sum_i H(u0_i + sum over approved classes) over class lengths.
-
-    Returns rational lengths summing to at most the budget and a certified
-    duality gap.  Exact shortcuts when the budget is slack or zero.
-    """
-    base = np.array([float(u) for u in base_utils])
-    lengths = np.array([float(l) for l in class_lengths])
-    return _solve(base, _incidence(len(base_utils), classes), lengths, class_lengths, budget, eps)
-
-
 def _solve(
     base: np.ndarray,
     inc: np.ndarray,
@@ -202,7 +186,12 @@ def _solve(
     budget: Fraction,
     eps: float,
 ) -> tuple[list[Fraction], float]:
-    """`_solve_classes` on a built incidence matrix and float lengths."""
+    """Maximize sum_i H(base_i + sum over approved classes) over class lengths,
+    given the agent-by-class incidence matrix and the float lengths.
+
+    Returns rational lengths summing to at most the budget and a certified
+    duality gap.  Exact shortcuts when the budget is slack or zero.
+    """
     nclasses = len(class_lengths)
     if nclasses == 0 or budget <= 0:
         return [Fraction(0)] * nclasses, 0.0
@@ -288,7 +277,7 @@ class _CakeClasses:
         u += inc @ y0
         values, bounds = harmonic_vec(u)
         gap = _linmax_gap(inc.T @ harmonic_deriv_vec(u), y0, lengths, bud)
-        return float(values.sum() + bounds.sum()) + gap + _CERT_SLACK
+        return math.fsum(values) + float(bounds.sum()) + gap + _CERT_SLACK
 
     def refill(self, y_rat: list[Fraction]) -> dict[tuple[Fraction, Fraction], Fraction]:
         """Per-atom lengths: each class's amount fills its atoms left to right."""

@@ -354,6 +354,22 @@ def test_instance_round_trip_field_exact(seed):
     assert instance_digest(again) == instance_digest(inst)
 
 
+def test_approvals_with_touching_or_degenerate_pairs_round_trip():
+    """Such an approval is stored in its normalized form, as a parsed one
+    is, so the instance survives a round trip through its dict; a canonical
+    approval is kept as the same object."""
+    touching = Bundle(IntervalSet(((F(0), F(1, 2)), (F(1, 2), F(1)))))
+    degenerate = Bundle(IntervalSet(((F(1, 4), F(1, 4)), (F(1, 2), F(3, 4)))), frozenset({"g1"}))
+    canonical = Bundle(iv((0, F(1, 3))), frozenset({"g1"}))
+    inst = Instance(F(1), ("g1",), (touching, degenerate, canonical), F(1))
+    assert inst.agents[0].cake == iv((0, 1))
+    assert inst.agents[1] == Bundle(iv((F(1, 2), F(3, 4))), frozenset({"g1"}))
+    assert inst.agents[2] is canonical
+    again = instance_from_dict(instance_to_dict(inst))
+    assert again == inst
+    assert instance_digest(again) == instance_digest(inst)
+
+
 def test_allocation_round_trip(fig1):
     alloc = Bundle(cake=iv((0, F(1, 2))), goods=frozenset({"g2"}))
     data = allocation_to_dict(fig1, alloc)
@@ -525,6 +541,7 @@ def test_cake_pairs_are_ordered_or_rejected(pairs, c):
     canonical = normalize(pairs)
     raw = Instance(c, ("g1",), (Bundle(cake), other), c + 1)
     expected = Instance(c, ("g1",), (Bundle(canonical), other), c + 1)
+    assert raw == expected
     assert approval_closure(raw) == approval_closure(expected)
     for alloc in (Bundle(cake), Bundle(canonical), other, Bundle(raw.full_cake())):
         assert utilities(raw, alloc) == utilities(expected, alloc)

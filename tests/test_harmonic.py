@@ -7,6 +7,7 @@ for the tail.
 
 import math
 import random
+from collections import Counter
 import time
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from mixvote.harmonic import (
     _exact_integer_harmonic,
     exact_pav_score,
     harmonic_deriv_vec,
+    harmonic_sum,
     harmonic_vec,
 )
 
@@ -30,8 +32,9 @@ mp.mp.dps = 40
 TOL = 1e-12
 
 
-def mpmath_h(x: F) -> float:
-    return float(mp.digamma(mp.mpf(x.numerator) / x.denominator + 1) + mp.euler)
+def mpmath_h(x: F, float_result: bool = True):
+    h = mp.digamma(mp.mpf(x.numerator) / x.denominator + 1) + mp.euler
+    return float(h) if float_result else h
 
 
 def bracket_h(x: F, terms: int = 4000) -> tuple[float, float]:
@@ -85,6 +88,23 @@ class TestCertifiedBounds:
             lo, hi = bracket_h(x)
             assert lo - hv.abs_error_bound <= hv.value <= hi + hv.abs_error_bound
 
+    @pytest.mark.parametrize("x", [F(27, 10) * 10**8, 10**10, 10**12, F(10**15 + 1, 3), 1e15])
+    def test_large_arguments_certified_at_default_tol(self, x):
+        hv = harmonic(x)
+        q = F(x)
+        exact = mp.harmonic(mp.mpf(q.numerator) / q.denominator)
+        assert abs(mp.mpf(hv.value) - exact) <= hv.abs_error_bound <= TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False))
+    def test_drawn_arguments_certified_at_default_tol(self, x):
+        hv = harmonic(x)
+        assert abs(mp.mpf(hv.value) - mp.harmonic(mp.mpf(x))) <= hv.abs_error_bound <= TOL
+
+    def test_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            harmonic(10**400)
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             harmonic(F(-1, 2))
@@ -92,6 +112,9 @@ class TestCertifiedBounds:
     def test_uncertifiable_tolerance_rejected(self):
         with pytest.raises(DomainError):
             harmonic(F(1, 3), tol=1e-16)
+        with pytest.raises(DomainError, match="cannot certify tolerance"):
+            harmonic_sum([1, 2, F(1, 3)], tol=1e-16)
+        assert harmonic_sum([1, 2], tol=1e-16).value == 2.5  # exact terms
 
     @pytest.mark.parametrize("x", [F(1, 2), 0.5, 3])
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
@@ -121,10 +144,44 @@ class TestCertifiedVector:
     def test_bound_holds_on_drawn_floats(self, xs):
         assert_vec_certified(xs)
 
+    def test_bound_holds_on_log_uniform_points(self):
+        rng = random.Random(5)
+        assert_vec_certified([2.0 ** rng.uniform(-40, 53) for _ in range(3000)])
+
     @pytest.mark.parametrize("x", [-0.5, float("nan"), float("inf")])
     def test_outside_domain_rejected(self, x):
         with pytest.raises(DomainError):
             harmonic_vec(np.array([1.0, x]))
+        with pytest.raises(DomainError):
+            harmonic(x)
+
+
+class TestHarmonicSum:
+    """The bound of a sum covers its terms and the rounding across them."""
+
+    def test_bound_covers_integer_sums(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            xs = [rng.randint(0, 12) for _ in range(rng.randint(5, 300))]
+            hv = harmonic_sum(xs)
+            exact = sum((c * _exact_integer_harmonic(x) for x, c in Counter(xs).items()), F(0))
+            assert abs(F(hv.value) - exact) <= F(hv.abs_error_bound)
+
+    def test_bound_covers_mixed_sums(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            size = rng.randint(1, 60)
+            xs = [F(rng.randint(0, 10**6), rng.choice([1, 3, 1000])) for _ in range(size)]
+            hv = harmonic_sum(xs, TOL)
+            exact = mp.fsum(mpmath_h(x, float_result=False) for x in xs)
+            assert abs(mp.mpf(hv.value) - exact) <= hv.abs_error_bound
+
+    def test_order_does_not_change_the_sum(self):
+        rng = random.Random(13)
+        xs = [F(rng.randint(0, 500), rng.randint(1, 7)) for _ in range(50)]
+        hv = harmonic_sum(xs)
+        rng.shuffle(xs)
+        assert harmonic_sum(xs) == hv
 
 
 class TestGrowthProperties:

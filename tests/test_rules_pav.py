@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,13 +26,13 @@ from mixvote import (
     verify_ejr_1,
     verify_ejr_m,
 )
-from mixvote.core import atomize
+from mixvote.core import atomize, utilities
 from mixvote.errors import CapacityError, DomainError
 from mixvote.generate import gen_fig1, gen_random
-from mixvote.harmonic import HarmonicValue, harmonic
+from mixvote.harmonic import HarmonicValue, exact_pav_score, harmonic
 from mixvote.oracle import oracle_discretized_opt
 from mixvote.rules import concave_cake_opt, pav
-from mixvote.rules.pav import _CERT_SLACK, _solve_classes
+from mixvote.rules.pav import _CERT_SLACK, _incidence, _solve
 
 from conftest import make_mixed
 from test_index import instances
@@ -189,28 +190,27 @@ def assert_matches_enumeration(inst, sol):
 
 
 def pin(inst, sol):
-    """Digest of the goods, the atom lengths in order and the score."""
+    """Digest of the goods and the atom lengths in order."""
     goods = [g for g in inst.goods if g in sol.allocation.goods]
     lengths = [(str(lo), str(hi), str(ln)) for (lo, hi), ln in sol.atom_lengths.items()]
-    text = repr((goods, lengths, sol.score.value.hex(), sol.score.abs_error_bound.hex()))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(repr((goods, lengths)).encode()).hexdigest()[:16]
 
 
 # outputs of the plain enumeration that the branch and bound replaced
 GOLDEN_PINS = {
-    "fig1": "658cf56a5b07052f",
-    "anchor": "3bffb36adf55bfcf",
+    "fig1": "1cb7a414b4079c63",
+    "anchor": "7ec9dbf0e2a17f1d",
     **{f"mixed{s}": h for s, h in enumerate([
-        "db1aef1473bfe302", "40b2c40d6c3a8ec6", "e868e2f7356aa0e1", "f3260b9e5754daaa",
-        "c3d9d1d70973e671", "3eedb25091b7cd08", "d7cfb00f65e179fa", "3b8af8741dc6389d",
-        "9e38be11841dba81", "4f3aa05848d01cf3", "588d5e5a620b101e", "7c60d167c8b95697",
-        "c30c98c6f4517a53", "4e2953a848b568a7", "2018515a9e6fe6c0", "40b2c40d6c3a8ec6",
-        "999c2b3a7f18d8a0", "d2788ca328c18e79", "6ea6d21c9bf068ff", "7c9c6f99d1eec121",
-        "dfcafa9c8a3ae62e", "fd38d188b1d8c31b", "06dae3098a756019", "976c67f7dcb2ac22",
-        "6d6e0b183889449b", "10215af270d3f7c9", "60979533e70253bb", "6dea6df3b516b8ab",
-        "1d66066db178ba30", "deb9bf12efaaa21f", "34c408efba4b1c7d", "df3ad94f743db5bb",
-        "ae894b48a7f875b7", "169fb188264e21eb", "7456cfbe5fdd9dd8", "db1aef1473bfe302",
-        "20c48abe618c996e", "193a37ce3e54afe3", "9c8275590cffadd7", "ca7730bd59ce4750",
+        "bff77f72a8ffe9f0", "1391876e63685b7d", "6eeace22260fb063", "bff77f72a8ffe9f0",
+        "fe8891b5fccb5a27", "0000d78e2a2be107", "b4531d5bc9db6236", "f351b7a85fda0e7f",
+        "275c56cf162a5f3f", "3b908cca4722a29c", "4799fbd331b62988", "8fd88cbdb3491e0c",
+        "e0efed09a165c228", "1b09098e86165842", "f84d31bb2b9597ba", "1391876e63685b7d",
+        "9f63ea463537c124", "13cc4aba93f5afb9", "a5b6f39edfb8d1b8", "18686041fe7ff5d0",
+        "fabee7040d5b02c2", "1c2d9dcbd19ed116", "7fd138a92be28293", "815f96c6cc6628a9",
+        "1ec31c6ca000026c", "c84f869656fdb621", "a77d322dab90ec9d", "bec745e7248841f9",
+        "2bc7aef16faf74f4", "0a6f94ad7c08bb36", "1391876e63685b7d", "9f63ea463537c124",
+        "0dc409023abfd4b6", "27bf428898af1530", "442f531d2ebd519e", "bff77f72a8ffe9f0",
+        "526dd3d6d46c612c", "d61b951c1eb1bcaf", "623157ec2ef47173", "34e6681dc425d352",
     ])},
 }
 
@@ -222,9 +222,55 @@ def pinned_instances():
         yield f"mixed{s}", make_mixed(s)
 
 
+def mpmath_score(inst, allocation):
+    """Sum of H at the exact utilities, at 40 digits."""
+    with mp.workdps(40):
+        utils = utilities(inst, allocation)
+        return sum(mp.harmonic(mp.mpf(u.numerator) / u.denominator) for u in utils)
+
+
 def test_golden_pins():
-    got = {name: pin(inst, generalized_pav(inst)) for name, inst in pinned_instances()}
+    """The search picks the pinned goods and cake, and each score lies
+    within its bound of the exact sum."""
+    got = {}
+    for name, inst in pinned_instances():
+        sol = generalized_pav(inst)
+        got[name] = pin(inst, sol)
+        error = abs(mp.mpf(sol.score.value) - mpmath_score(inst, sol.allocation))
+        assert error <= sol.score.abs_error_bound, name
     assert got == GOLDEN_PINS
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_score_bound_covers_the_exact_score(seed):
+    """The reported bound covers the distance to the exact rational score,
+    the rounding of the sum across 200 agents included."""
+    inst = gen_random(n=200, m=8, cake_atoms=0, alpha=F(4), density=0.6, seed=seed)
+    sol = generalized_pav(inst)
+    exact = exact_pav_score(utilities(inst, sol.allocation))
+    assert abs(F(sol.score.value) - exact) <= F(sol.score.abs_error_bound)
+
+
+def test_huge_cake_gets_a_certified_score():
+    """Utilities of 10**12 are certified at the default tolerance."""
+    c = F(10**12)
+    inst = Instance(c, (), tuple(Bundle(normalize([(F(0), c)])) for _ in range(3)), c)
+    sol = generalized_pav(inst)
+    assert sol.allocation.cake == inst.full_cake()
+    assert sol.score.abs_error_bound <= 3 * pav.DEFAULT_TOL
+    error = abs(mp.mpf(sol.score.value) - mpmath_score(inst, sol.allocation))
+    assert error <= sol.score.abs_error_bound
+
+
+def test_exact_tie_goes_to_the_first_subset():
+    """{g1, g2} and {g1, g4} with the same cake give the same multiset of
+    utilities, so their scores are equal in any agent order, and the
+    documented rule picks the one that comes first."""
+    inst = gen_random(n=6, m=4, cake_atoms=4, alpha=F(5, 2), density=0.7, seed=249)
+    sol = generalized_pav(inst)
+    assert sol.allocation.goods == {"g1", "g2"}
+    other = Bundle(sol.allocation.cake, frozenset({"g1", "g4"}))
+    assert sorted(utilities(inst, other)) == sorted(utilities(inst, sol.allocation))
 
 
 def test_anchor_solves_few_subsets():
@@ -350,7 +396,9 @@ EPS = 1e-9
 
 
 def assert_certified(base, classes, lengths, budget):
-    y, gap = _solve_classes(base, classes, lengths, budget, EPS)
+    inc = _incidence(len(base), classes)
+    flengths = np.array([float(l) for l in lengths])
+    y, gap = _solve(np.array([float(b) for b in base]), inc, flengths, lengths, budget, EPS)
     assert all(isinstance(v, F) and 0 <= v <= cl for v, cl in zip(y, lengths))
     assert sum(y, F(0)) <= budget
     assert 0 <= gap <= EPS / 2 + _CERT_SLACK
