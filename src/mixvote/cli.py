@@ -292,6 +292,9 @@ def bench_mes(
                 "atoms": atoms,
                 "iterations": ledger.iterations,
                 "iteration_bound": bound,
+                "pops": ledger.pops,
+                "stale": ledger.stale,
+                "rescales": ledger.rescales,
                 "size": format_rational(bundle.size()),
                 "wall_ms": round(elapsed * 1000, 3),
             }

@@ -12,7 +12,8 @@ The path from instance JSON to the index stays on ints where it can:
 plain ``"p/q"`` digit strings by ``int`` (``parse_rational``); ``normalize``
 keeps pairs that are already canonical, as the serialization always is,
 without sorting; and ``InstanceIndex`` keys endpoints by their
-``(numerator, denominator)`` ints, so no ``Fraction`` is hashed.
+``(numerator, denominator)`` ints, so no ``Fraction`` is hashed.  The
+index and ``instance_digest`` read each distinct endpoint object once.
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ class Instance:
             raise MalformedIntervalError("cake length must be nonnegative")
         if max(c, m) <= 0:
             raise InvalidAllocationError("instance must contain cake or goods")
+        for k, g in enumerate(self.goods):
+            if not isinstance(g, str):
+                raise DomainError(f"good {k} must be named by a string, got {g!r}")
         if len(set(self.goods)) != m:
             raise InvalidAllocationError("duplicate good names")
         if not self.agents:
@@ -502,6 +506,13 @@ def _runs(mask: int) -> list[tuple[int, int]]:
     return out
 
 
+def _endpoint_objects(inst: Instance) -> dict[int, Fraction]:
+    """The distinct approval endpoint objects, keyed by ``id``; a parsed
+    instance shares one object per distinct string.  The instance holds
+    every object, so no key names another object while it lives."""
+    return {id(p): p for b in inst.agents for pair in b.cake.intervals for p in pair}
+
+
 class InstanceIndex:
     """Integer view of one instance, built once per ``Instance``.
 
@@ -514,6 +525,11 @@ class InstanceIndex:
     breakpoint and of ``alpha/n``; an int at a common denominator is still
     an exact rational.  The approval closure and each mode's tier table
     are built on first request and kept; a build that fails is not kept.
+
+    The build keys each distinct endpoint object (``_endpoint_objects``)
+    by value once, and looks every approval end up by its ``id``.  Equal
+    but distinct objects share one value key, so they give the same index;
+    the ``id``-keyed dicts are local to the build.
     """
 
     def __init__(self, inst: Instance):
@@ -522,15 +538,16 @@ class InstanceIndex:
         endpoints = {(0, 1): Fraction(0)}
         c = inst.cake_length
         endpoints.setdefault((c.numerator, c.denominator), c)
-        for bundle in inst.agents:
-            for pair in bundle.cake.intervals:
-                for p in pair:
-                    endpoints.setdefault((p.numerator, p.denominator), p)
+        value_of = {}
+        for key, p in _endpoint_objects(inst).items():
+            value_of[key] = value = p.numerator, p.denominator
+            endpoints.setdefault(value, p)
         share = inst.alpha / inst.n
         D = math.lcm(share.denominator, *(d for _, d in endpoints))
         at_d = sorted((num * (D // d), (num, d)) for num, d in endpoints)
-        where = {key: j for j, (_, key) in enumerate(at_d)}
-        points = [endpoints[key] for _, key in at_d]
+        where = {value: j for j, (_, value) in enumerate(at_d)}
+        position = {key: where[value] for key, value in value_of.items()}
+        points = [endpoints[value] for _, value in at_d]
         self.goods = inst.goods
         self.points = points
         self.denominator = D
@@ -548,8 +565,7 @@ class InstanceIndex:
                 good_approvers[k].append(i)
                 mask |= 1 << k
             for lo, hi in bundle.cake.intervals:
-                a = where[lo.numerator, lo.denominator]
-                b = where[hi.numerator, hi.denominator]
+                a, b = position[id(lo)], position[id(hi)]
                 starts[a].append(i)
                 ends[b].append(i)
                 mask |= ((1 << b) - (1 << a)) << m
@@ -838,6 +854,28 @@ def load_json(path: str) -> dict:
 
 
 def instance_digest(inst: Instance) -> str:
-    """Digest of the canonical serialization; stable under key reordering."""
-    blob = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+    """sha256 of the canonical serialization
+    ``json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))``;
+    stable under key reordering.
+
+    The blob is written directly in that layout, without the dict: keys in
+    sorted order, names through ``json``'s own ASCII encoder (good names
+    are strings, ``Instance`` checks that), each agent's goods in instance
+    order, and each distinct endpoint object (``_endpoint_objects``)
+    formatted once.
+    """
+    names = [json.encoder.encode_basestring_ascii(g) for g in inst.goods]
+    text = {key: f'"{format_rational(p)}"' for key, p in _endpoint_objects(inst).items()}
+    order = inst.good_index.__getitem__
+    agents = []
+    for b in inst.agents:
+        cake = ",".join(f"[{text[id(lo)]},{text[id(hi)]}]" for lo, hi in b.cake.intervals)
+        goods = ",".join([names[k] for k in sorted(map(order, b.goods))])
+        agents.append(f'{{"cake":[{cake}],"goods":[{goods}]}}')
+    blob = "".join((
+        '{"agents":[', ",".join(agents),
+        '],"alpha":"', format_rational(inst.alpha),
+        '","cake_length":"', format_rational(inst.cake_length),
+        '","goods":[', ",".join(names), "]}",
+    ))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -13,9 +13,15 @@ unbought left end and each cell's right end.  U starts at the index
 denominator.  A payment of a/q units that is not whole (a cell bought to
 its end costs cost/p per payer, a good (1 - paid)/k) first multiplies U and
 every int held on it by q // gcd(q, a).  That factor is at least 2, so a
-run rescales at most log2(final U / initial U) times.  Prices stay exact
-``Fraction``s, so the heap order does not depend on U, and the ledger's
+run rescales at most log2(final U / initial U) times.  The ledger's
 ``Fraction``s are built once from the ints.
+
+A heap entry is ``(float rho, Fraction rho, kind, k)``: the exact price
+behind a float of it, computed from ints (``num / (den * U)`` for a good,
+``1 / p`` for a cell), so most comparisons are float ones.  The order is
+still the exact one: int true division is correctly rounded and rounding
+is monotone, so ``float(a) < float(b)`` implies ``a < b``, and floats that
+tie fall through to the exact ``Fraction``.  Neither part depends on U.
 """
 
 from __future__ import annotations
@@ -151,7 +157,8 @@ def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
     hi = index.points_d[1:]
     bought_to: list[Fraction | None] = [None] * len(hi)
     most = max(map(len, index.cells), default=0)
-    inverse = [None, *(Fraction(1, p) for p in range(1, most + 1))]  # cake price by payer count
+    # cake price by payer count, as a float and exactly
+    inverse = [None, *((1 / p, Fraction(1, p)) for p in range(1, most + 1))]
     ledger = PaymentLedger(initial_budget=inst.alpha / inst.n)
     pops = stale = rescales = 0
 
@@ -163,11 +170,12 @@ def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
         if not payers:
             return None
         if k >= m:
-            return (inverse[len(payers)], _CAKE, k), payers, None
+            return (*inverse[len(payers)], _CAKE, k), payers, None
         price = _price_units([budgets[i] for i in payers], unit)
         if price is None:
             return None
-        return (Fraction(price[0], price[1] * unit), _GOOD, k), payers, price
+        num, den = price
+        return (num / (den * unit), Fraction(num, den * unit), _GOOD, k), payers, price
 
     def rescale(q: int, a: int) -> int:
         """Grow the unit, and every int held on it, by the factor that makes
@@ -188,7 +196,7 @@ def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:
     while heap:
         entry = heapq.heappop(heap)
         pops += 1
-        rho, _, k = entry
+        _, rho, _, k = entry
         now = key(k)
         if now is None or now[0] != entry:
             stale += 1

@@ -113,6 +113,8 @@ def _active_set_newton(
     y = lengths * (budget / lengths.sum())
     bound = np.zeros(ncls, dtype=np.int8)  # -1 held at 0, +1 held at length
     gap = math.inf
+    released = None  # (class, point, bounds) just before the last release
+    kept = -1  # a class whose release the next step undid
     for _ in range(_MAX_STEPS):
         g = _gradient(base, inc, y)
         gap = _linmax_gap(g, y, lengths, budget)
@@ -139,8 +141,11 @@ def _active_set_newton(
             # the face is solved: release the bound whose multiplier has the
             # wrong sign by the most, if any
             violation = np.where(bound < 0, g - lam, lam - g) * (bound != 0)
+            if kept >= 0:
+                violation[kept] = 0.0
             c = int(np.argmax(violation))
             if violation[c] > 0:
+                released = (c, y.copy(), bound.copy())
                 bound[c] = 0
                 continue
         if not slope > 0 or not np.isfinite(dy).all():
@@ -166,6 +171,15 @@ def _active_set_newton(
         if step == room[blocker]:
             y[blocker] = lengths[blocker] if dy[blocker] > 0 else 0.0
             bound[blocker] = 1 if dy[blocker] > 0 else -1
+        # a zero-length step that holds the class just released returns to
+        # the state before the release, which would repeat until the step
+        # cap: keep that class held once, so the face's own step comes next
+        kept = -1
+        if released is not None:
+            c, before, held = released
+            if np.array_equal(y, before) and np.array_equal(bound, held):
+                kept = c
+            released = None
     return y, gap
 
 

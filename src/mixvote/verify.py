@@ -139,13 +139,15 @@ def _profile_tiers(
     nondecreasing in k, so then no member of any of its tiers is at or
     below that tier's threshold minus ``off``.
     """
-    rank = _ranks(u)
+    rank = None  # sorted on the first row that is not skipped
     for tier in table:
         row, thresholds = tier
         if off is not None:
             least = min(map(u.__getitem__, row.approvers))
             if least > thresholds[-1] * scale - off:
                 continue
+        if rank is None:
+            rank = _ranks(u)
         yield tier, sorted(row.approvers, key=rank.__getitem__)
 
 

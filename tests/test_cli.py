@@ -165,6 +165,17 @@ def test_usage_error_exit_code(capsys):
     assert code == EXIT_USAGE
 
 
+def test_non_string_good_name_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "cake_length": "1", "goods": [1], "alpha": "1",
+        "agents": [{"goods": [1], "cake": [["0", "1/2"]]}],
+    }))
+    code = dispatch(["run", "--rule", "gmes", "--instance", str(path)])
+    assert code == EXIT_USAGE
+    assert "good 0 must be named by a string, got 1" in capsys.readouterr().err
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     inst = tmp_path / "big.json"
     run_cli(
@@ -197,6 +208,9 @@ def test_bench_subcommand(capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 2
     assert all(r["iterations"] <= r["iteration_bound"] for r in rows)
+    # the heap work: every pop is a purchase or a stale entry
+    assert all(r["pops"] == r["iterations"] + r["stale"] for r in rows)
+    assert all(r["rescales"] >= 0 for r in rows)
 
 
 @pytest.mark.parametrize("density", ["nan", "-1", "1.5"])

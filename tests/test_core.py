@@ -1,5 +1,6 @@
 """Model-layer tests: intervals, bundles, utilities, atoms, serialization."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction as F
@@ -403,6 +404,54 @@ def test_digest_pins(name):
     assert instance_digest(instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))) == digest
 
 
+def reference_digest(inst):
+    """The digest's definition: sha256 of the dict's sorted-key compact JSON."""
+    blob = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_NAMES = st.text(st.characters(blacklist_categories=()), max_size=3) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\u00e9", "\u2603", "\ud800", "\x00\n"]
+)
+
+
+@st.composite
+def digest_instances(draw):
+    """Directly built instances: names with quotes, backslashes, non-ASCII
+    and lone surrogates; endpoints on a quarter grid that are ints or fresh
+    ``Fraction`` objects (so equal endpoints are distinct objects); and
+    touching or degenerate approval pairs, which ``Instance`` normalizes."""
+    goods = draw(st.lists(_NAMES, unique=True, max_size=4))
+    c = draw(st.integers(0 if goods else 1, 3))
+    as_int = draw(st.booleans())
+
+    def point(k):
+        return k // 4 if as_int and k % 4 == 0 else F(k, 4)
+
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        ends = sorted(draw(st.lists(st.integers(0, 4 * c), max_size=6)))
+        pairs = tuple((point(a), point(b)) for a, b in zip(ends[::2], ends[1::2]))
+        chosen = draw(st.sets(st.sampled_from(goods))) if goods else set()
+        agents.append(Bundle(IntervalSet(pairs), frozenset(chosen)))
+    alpha = F(draw(st.integers(1, 4 * (c + len(goods)))), 4)
+    return Instance(cake_length=c, goods=tuple(goods), agents=tuple(agents), alpha=alpha)
+
+
+@given(digest_instances())
+@settings(max_examples=300, deadline=None)
+def test_digest_matches_its_definition(inst):
+    assert instance_digest(inst) == reference_digest(inst)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_digest_of_parsed_instances_matches_its_definition(seed):
+    inst = instance_from_dict(instance_to_dict(gen_random(
+        n=60, m=6, cake_atoms=6, alpha=F(9, 4), density=0.05, seed=seed
+    )))
+    assert instance_digest(inst) == reference_digest(inst)
+
+
 def test_digest_stable_under_key_order(fig1):
     data = instance_to_dict(fig1)
     scrambled = json.loads(
@@ -429,6 +478,16 @@ class TestValidation:
                 agents=(Bundle(goods=frozenset({"g1"})),),
                 alpha=F(2),
             )
+
+    @pytest.mark.parametrize(
+        "goods, entry", [((1,), "good 0"), (("g1", None), "good 1"), ((["g1"],), "good 0")]
+    )
+    def test_good_names_must_be_strings(self, goods, entry):
+        with pytest.raises(DomainError, match=f"^{entry} must be named by a string"):
+            Instance(cake_length=F(1), goods=goods, agents=(Bundle(),), alpha=F(1))
+        data = {"cake_length": "1", "goods": list(goods), "alpha": "1", "agents": [{}]}
+        with pytest.raises(DomainError, match=f"^{entry} must be named by a string"):
+            instance_from_dict(data)
 
     def test_unknown_good_rejected(self):
         with pytest.raises(InvalidAllocationError):

@@ -35,6 +35,7 @@ from mixvote import (
 )
 from mixvote.cli import EXIT_INTERNAL, EXIT_USAGE, dispatch
 from mixvote.core import (
+    InstanceIndex,
     allocation_units,
     instance_from_dict,
     instance_to_dict,
@@ -43,6 +44,7 @@ from mixvote.core import (
     utility,
 )
 from mixvote.errors import CapacityError, InvalidAllocationError, InvariantError
+from mixvote.generate import gen_random
 from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
 from mixvote.verify import DEGREE_BOUNDS
@@ -295,6 +297,30 @@ def test_index_matches_fraction_keyed_build(inst, reparse):
         id(p) for b in inst.agents for iv in b.cake.intervals for p in iv
     }
     assert all(id(p) in own or p == 0 for p in index.points)
+
+
+def _fresh_endpoints(inst):
+    """An equal instance whose every endpoint is a new ``Fraction`` object."""
+    def fresh(p):
+        return F(p.numerator, p.denominator)
+
+    agents = tuple(
+        Bundle(IntervalSet(tuple((fresh(lo), fresh(hi)) for lo, hi in b.cake.intervals)), b.goods)
+        for b in inst.agents
+    )
+    return Instance(fresh(inst.cake_length), inst.goods, agents, fresh(inst.alpha))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_does_not_depend_on_shared_endpoints(seed):
+    """A parsed instance shares one endpoint object per distinct string; an
+    equal instance built from fresh objects gets the same index."""
+    inst = instance_from_dict(instance_to_dict(gen_random(
+        n=60, m=6, cake_atoms=6, alpha=F(9, 4), density=0.05, seed=seed
+    )))
+    other = _fresh_endpoints(inst)
+    assert other == inst
+    assert vars(InstanceIndex(inst)) == vars(InstanceIndex(other))
 
 
 @given(instances(max_agents=4))

@@ -172,6 +172,39 @@ def test_partial_interval_purchase_resumes_at_higher_price():
     assert ledger.final_budgets == {0: F(0), 1: F(0), 2: F(5, 12), 3: F(5, 12)}
 
 
+def test_prices_that_round_to_one_float_pop_in_exact_order():
+    """Heap keys compare floats first; equal floats fall through to the
+    exact price.
+
+    Every budget is 1/2.  The cell [0, L], L = 2/3 + 8e, e = 1/(9*10**17),
+    goes first at rho 1/4, and agent 0 pays L/4 of it, keeping 1/3 - 2e.
+    Then good "b" (agents 0-2) costs (1 - (1/3 - 2e))/2 = 1/3 + e and good
+    "a" (agents 3-5) costs 1/3.  Both round to the float 1/3, and "b" comes
+    first in instance order, so only the exact price puts "a" first.
+    """
+    e = F(1, 9 * 10**17)
+    cell = normalize([(F(0), F(2, 3) + 8 * e)])
+    b, a = frozenset({"b"}), frozenset({"a"})
+    inst = Instance(
+        cake_length=F(3),
+        goods=("b", "a"),
+        agents=(
+            Bundle(cell, b), Bundle(goods=b), Bundle(goods=b),
+            Bundle(goods=a), Bundle(goods=a), Bundle(goods=a),
+            Bundle(cell), Bundle(cell), Bundle(cell),
+        ),
+        alpha=F(9, 2),
+    )
+    assert float(F(1, 3) + e) == float(F(1, 3))
+    _, ledger = generalized_mes(inst)
+    assert [(p.item, p.rho) for p in ledger.purchases] == [
+        (cell.intervals[0], F(1, 4)),
+        ("a", F(1, 3)),
+        ("b", F(3 * 10**17 + 1, 9 * 10**17)),
+    ]
+    assert ledger.purchases[2].payments == {0: F(1, 3) - 2 * e, 1: F(1, 3) + e, 2: F(1, 3) + e}
+
+
 def test_empty_approvals_buy_nothing():
     inst = Instance(
         cake_length=F(1),
@@ -288,6 +321,14 @@ GOLDEN_LEDGERS = {
     "thm4(t=5/2, n=20)": (
         lambda: [gen_thm4(F(5, 2), 20)[0]],
         "4a457f13cd0c8e89e41acdddac0af823e79f098e128114c1d9d524ca8ba6c426",
+    ),
+    # the mes-scale shapes: m = cake atoms = n/10, alpha a quarter of c + m
+    "mes-scale(n=60, 120; seeds 0..9)": (
+        lambda: [
+            gen_random(n=n, m=n // 10, cake_atoms=n // 10, alpha=F(3 * n, 80), density=0.05, seed=s)
+            for n in (60, 120) for s in range(10)
+        ],
+        "5847dbca23178b8ada6068dc45c059748cb7b8d1b7728765fb94eb040dbe205b",
     ),
 }
 

@@ -251,6 +251,21 @@ def test_score_bound_covers_the_exact_score(seed):
     assert abs(F(sol.score.value) - exact) <= F(sol.score.abs_error_bound)
 
 
+@pytest.mark.parametrize("seed", [253, 1634])
+def test_undone_release_does_not_stall_the_solver(seed):
+    """On one goods subset of each instance, the solver released a bound and
+    the next step, of length zero, held the same class again.  That returns
+    to the state before the release, so the loop used to repeat it until the
+    step cap and raise an uncertified gap (1.2e-7 for seed 253, 1.3e-6 for
+    seed 1634); the class now stays held once, and the face's own step
+    comes next."""
+    inst = gen_random(n=7, m=4, cake_atoms=5, alpha=F(3, 2), density=0.5, seed=seed)
+    sol = generalized_pav(inst)
+    assert sol.optimality_gap <= pav.DEFAULT_EPS
+    error = abs(mp.mpf(sol.score.value) - mpmath_score(inst, sol.allocation))
+    assert error <= sol.score.abs_error_bound
+
+
 def test_huge_cake_gets_a_certified_score():
     """Utilities of 10**12 are certified at the default tolerance."""
     c = F(10**12)

@@ -32,6 +32,7 @@ from mixvote.errors import (
     UnsupportedInstanceError,
 )
 from mixvote.generate import gen_prop4, gen_random
+from mixvote import verify as verify_module
 from mixvote.oracle import enumerate_allocations, EnumerationConfig
 from mixvote.verify import (
     AxiomReport,
@@ -361,6 +362,23 @@ def test_ejr_1_equals_strict_beta_at_any_margin(margin, seed):
 def test_ejr_1_margin_errors(fig1, margin, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         verify_ejr_1(fig1, Bundle(), margin)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ranks_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
+    """A scan whose rows are all skipped sorts nothing; a scan that keeps
+    its rows sorts once."""
+    calls = []
+    original = verify_module._ranks
+    monkeypatch.setattr(verify_module, "_ranks", lambda u: calls.append(1) or original(u))
+    inst = make_mixed(seed)
+    everything = Bundle(inst.full_cake(), frozenset(inst.goods))
+    big = Instance(inst.cake_length, inst.goods, inst.agents, inst.cake_length + inst.m)
+    assert verify_ejr_m(big, everything).passed
+    assert verify_ejr_1(big, everything).passed
+    assert calls == []
+    assert cohesive_profiles(inst)
+    assert calls == [1]
 
 
 def test_closure_capacity_error(fig1):
