@@ -8,12 +8,13 @@ Goods are identified by their names; their order in ``Instance.goods``
 is the canonical order used for tie-breaking everywhere.
 
 The path from instance JSON to the index stays on ints where it can:
-``instance_from_dict`` parses each distinct endpoint string once, reading
-plain ``"p/q"`` digit strings by ``int`` (``parse_rational``); ``normalize``
-keeps pairs that are already canonical, as the serialization always is,
-without sorting; and ``InstanceIndex`` keys endpoints by their
-``(numerator, denominator)`` ints, so no ``Fraction`` is hashed.  The
-index and ``instance_digest`` read each distinct endpoint object once.
+``instance_from_dict`` parses each distinct endpoint string once (plain
+``"p/q"`` digit strings by ``int``, ``parse_rational``); one int pass in
+``Instance`` (``_cake_fault``) checks the pairs and keeps canonical ones,
+as the serialization writes them, without sorting.  ``InstanceIndex``
+keys endpoints by their ``(numerator, denominator)`` ints, so no
+``Fraction`` is hashed; the index and ``instance_digest`` read each
+distinct endpoint object once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     InvalidAllocationError,
     InvalidGroupError,
     MalformedIntervalError,
+    MixvoteError,
 )
 
 Rational = Fraction
@@ -156,23 +158,10 @@ class IntervalSet:
 def normalize(pairs: Iterable[tuple[Fraction, Fraction]]) -> IntervalSet:
     """Sort, merge, and drop degenerate pairs; reject reversed pairs.
 
-    Pairs that are already canonical (``Fraction`` tuples with ``lo < hi``,
-    each ``hi`` below the next ``lo``) are kept as they are."""
+    Pairs that ``_cake_fault`` finds canonical (``Fraction`` tuples with
+    ``lo < hi``, each ``hi`` below the next ``lo``) are kept as they are."""
     pairs = tuple(pairs)
-    # one linear check, comparing by cross-multiplied ints (a Fraction
-    # comparison goes through the numbers ABCs); None stands for -inf
-    last = None
-    for pair in pairs:
-        if type(pair) is not tuple:
-            break
-        lo, hi = pair
-        if type(lo) is not Fraction or type(hi) is not Fraction:
-            break
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if ln * hd >= hn * ld or (last is not None and last[0] * ld >= ln * last[1]):
-            break
-        last = hn, hd
-    else:
+    if _cake_fault(pairs)[1]:
         return IntervalSet(pairs)
     cleaned: list[tuple[Fraction, Fraction]] = []
     for lo, hi in pairs:
@@ -241,21 +230,27 @@ class Bundle:
 EMPTY_BUNDLE = Bundle()
 
 
-def _cake_fault(cake: IntervalSet, c: Fraction, c_text: object) -> tuple[str | None, bool]:
-    """Why the cake's pairs do not measure a subset of [0, c], or None; and
-    whether they are canonical.  ``c_text`` stands for c in the message.
+def _cake_fault(
+    pairs: Sequence, c: Fraction | None = None, c_text: object = None
+) -> tuple[str | None, bool]:
+    """Why the pairs do not measure a subset of [0, c] (of the line if c is
+    None), or None; and whether ``normalize`` keeps them as they are.
+    ``c_text`` stands for c in the message.
 
-    One pass on cross-multiplied ints (denominators are positive) rejects a
-    reversed pair (lo > hi) and a pair that starts before the previous pair
-    ends, then checks that the first lo is at least 0 and the last hi at
-    most c.  Touching pairs (lo equal to the previous hi) and degenerate
-    pairs (lo == hi) measure correctly, so they are accepted; they are the
-    pairs that make the cake not canonical (``normalize`` merges or drops
-    them)."""
-    pairs = cake.intervals
+    One pass rejects an endpoint that is not an ``int`` or a ``Fraction``,
+    then, on cross-multiplied ints, a reversed pair (lo > hi) or one that
+    starts before the previous pair ends, then a first lo below 0 or a last
+    hi above c.  Touching or degenerate (lo == hi) pairs, int endpoints and
+    non-tuple pairs measure correctly: they are accepted, not canonical."""
     canonical = True
     pn, pd = -1, 0  # the previous hi, starting below every lo
-    for lo, hi in pairs:
+    for pair in pairs:
+        lo, hi = pair
+        if type(lo) is not Fraction or type(hi) is not Fraction or type(pair) is not tuple:
+            for x in pair:
+                if type(x) is not Fraction and type(x) is not int:
+                    return f"with a non-rational endpoint {x!r}", False
+            canonical = False
         (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
         if ln * pd <= pn * ld or ln * hd >= hn * ld:
             if ln * pd < pn * ld:
@@ -265,9 +260,10 @@ def _cake_fault(cake: IntervalSet, c: Fraction, c_text: object) -> tuple[str | N
                 return f"with a reversed pair [{lo}, {hi}]", False
             canonical = False
         pn, pd = hn, hd
-    cn, cd = c.as_integer_ratio()
-    if pairs and (pairs[0][0].numerator < 0 or pn * cd > cn * pd):
-        return f"outside [0, {c_text}]", False
+    if c is not None and pairs:
+        cn, cd = c.as_integer_ratio()
+        if pairs[0][0].numerator < 0 or pn * cd > cn * pd:
+            return f"outside [0, {c_text}]", False
     return None, canonical
 
 
@@ -284,7 +280,7 @@ class Instance:
         object.__setattr__(self, "cake_length", Fraction(self.cake_length))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "goods", tuple(self.goods))
-        object.__setattr__(self, "agents", tuple(self.agents))
+        agents = list(self.agents)
         c, m = self.cake_length, len(self.goods)
         if c < 0:
             raise MalformedIntervalError("cake length must be nonnegative")
@@ -295,24 +291,21 @@ class Instance:
                 raise DomainError(f"good {k} must be named by a string, got {g!r}")
         if len(set(self.goods)) != m:
             raise InvalidAllocationError("duplicate good names")
-        if not self.agents:
+        if not agents:
             raise InvalidGroupError("instance needs at least one agent")
         if not (0 < self.alpha <= c + m):
             raise InvalidAllocationError(
                 f"alpha must lie in (0, c + m] = (0, {c + m}], got {self.alpha}"
             )
         good_index = {g: k for k, g in enumerate(self.goods)}
-        agents = self.agents
         for i, bundle in enumerate(agents):
             if not bundle.goods <= good_index.keys():
                 raise InvalidAllocationError(f"agent {i} approves unknown goods")
-            fault, canonical = _cake_fault(bundle.cake, c, c)
+            fault, canonical = _cake_fault(bundle.cake.intervals, c, c)
             if fault is not None:
                 raise MalformedIntervalError(f"agent {i} approves cake {fault}")
             if not canonical:
-                # keep approvals canonical, as a parsed instance has them
-                if agents is self.agents:
-                    agents = list(agents)
+                # keep approvals canonical: merge touching or degenerate pairs
                 agents[i] = Bundle(normalize(bundle.cake.intervals), bundle.goods)
         object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "good_index", good_index)
@@ -347,8 +340,8 @@ class Instance:
         self, bundle: Bundle, *extra_denominators: int
     ) -> tuple[int, int, tuple[int, ...]]:
         """Raise InvalidAllocationError unless the bundle holds only the
-        instance's goods, its cake pairs are ordered and lie in [0, c], and
-        its size is at most alpha; return its pass
+        instance's goods, its cake pairs are rational, ordered and in
+        [0, c], and its size is at most alpha; return its pass
         ``allocation_units(self, bundle, *extra_denominators)``.
 
         The last valid result is kept with a strong reference to its bundle
@@ -361,7 +354,7 @@ class Instance:
             return last[2]
         if not bundle.goods <= self.good_index.keys():
             raise InvalidAllocationError("allocation contains unknown goods")
-        fault, _ = _cake_fault(bundle.cake, self.cake_length, "c")
+        fault, _ = _cake_fault(bundle.cake.intervals, self.cake_length, "c")
         if fault is not None:
             raise InvalidAllocationError(f"allocation cake {fault}")
         result = allocation_units(self, bundle, *extra_denominators)
@@ -814,17 +807,21 @@ def instance_from_dict(data: dict) -> Instance:
 
     agents = tuple(
         Bundle(
-            cake=normalize([(rational(lo), rational(hi)) for lo, hi in entry.get("cake", [])]),
-            goods=frozenset(_goods_list(entry, [])),
+            IntervalSet(tuple([(rational(lo), rational(hi)) for lo, hi in entry.get("cake", [])])),
+            frozenset(_goods_list(entry, [])),
         )
         for entry in data["agents"]
     )
-    return Instance(
-        cake_length=rational(data["cake_length"]),
-        goods=tuple(_goods_list(data)),
-        agents=agents,
-        alpha=rational(data["alpha"]),
-    )
+    c = rational(data["cake_length"])
+    goods = tuple(_goods_list(data))
+    alpha = rational(data["alpha"])
+    try:
+        return Instance(c, goods, agents, alpha)
+    except MixvoteError:
+        pass
+    # normalize every approval: sort and merge, and report a reversed pair before other faults
+    agents = tuple(Bundle(normalize(b.cake.intervals), b.goods) for b in agents)
+    return Instance(c, goods, agents, alpha)
 
 
 def allocation_to_dict(inst: Instance, bundle: Bundle) -> dict:

@@ -6,7 +6,7 @@ class MixvoteError(Exception):
 
 
 class MalformedIntervalError(MixvoteError, ValueError):
-    """An interval pair has lo > hi or endpoints outside the cake."""
+    """An interval pair is reversed, out of order, not rational or outside the cake."""
 
 
 class InvalidGroupError(MixvoteError, ValueError):

@@ -24,6 +24,7 @@ from mixvote import (
     utility,
     verify_ejr_m,
 )
+from mixvote.cli import EXIT_USAGE, dispatch
 from mixvote.core import (
     allocation_from_dict,
     allocation_to_dict,
@@ -31,6 +32,7 @@ from mixvote.core import (
     instance_from_dict,
     instance_to_dict,
     parse_rational,
+    save_json,
     utilities,
 )
 from mixvote.errors import (
@@ -559,6 +561,35 @@ class TestValidation:
                 alpha=F(1),
             )
 
+    @pytest.mark.parametrize("pair, text", [
+        # accepted before, with AttributeError from the index and verifiers
+        ((F(0), 0.5), "0.5"),
+        # AttributeError from the constructor itself
+        ((0.5, F(1)), "0.5"),
+        ((F(0), True), "True"),
+        (("1/2", F(1)), "'1/2'"),
+    ])
+    def test_non_rational_approval_endpoint_rejected(self, pair, text):
+        with pytest.raises(
+            MalformedIntervalError,
+            match=rf"^agent 0 approves cake with a non-rational endpoint {re.escape(text)}$",
+        ):
+            Instance(F(1), (), (Bundle(IntervalSet((pair,))),), F(1))
+
+    def test_non_rational_allocation_endpoint_rejected(self, fig1):
+        bundle = Bundle(IntervalSet(((F(0), 0.5),)))
+        message = r"allocation cake with a non-rational endpoint 0\.5"
+        for _ in range(2):
+            with pytest.raises(InvalidAllocationError, match=rf"^{message}$"):
+                fig1.validate_allocation(bundle)
+            with pytest.raises(InvalidAllocationError, match=message):
+                verify_ejr_m(fig1, bundle)
+
+    def test_int_approval_endpoints_become_fractions(self):
+        inst = Instance(F(1), (), (Bundle(IntervalSet(((0, 1),))),), F(1))
+        assert inst.agents[0].cake == iv((0, 1))
+        assert all(type(x) is F for x in inst.agents[0].cake.intervals[0])
+
     @pytest.mark.parametrize("pairs, message", [
         # measured 23/20 for both agents, above c = 9/10, and passed EJR-M
         (
@@ -607,3 +638,87 @@ def test_cake_pairs_are_ordered_or_rejected(pairs, c):
     unit, size, utils = host.validate_allocation(Bundle(cake))
     assert F(size, unit) == canonical.measure()
     assert [F(u, unit) for u in utils] == utilities(host, Bundle(canonical))
+
+
+def endpoint_json(x):
+    """An endpoint as an instance file writes it: an int-typed one as a
+    JSON integer, any other as a "p/q" string."""
+    return x if type(x) is int else format_rational(x)
+
+
+def reference_parse(c, cakes):
+    """The instance a file describes: every approval through ``normalize``
+    (which sorts, merges and rejects a reversed pair), then the constructor;
+    or the error that either raises."""
+    try:
+        agents = tuple(
+            Bundle(normalize(pairs), frozenset({"g1"} if k % 2 else ()))
+            for k, pairs in enumerate(cakes)
+        )
+        return Instance(c, ("g1",), agents, c + 1)
+    except MalformedIntervalError as exc:
+        return exc
+
+
+@given(st.lists(pair_lists(), min_size=1, max_size=3), st.sampled_from([F(5, 6), F(1)]))
+@example([[(F(0), F(1, 2))], [(F(1), F(1))]], F(5, 6))  # degenerate, outside
+@example([[(F(1, 2), F(1, 4))], [(F(0), F(1))]], F(5, 6))  # reversed, then outside
+@example([[(F(0), F(1))], [(F(1, 2), F(1, 4))]], F(5, 6))  # outside, then reversed
+@example([[(F(1, 2), F(5, 6)), (F(0), F(1, 3))]], F(5, 6))  # unsorted
+@settings(max_examples=300, deadline=None)
+def test_parse_gives_the_normalized_instance_or_its_error(cakes, c):
+    """A file's approvals may be unsorted, overlapping, touching or
+    degenerate: the parse sorts and merges them, and a reversed pair or a
+    pair outside [0, c] raises the error of the normalized build."""
+    data = json.loads(json.dumps({
+        "cake_length": format_rational(c),
+        "goods": ["g1"],
+        "alpha": format_rational(c + 1),
+        "agents": [
+            {
+                "goods": ["g1"] if k % 2 else [],
+                "cake": [[endpoint_json(x) for x in pair] for pair in pairs],
+            }
+            for k, pairs in enumerate(cakes)
+        ],
+    }))
+    expected = reference_parse(c, cakes)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            instance_from_dict(data)
+        return
+    got = instance_from_dict(data)
+    assert got == expected
+    assert instance_digest(got) == instance_digest(expected)
+    pairs = [pair for b in got.agents for pair in b.cake.intervals]
+    assert all(type(pair) is tuple and all(type(x) is F for x in pair) for pair in pairs)
+
+
+def test_parse_reports_an_unparseable_endpoint_before_a_reversed_pair(tmp_path):
+    """A file with two faults, a reversed pair in agent 0 and an endpoint
+    that is no rational in agent 1: every endpoint is parsed before the
+    pairs are checked, so the endpoint is reported; both exit 2."""
+    data = {
+        "cake_length": "1",
+        "goods": [],
+        "alpha": "1",
+        "agents": [{"cake": [["1/2", "1/4"]]}, {"cake": [["0", "one"]]}],
+    }
+    with pytest.raises(DomainError, match=r"^not a rational number: 'one'$"):
+        instance_from_dict(data)
+    path = tmp_path / "two-faults.json"
+    save_json(str(path), data)
+    assert dispatch(["run", "--rule", "gmes", "--instance", str(path)]) == EXIT_USAGE
+
+
+def test_parse_shares_one_fraction_per_endpoint_string():
+    """The index and the digest read each distinct endpoint object once;
+    the parse gives equal endpoint strings one shared ``Fraction``."""
+    inst = gen_random(n=300, m=30, cake_atoms=30, alpha=F(15), density=0.05)
+    data = instance_to_dict(inst)
+    again = instance_from_dict(data)
+    assert again == inst
+    strings = {x for agent in data["agents"] for pair in agent["cake"] for x in pair}
+    objects = {id(x) for b in again.agents for pair in b.cake.intervals for x in pair}
+    assert len(strings) > 30
+    assert len(objects) == len(strings)

@@ -774,6 +774,7 @@ for bundle in (
 for bundle in (
     Bundle(IntervalSet(((Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(9, 10))))),
     Bundle(IntervalSet(((Fraction(1, 2), Fraction(1, 5)),))),
+    Bundle(IntervalSet(((Fraction(0), 0.5),))),
 ):
     verify_ejr_m(inst, Bundle())
     for check in checks * 2:
@@ -787,6 +788,7 @@ OVERSIZE = "allocation size 29/10 exceeds alpha 2"
 PAST_C = "allocation cake outside [0, c]"
 OVERLAP = "allocation cake with overlapping pairs: [1/4, 9/10] starts before 1/2"
 REVERSED = "allocation cake with a reversed pair [1/2, 1/5]"
+FLOAT = "allocation cake with a non-rational endpoint 0.5"
 
 REVERSED_APPROVAL = """
 from fractions import Fraction as F
@@ -801,6 +803,10 @@ try:
     )
 except MalformedIntervalError as exc:
     print("MalformedIntervalError:", exc)
+try:
+    Instance(F(1), (), (Bundle(IntervalSet(((F(0), 0.5),))),), F(1))
+except MalformedIntervalError as exc:
+    print("MalformedIntervalError:", exc)
 """
 
 
@@ -812,7 +818,8 @@ def test_reversed_approval_rejected_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "MalformedIntervalError: agent 0 approves cake with a reversed pair [1/2, 1/4]"
+        "MalformedIntervalError: agent 0 approves cake with a reversed pair [1/2, 1/4]",
+        "MalformedIntervalError: agent 0 approves cake with a non-rational endpoint 0.5",
     ]
 
 
@@ -824,7 +831,7 @@ def test_allocation_checks_survive_optimize_flag(tmp_path, fig1):
     )
     assert proc.returncode == 0, proc.stderr
     expected = [OVERSIZE] * 3 + [PAST_C] * 3
-    expected += [OVERLAP] * 6 + [REVERSED] * 6
+    expected += [OVERLAP] * 6 + [REVERSED] * 6 + [FLOAT] * 6
     assert proc.stdout.splitlines() == [f"InvalidAllocationError: {m}" for m in expected]
     inst = tmp_path / "fig1.json"
     save_json(str(inst), instance_to_dict(fig1))
