@@ -1,5 +1,7 @@
 """Greedy rule tests: exact-size search, traces, and the subset-scan oracle."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from mixvote import (
     verify_cake_ejr,
     verify_ejr_m,
 )
+from mixvote.core import allocation_to_dict
 from mixvote.errors import CapacityError, ScriptError
 from mixvote.rules import ScriptedTieBreaker, achievable_exact_size
 
@@ -100,6 +103,25 @@ def test_rounds_match_subset_scan_oracle_and_invariants(seed):
     assert not remaining
     assert rebuilt == alloc
     assert verify_ejr_m(inst, alloc).passed
+
+
+# sha256 of every allocation and round (t*, sorted group, witness) over
+# make_mixed(0..39); the group order and the witnesses depend on tie-breaks
+GOLDEN_GREEDY = "baccc67279e9d7ae198a3b62689da49c5cbb6fe8b214a47f121732d5c5df499f"
+
+
+def test_golden_greedy():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        inst = make_mixed(seed)
+        alloc, trace = greedy_ejr_m(inst)
+        rounds = [
+            [str(r.t_star), sorted(r.group), allocation_to_dict(inst, r.witness)]
+            for r in trace.rounds
+        ]
+        blob = json.dumps([allocation_to_dict(inst, alloc), rounds], sort_keys=True)
+        digest.update(blob.encode())
+    assert digest.hexdigest() == GOLDEN_GREEDY
 
 
 @pytest.mark.parametrize("seed", [3, 9, 15, 21, 33])

@@ -1,10 +1,12 @@
 """Nash-welfare enumeration tests."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from mixvote import Bundle, Instance, mnw_indivisible, normalize
+from mixvote import Bundle, Instance, gen_random, mnw_indivisible, normalize
 from mixvote.errors import UnsupportedInstanceError
 from mixvote.generate import gen_prop4
 
@@ -63,6 +65,25 @@ def test_positive_coverage_beats_product():
     results = mnw_indivisible(inst)
     for b in results:
         assert "g3" in b.goods
+
+
+# sha256 of every optimal goods list, in the returned order, over 96
+# seeded indivisible instances (m = 1..8, n = 3, 6, 10; 21 have ties)
+GOLDEN_MNW = "657cedc7bcddace8cd620dbbeb65150440c4ef6944ef90dc10aac630361d5c59"
+
+
+def test_golden_mnw():
+    digest = hashlib.sha256()
+    for m in range(1, 9):
+        for n in (3, 6, 10):
+            for seed in range(4):
+                inst = gen_random(
+                    n=n, m=m, cake_atoms=0, alpha=F(m * (1 + seed), 4),
+                    density=0.25 + 0.15 * seed, seed=seed,
+                )
+                optima = [inst.sorted_goods(b.goods) for b in mnw_indivisible(inst)]
+                digest.update(json.dumps(optima).encode())
+    assert digest.hexdigest() == GOLDEN_MNW
 
 
 def test_cake_instance_rejected():
