@@ -156,7 +156,7 @@ class IntervalSet:
 
 
 def normalize(pairs: Iterable[tuple[Fraction, Fraction]]) -> IntervalSet:
-    """Sort, merge, and drop degenerate pairs; reject reversed pairs.
+    """Sort, merge and drop degenerate pairs; reject reversed pairs and non-rational endpoints.
 
     Pairs that ``_cake_fault`` finds canonical (``Fraction`` tuples with
     ``lo < hi``, each ``hi`` below the next ``lo``) are kept as they are."""
@@ -165,6 +165,9 @@ def normalize(pairs: Iterable[tuple[Fraction, Fraction]]) -> IntervalSet:
         return IntervalSet(pairs)
     cleaned: list[tuple[Fraction, Fraction]] = []
     for lo, hi in pairs:
+        for x in (lo, hi):
+            if type(x) is not Fraction and type(x) is not int:
+                raise MalformedIntervalError(f"interval with a non-rational endpoint {x!r}")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise MalformedIntervalError(f"reversed interval [{lo}, {hi}]")
@@ -277,8 +280,11 @@ class Instance:
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "cake_length", Fraction(self.cake_length))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        for field in ("cake_length", "alpha"):
+            value = getattr(self, field)
+            if type(value) is not Fraction and type(value) is not int:
+                raise DomainError(f"{field} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, field, Fraction(value))
         object.__setattr__(self, "goods", tuple(self.goods))
         agents = list(self.agents)
         c, m = self.cake_length, len(self.goods)
@@ -584,11 +590,15 @@ class InstanceIndex:
         pool: Iterable[int] | None = None,
     ) -> list[ClosureRow]:
         """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
-        order.  Raises CapacityError when the closure has more than
+        order.  Raises InvalidGroupError for a pool agent outside
+        ``0..n-1``, and CapacityError when the closure has more than
         ``max(max_size, distinct approvals in the pool)`` bundles; the
         full-pool closure is kept for later calls."""
         if pool is not None:
-            return self._build(sorted(set(pool)), max_size)
+            pool = set(pool)
+            if not pool.issubset(range(len(self.masks))):
+                raise InvalidGroupError("agent index out of range")
+            return self._build(pool, max_size)
         if self._closure is None:
             self._closure = self._build(range(len(self.masks)), max_size)
         elif len(self._closure) > max(max_size, self.distinct_approvals):
@@ -631,43 +641,36 @@ class InstanceIndex:
             self._tiers[exact] = table
         return table
 
-    def _build(self, pool: Sequence[int], max_size: int) -> list[ClosureRow]:
-        masks = self.masks
-        approvals = list(dict.fromkeys(masks[i] for i in pool))
-        seen = set(approvals)
-        worklist = list(approvals)
-        while worklist:
-            current = worklist.pop()
-            for a in approvals:
-                cut = current & a
-                if cut not in seen:
-                    if len(seen) >= max_size:
-                        raise CapacityError(
-                            f"approval closure exceeds {max_size} bundles"
-                        )
-                    seen.add(cut)
-                    worklist.append(cut)
-        m = len(self.goods)
-        goods_part = (1 << m) - 1
-        pts = self.points_d
+    def _build(self, pool: Iterable[int], max_size: int) -> list[ClosureRow]:
+        """One pass over the pool's distinct approvals.  Invariant: after
+        each approval, ``rows`` maps every AND of a nonempty set of the
+        approvals so far to the agents whose approval contains it.  It only
+        grows, so it exceeds the cap exactly when the closure does."""
+        groups: dict[int, int] = {}  # distinct approval -> its agents
+        for i in pool:
+            groups[self.masks[i]] = groups.get(self.masks[i], 0) | 1 << i
+        cap = max(max_size, len(groups))
+        rows: dict[int, int] = {}
+        for a, agents in groups.items():
+            # a & x is approved by a's agents and by those of every x giving it
+            cuts = {a: agents}
+            for x, approvers in rows.items():
+                cut = a & x
+                cuts[cut] = cuts.get(cut, agents) | approvers
+            for cut, approvers in cuts.items():
+                rows[cut] = rows.get(cut, 0) | approvers
+            if len(rows) > cap:
+                raise CapacityError(f"approval closure exceeds {max_size} bundles")
+        m, D, pts = len(self.goods), self.denominator, self.points_d
         keyed = []
-        for mask in seen:
-            goods = tuple(self.goods[k] for k in _bits(mask & goods_part))
+        for mask, agents in rows.items():
+            goods = tuple(self.goods[k] for k in _bits(mask & ((1 << m) - 1)))
             runs = tuple(_runs(mask >> m))
-            keyed.append(((goods, runs), mask, len(goods), sum(pts[b] - pts[a] for a, b in runs)))
+            m_star, ell_d = len(goods), sum(pts[b] - pts[a] for a, b in runs)
+            row = ClosureRow(mask, agents, tuple(_bits(agents)), m_star, ell_d, m_star * D + ell_d)
+            keyed.append(((goods, runs), row))
         keyed.sort()
-        rows = []
-        for _, mask, m_star, ell_d in keyed:
-            approvers = tuple(i for i in pool if masks[i] & mask == mask)
-            rows.append(ClosureRow(
-                mask=mask,
-                agents=sum(1 << i for i in approvers),
-                approvers=approvers,
-                m_star=m_star,
-                ell_d=ell_d,
-                size_d=m_star * self.denominator + ell_d,
-            ))
-        return rows
+        return [row for _, row in keyed]
 
     def bundle(self, row: ClosureRow) -> Bundle:
         m = len(self.goods)
@@ -726,11 +729,12 @@ def approval_closure(
     The returned list contains, for every nonempty X within ``agents``, the
     bundle intersection of X's approvals, deduplicated, each paired with the
     full set of agents in ``agents`` whose approval contains it, in
-    ``Bundle.key`` order.  Raises CapacityError if the closure has more
+    ``Bundle.key`` order.  Raises InvalidGroupError if ``agents`` names an
+    agent outside ``0..n-1``, and CapacityError if the closure has more
     than ``max(max_size, distinct approvals)`` bundles.  The bundles are
-    read from the instance index (``InstanceIndex.closure``), which computes
-    the closure once as a fixpoint of AND over approval bitmasks; each call
-    returns a fresh list.
+    read from the instance index (``InstanceIndex.closure``), which builds
+    the closure in one pass over the distinct approval bitmasks, carrying
+    each bundle's approvers; each call returns a fresh list.
     """
     index = inst.index
     return [

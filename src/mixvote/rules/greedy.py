@@ -115,12 +115,11 @@ def greedy_ejr_m(
     inst: Instance,
     tie_breaker: DefaultTieBreaker | ScriptedTieBreaker | None = None,
     force: bool = False,
-    agent_cap: int = DEFAULT_AGENT_CAP,
 ) -> tuple[Bundle, GreedyTrace]:
     """Run the greedy rule; returns the allocation and its round trace."""
-    if inst.n > agent_cap and not force:
+    if inst.n > DEFAULT_AGENT_CAP and not force:
         raise CapacityError(
-            f"exhaustive group search capped at {agent_cap} agents "
+            f"exhaustive group search capped at {DEFAULT_AGENT_CAP} agents "
             f"(instance has {inst.n}); pass force=True to override"
         )
     policy = tie_breaker or DefaultTieBreaker()

@@ -23,19 +23,15 @@ def _nash_key(masks: list[int], goods_mask: int) -> tuple[int, int]:
     return len(positive), math.prod(positive) if positive else 0
 
 
-def mnw_indivisible(
-    inst: Instance,
-    good_cap: int = DEFAULT_GOOD_CAP,
-    force: bool = False,
-) -> list[Bundle]:
+def mnw_indivisible(inst: Instance, force: bool = False) -> list[Bundle]:
     """All Nash-optimal goods subsets of size at most alpha."""
     if inst.cake_length != 0:
         raise UnsupportedInstanceError(
             "Nash-welfare enumeration supports indivisible instances only"
         )
-    if inst.m > good_cap and not force:
+    if inst.m > DEFAULT_GOOD_CAP and not force:
         raise CapacityError(
-            f"goods enumeration capped at {good_cap} (instance has {inst.m})"
+            f"goods enumeration capped at {DEFAULT_GOOD_CAP} (instance has {inst.m})"
         )
     limit = min(inst.m, math.floor(inst.alpha))
     masks = inst.index.masks

@@ -326,7 +326,6 @@ def generalized_pav(
     inst: Instance,
     eps: float = DEFAULT_EPS,
     force: bool = False,
-    good_cap: int = DEFAULT_GOOD_CAP,
     tol: float = DEFAULT_TOL,
 ) -> PavSolution:
     """Best goods subset of at most floor(alpha) goods, with its cake part.
@@ -350,9 +349,9 @@ def generalized_pav(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
-    if inst.m > good_cap and not force:
+    if inst.m > DEFAULT_GOOD_CAP and not force:
         raise CapacityError(
-            f"goods enumeration capped at {good_cap} (instance has {inst.m}); "
+            f"goods enumeration capped at {DEFAULT_GOOD_CAP} (instance has {inst.m}); "
             "pass force=True to override"
         )
     table = _CakeClasses(inst, atomize(inst, inst.full_cake(), ()))

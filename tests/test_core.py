@@ -137,6 +137,13 @@ class TestBundleAndUtility:
         with pytest.raises(InvalidGroupError):
             common_bundle(fig1, set())
 
+    @pytest.mark.parametrize("pool", [{-1}, {2}, {0, 2}, {0, -1}])
+    def test_closure_pool_out_of_range(self, fig1, pool):
+        # raised ValueError (negative shift) or IndexError before
+        for group in (lambda: common_bundle(fig1, pool), lambda: approval_closure(fig1, pool)):
+            with pytest.raises(InvalidGroupError, match="^agent index out of range$"):
+                group()
+
 
 class TestAtomize:
     def test_fig1_atoms(self, fig1):
@@ -584,6 +591,31 @@ class TestValidation:
                 fig1.validate_allocation(bundle)
             with pytest.raises(InvalidAllocationError, match=message):
                 verify_ejr_m(fig1, bundle)
+
+    @pytest.mark.parametrize("field, value", [
+        # taken through Fraction(float) before
+        ("cake_length", 0.1), ("alpha", 0.5), ("alpha", True), ("alpha", "1/2"),
+    ])
+    def test_non_rational_cake_length_or_alpha_rejected(self, field, value):
+        fields = dict(
+            cake_length=F(1), goods=("g",), agents=(Bundle(goods=frozenset({"g"})),), alpha=F(1)
+        )
+        fields[field] = value
+        with pytest.raises(DomainError, match=rf"^{field} must be an int or a Fraction, got "):
+            Instance(**fields)
+
+    @pytest.mark.parametrize("pairs, text", [
+        ([(0, 0.1)], "0.1"),  # gave [0, 3602879701896397/36028797018963968] before
+        ([(F(1, 2), F(1)), (0.25, F(1, 2))], "0.25"),
+        ([(F(0), True)], "True"),
+        ([("0", F(1))], "'0'"),
+    ])
+    def test_normalize_rejects_non_rational_endpoints(self, pairs, text):
+        with pytest.raises(
+            MalformedIntervalError,
+            match=rf"^interval with a non-rational endpoint {re.escape(text)}$",
+        ):
+            normalize(pairs)
 
     def test_int_approval_endpoints_become_fractions(self):
         inst = Instance(F(1), (), (Bundle(IntervalSet(((0, 1),))),), F(1))

@@ -685,18 +685,20 @@ def test_tier_tables_are_built_per_mode_and_not_on_failure(fig1):
     assert set(index._tiers) == {False, True}
 
 
-@given(instances(), st.integers(1, 12), st.booleans())
+@given(instances(), st.integers(1, 12), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, built_first):
+def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, built_first, data):
     if built_first:
         approval_closure(inst)
-    size = len(naive_closure(inst))
-    distinct = len(set(inst.agents))
-    if size > max(cap, distinct):
-        with pytest.raises(CapacityError):
-            approval_closure(inst, max_size=cap)
-    else:
-        assert len(approval_closure(inst, max_size=cap)) == size
+    pool = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+    for agents in (None, frozenset(pool)):
+        size = len(naive_closure(inst, agents))
+        distinct = len({inst.agents[i] for i in (range(inst.n) if agents is None else agents)})
+        if size > max(cap, distinct):
+            with pytest.raises(CapacityError):
+                approval_closure(inst, agents, max_size=cap)
+        else:
+            assert len(approval_closure(inst, agents, max_size=cap)) == size
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +794,9 @@ FLOAT = "allocation cake with a non-rational endpoint 0.5"
 
 REVERSED_APPROVAL = """
 from fractions import Fraction as F
-from mixvote.core import Bundle, Instance, IntervalSet
-from mixvote.errors import MalformedIntervalError
+from mixvote.core import Bundle, Instance, IntervalSet, approval_closure
+from mixvote.errors import CapacityError, InvalidGroupError, MalformedIntervalError
+from mixvote.generate import gen_fig1
 
 assert False, "this script must run under python -O"
 
@@ -807,6 +810,14 @@ try:
     Instance(F(1), (), (Bundle(IntervalSet(((F(0), 0.5),))),), F(1))
 except MalformedIntervalError as exc:
     print("MalformedIntervalError:", exc)
+try:
+    approval_closure(gen_fig1()[0], frozenset({-1}))
+except InvalidGroupError as exc:
+    print("InvalidGroupError:", exc)
+try:
+    approval_closure(gen_fig1()[0], max_size=2)
+except CapacityError as exc:
+    print("CapacityError:", exc)
 """
 
 
@@ -820,6 +831,8 @@ def test_reversed_approval_rejected_under_optimize_flag():
     assert proc.stdout.splitlines() == [
         "MalformedIntervalError: agent 0 approves cake with a reversed pair [1/2, 1/4]",
         "MalformedIntervalError: agent 0 approves cake with a non-rational endpoint 0.5",
+        "InvalidGroupError: agent index out of range",
+        "CapacityError: approval closure exceeds 2 bundles",
     ]
 
 
