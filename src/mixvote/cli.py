@@ -251,6 +251,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     else:
         bundle, score = oracle_discretized_opt(inst, args.objective, cfg)
+        if isinstance(score, tuple):  # nash: (agents with positive utility, product)
+            score = {"positive_agents": score[0], "product": format_rational(score[1])}
         _emit(
             {
                 "check": "opt",

@@ -59,6 +59,13 @@ def parse_rational(text: str | int) -> Fraction:
         raise DomainError(f"not a rational number: {text!r}") from exc
 
 
+def as_rational(name: str, value: Fraction | int) -> Fraction:
+    """``value`` as a Fraction; DomainError unless an int or a Fraction (not a bool)."""
+    if type(value) is not Fraction and type(value) is not int:
+        raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as "p/q", omitting "/q" for integers."""
     return str(value if type(value) is Fraction else Fraction(value))
@@ -281,10 +288,7 @@ class Instance:
 
     def __post_init__(self):
         for field in ("cake_length", "alpha"):
-            value = getattr(self, field)
-            if type(value) is not Fraction and type(value) is not int:
-                raise DomainError(f"{field} must be an int or a Fraction, got {value!r}")
-            object.__setattr__(self, field, Fraction(value))
+            object.__setattr__(self, field, as_rational(field, getattr(self, field)))
         object.__setattr__(self, "goods", tuple(self.goods))
         agents = list(self.agents)
         c, m = self.cake_length, len(self.goods)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Bundle, Instance, format_rational, normalize
+from .core import Bundle, Instance, as_rational, format_rational, normalize
 from .errors import ConstructionParameterError, DomainError, InvariantError
 
 CONSTRUCTION_NAMES = ("fig1", "prop1", "prop4", "thm4", "thm6", "appendix", "random")
@@ -323,9 +323,10 @@ def gen_random(
         raise DomainError("need at least one good or cake atom")
     if not 0 <= density <= 1:
         raise DomainError(f"density must lie in [0, 1], got {density}")
+    alpha = as_rational("alpha", alpha)
+    c = Fraction(cake_atoms, 2) if cake_length is None else as_rational("cake_length", cake_length)
     rng = random.Random(seed)
     if cake_atoms > 0:
-        c = Fraction(cake_length) if cake_length is not None else Fraction(cake_atoms, 2)
         if c <= 0:
             raise DomainError("cake length must be positive when atoms are requested")
         denom = 8 * cake_atoms
@@ -335,7 +336,6 @@ def gen_random(
     else:
         c = Fraction(0)
         base_atoms = []
-    alpha = Fraction(alpha)
     if not (0 < alpha <= m + c):
         raise DomainError(f"alpha must lie in (0, {m + c}], got {alpha}")
     goods = tuple(f"g{i + 1}" for i in range(m))

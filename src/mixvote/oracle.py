@@ -8,16 +8,23 @@ exactly in rationals.  Group scans here deliberately iterate over raw agent
 subsets rather than reusing the verifier's closure shortcut, so the two
 paths can check each other.
 
-The enumeration sums on ints: every cell length and each goods subset's
-budget alpha - |goods| sit over one unit, the lcm of alpha's denominator
-and the cell endpoints' denominators.  The cells tile [0, c] left to
-right, so a chosen cell next to the previous chosen one extends its run,
-and the chosen runs form a canonical cake (sorted, disjoint, not
-touching) by construction, with no sort or merge.
+The enumeration sums on ints over one unit, the lcm of the cell endpoints'
+denominators (1 without cake), against the budget floor((alpha - |goods|) *
+unit).  The cells tile [0, c] left to right, so adjacent chosen cells extend
+one run, and the runs form a canonical cake with no sort or merge.
+
+The scoring oracles build a utility table once per call: per agent, its
+goods and the cells inside its own approval intervals, as one bitmask, so
+each bundle's utilities are ints at the unit (goods counts without cake).
+Exact PAV adds H_u * L, L = lcm(1..most goods in a bundle), and divides by
+L once; with cake, `harmonic_sum` takes the utilities over the unit.  The
+verifiers' utility pass (`allocation_units`) and `gpav_score` are never
+called, so a fault there cannot pass both the rule's check and the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +33,7 @@ from typing import Iterator
 
 from .core import Bundle, Instance, IntervalSet, atomize
 from .errors import CapacityError, DomainError, InvariantError
-from .harmonic import exact_pav_score, gpav_score
+from .harmonic import harmonic_sum
 from .verify import verify_ejr_beta
 
 MAX_GROUP_SUBSETS = 1 << 22
@@ -54,11 +61,9 @@ def _grid_cells(inst: Instance, grid: int) -> list[tuple[Fraction, Fraction]]:
     return cells
 
 
-def enumerate_allocations(inst: Instance, cfg: EnumerationConfig | None = None) -> Iterator[Bundle]:
-    """Stream all feasible bundles over the discretized lattice.
-
-    Exact (not discretized) whenever the instance has no cake.
-    """
+def _lattice(inst: Instance, cfg: EnumerationConfig | None):
+    """The cells, their unit, the weight of each mask bit at the unit (cell j's
+    length, then `unit` per good), and a walk over every feasible (bundle, mask)."""
     cfg = cfg or EnumerationConfig()
     cells = _grid_cells(inst, cfg.cake_grid)
     max_goods = min(inst.m, math.floor(inst.alpha))
@@ -69,31 +74,63 @@ def enumerate_allocations(inst: Instance, cfg: EnumerationConfig | None = None) 
             f"enumeration would visit {candidates} candidates "
             f"(cap {cfg.max_candidates})"
         )
-    # cell lengths and budgets as ints over one unit
-    unit = math.lcm(inst.alpha.denominator, *(p.denominator for cell in cells for p in cell))
-    lengths = [int((hi - lo) * unit) for lo, hi in cells]
-    alpha = inst.alpha.numerator * (unit // inst.alpha.denominator)
-    for size in range(max_goods + 1):
-        budget = alpha - size * unit
-        for combo in itertools.combinations(range(inst.m), size):
-            goods = frozenset(inst.goods[i] for i in combo)
-            for mask in range(2 ** len(cells)):
-                total = 0
-                runs: list[tuple[Fraction, Fraction]] = []
-                last = -2
-                for j in range(mask.bit_length()):
-                    if mask >> j & 1:
-                        total += lengths[j]
-                        if total > budget:
-                            break
-                        # the cells tile [0, c]: cell j touches cell j - 1
-                        if last == j - 1:
-                            runs[-1] = (runs[-1][0], cells[j][1])
-                        else:
-                            runs.append(cells[j])
-                        last = j
-                else:
-                    yield Bundle(cake=IntervalSet(tuple(runs)), goods=goods)
+    unit = math.lcm(*(p.denominator for cell in cells for p in cell))
+    weights = [int((hi - lo) * unit) for lo, hi in cells] + [unit] * inst.m
+
+    def walk() -> Iterator[tuple[Bundle, int]]:
+        p, q = inst.alpha.numerator, inst.alpha.denominator
+        for size in range(max_goods + 1):
+            # an int total exceeds this floor exactly when it exceeds alpha - size
+            budget = (p - size * q) * unit // q
+            for combo in itertools.combinations(range(inst.m), size):
+                goods = frozenset(inst.goods[i] for i in combo)
+                goods_mask = sum(1 << i for i in combo) << len(cells)
+                for mask in range(2 ** len(cells)):
+                    total = 0
+                    runs: list[tuple[Fraction, Fraction]] = []
+                    last = -2
+                    for j in range(mask.bit_length()):
+                        if mask >> j & 1:
+                            total += weights[j]
+                            if total > budget:
+                                break
+                            # the cells tile [0, c]: cell j touches cell j - 1
+                            if last == j - 1:
+                                runs[-1] = (runs[-1][0], cells[j][1])
+                            else:
+                                runs.append(cells[j])
+                            last = j
+                    else:
+                        yield Bundle(cake=IntervalSet(tuple(runs)), goods=goods), goods_mask | mask
+
+    return cells, unit, weights, walk()
+
+
+def enumerate_allocations(inst: Instance, cfg: EnumerationConfig | None = None) -> Iterator[Bundle]:
+    """Stream all feasible bundles over the discretized lattice.
+
+    Exact (not discretized) whenever the instance has no cake.
+    """
+    for bundle, _ in _lattice(inst, cfg)[3]:
+        yield bundle
+
+
+def _scored(inst: Instance, cfg: EnumerationConfig | None):
+    """The lattice's unit, and each enumerated bundle with every agent's
+    utility as an int at that unit (a goods count without cake)."""
+    cells, unit, weights, walk = _lattice(inst, cfg)
+    table = []  # each agent's approved cells, tested on its own intervals, and goods
+    for agent in inst.agents:
+        ivs = agent.cake.intervals
+        inside = (j for j, (lo, hi) in enumerate(cells) if any(a <= lo and hi <= b for a, b in ivs))
+        goods = (len(cells) + inst.good_index[g] for g in agent.goods)
+        table.append(sum(1 << j for j in itertools.chain(inside, goods)))
+
+    @functools.cache
+    def units(hit: int) -> int:
+        return sum(w for j, w in enumerate(weights) if hit >> j & 1)
+
+    return unit, ((bundle, [units(mask & a) for a in table]) for bundle, mask in walk)
 
 
 def oracle_no_ejr_beta(
@@ -147,47 +184,44 @@ def oracle_min_max_avg(
     groups = _cohesive_groups(inst, t)
     if not groups:
         return None
-    best: Fraction | None = None
-    for bundle in enumerate_allocations(inst, cfg):
-        utils = [inst.agents[i].intersect(bundle).size() for i in range(inst.n)]
-        worst = min(
-            sum((utils[i] for i in group), Fraction(0)) / len(group)
-            for group in groups
-        )
-        if best is None or worst > best:
-            best = worst
-    return best
+    scale = math.lcm(*map(len, groups))  # group sums over the lcm of the group sizes
+    unit, scored = _scored(inst, cfg)
+    best = max(min(scale // len(g) * sum(utils[i] for i in g) for g in groups) for _, utils in scored)
+    return Fraction(best, unit * scale)
 
 
 def oracle_discretized_opt(
     inst: Instance,
     objective: str = "gpav",
     cfg: EnumerationConfig | None = None,
-) -> tuple[Bundle, Fraction | float]:
-    """Best enumerated bundle under the objective.
+) -> tuple[Bundle, Fraction | float | tuple[int, Fraction]]:
+    """Best enumerated bundle under the objective; the first one on ties.
 
     For indivisible instances the PAV objective is scored in exact
     rationals, so the result is the exact optimum; with cake the score is
     a float within the grid's resolution bound of the continuous optimum.
+    The Nash score is (agents with positive utility, their utilities' product).
     """
     if objective not in ("gpav", "nash"):
         raise ValueError(f"unknown objective {objective!r}")
     exact = inst.cake_length == 0
-    best_bundle: Bundle | None = None
-    best_score = None
-    for bundle in enumerate_allocations(inst, cfg):
-        utils = [inst.agents[i].intersect(bundle).size() for i in range(inst.n)]
-        if objective == "gpav":
-            if exact:
-                score = exact_pav_score(int(u) for u in utils)
-            else:
-                score = gpav_score(inst, bundle).value
+    top = min(inst.m, math.floor(inst.alpha))  # the most goods a bundle holds
+    scale = math.lcm(*range(1, top + 1))
+    h = list(itertools.accumulate((scale // u for u in range(1, top + 1)), initial=0))  # H_u * scale
+    unit, scored = _scored(inst, cfg)
+    best_bundle, best = None, None
+    for bundle, utils in scored:
+        if objective == "nash":
+            positive = [u for u in utils if u]
+            score = (len(positive), math.prod(positive) if positive else 0)
+        elif exact:
+            score = sum(h[u] for u in utils)
         else:
-            positive = [u for u in utils if u > 0]
-            score = (len(positive), math.prod(positive) if positive else Fraction(0))
-        if best_score is None or score > best_score:
-            best_score = score
-            best_bundle = bundle
+            score = harmonic_sum([Fraction(u, unit) for u in utils]).value
+        if best is None or score > best:
+            best, best_bundle = score, bundle
     if best_bundle is None:
         raise InvariantError("the enumeration yielded no allocation")
-    return best_bundle, best_score
+    if objective == "nash":
+        return best_bundle, (best[0], Fraction(best[1], unit ** best[0]))
+    return best_bundle, Fraction(best, scale) if exact else best

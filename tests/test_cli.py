@@ -131,6 +131,18 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert json.loads(out)["impossible"] is True
 
 
+def test_oracle_nash_score_is_json(fig1_files, capsys):
+    inst, _ = fig1_files
+    code, out = run_cli(
+        capsys, "oracle", "--check", "opt", "--objective", "nash", "--grid", "2", "--instance", inst,
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    # g1 and all of the cake: utilities 19/10 and 9/10
+    assert report["score"] == {"positive_agents": 2, "product": "171/100"}
+    assert report["allocation"]["goods"] == ["g1"]
+
+
 def test_audit_subcommand(tmp_path, capsys):
     inst = tmp_path / "fig1.json"
     run_cli(capsys, "gen", "--construction", "fig1", "--out", str(inst))

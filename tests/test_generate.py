@@ -174,6 +174,14 @@ class TestRandom:
         with pytest.raises(DomainError, match="m and cake_atoms must be nonnegative"):
             gen_random(n=3, m=m, cake_atoms=cake_atoms, alpha=F(1), seed=0)
 
+    @pytest.mark.parametrize("field, value, cake_atoms", [
+        ("alpha", 0.1, 2), ("alpha", True, 2), ("cake_length", 0.3, 2), ("cake_length", 0.3, 0),
+    ])
+    def test_inexact_alpha_or_cake_length_rejected(self, field, value, cake_atoms):
+        kwargs = {"alpha": F(1, 10), "cake_length": F(3, 10), field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an int or a Fraction, got {value!r}"):
+            gen_random(n=3, m=2, cake_atoms=cake_atoms, seed=0, **kwargs)
+
 
 def test_dispatcher_names():
     inst, meta = gen_construction(ConstructionSpec("prop4", {"beta": 1}))

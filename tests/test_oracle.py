@@ -1,5 +1,6 @@
 """Oracle tests: enumeration counts, impossibility scans, discretized optima."""
 
+import importlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -20,8 +21,8 @@ from mixvote import (
 )
 from mixvote.errors import CapacityError
 from mixvote.generate import gen_appendix, gen_prop1, gen_prop4, gen_random
-from mixvote.harmonic import harmonic
-from mixvote.oracle import EnumerationConfig, _grid_cells
+from mixvote.harmonic import exact_pav_score, gpav_score, harmonic
+from mixvote.oracle import EnumerationConfig, _cohesive_groups, _grid_cells
 
 from conftest import make_mixed
 from test_index import instances
@@ -189,3 +190,76 @@ class TestDiscretizedOpt:
         inst, _ = gen_prop4(1)
         bundle, score = oracle_discretized_opt(inst, "nash")
         assert score[0] == 12  # all agents covered
+
+
+def reference_opt(inst, objective, cfg):
+    """The scorer before the utility table: each agent's ``intersect().size()``
+    per bundle, scored by ``exact_pav_score``, ``gpav_score`` or the Nash key."""
+    best_bundle, best_score = None, None
+    for bundle in enumerate_allocations(inst, cfg):
+        utils = [agent.intersect(bundle).size() for agent in inst.agents]
+        if objective == "nash":
+            positive = [u for u in utils if u > 0]
+            score = (len(positive), math.prod(positive) if positive else F(0))
+        elif inst.cake_length == 0:
+            score = exact_pav_score(int(u) for u in utils)
+        else:
+            score = gpav_score(inst, bundle).value
+        if best_score is None or score > best_score:
+            best_bundle, best_score = bundle, score
+    return best_bundle, best_score
+
+
+def reference_min_max_avg(inst, t, cfg):
+    """min-max-avg on ``Fraction`` utilities from per-agent intersections."""
+    groups = _cohesive_groups(inst, F(t))
+    if not groups:
+        return None
+    best = None
+    for bundle in enumerate_allocations(inst, cfg):
+        utils = [agent.intersect(bundle).size() for agent in inst.agents]
+        worst = min(sum((utils[i] for i in g), F(0)) / len(g) for g in groups)
+        if best is None or worst > best:
+            best = worst
+    return best
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except CapacityError as exc:
+        return str(exc)
+
+
+@given(instances(max_agents=4), st.integers(1, 4), st.sampled_from([F(1, 2), F(1), F(2)]))
+@settings(max_examples=100, deadline=None)
+def test_scoring_matches_reference(inst, grid, t):
+    cfg = EnumerationConfig(cake_grid=grid, max_candidates=1 << 10)
+    pairs = [
+        (_outcome(oracle_discretized_opt, inst, objective, cfg), _outcome(reference_opt, inst, objective, cfg))
+        for objective in ("gpav", "nash")
+    ]
+    pairs.append((_outcome(oracle_min_max_avg, inst, t, cfg), _outcome(reference_min_max_avg, inst, t, cfg)))
+    for got, want in pairs:
+        assert got == want
+        # the same type, and for a float the same bits
+        score = got[1] if isinstance(got, tuple) else got
+        assert repr(score) == repr(want[1] if isinstance(want, tuple) else want)
+
+
+def test_scoring_reads_no_verifier_pass(fig1, monkeypatch):
+    """The oracles build their own utilities: the index's utility pass and
+    ``gpav_score``, which the verifiers and gpav share, are never called."""
+    indivisible = gen_random(n=4, m=4, cake_atoms=0, alpha=F(2), density=0.6, seed=11)
+
+    def shared(*args, **kwargs):
+        raise AssertionError("the oracle called a verifier's utility pass")
+
+    # the package exports a function named harmonic, so reach the module itself
+    monkeypatch.setattr(importlib.import_module("mixvote.core"), "allocation_units", shared)
+    monkeypatch.setattr(importlib.import_module("mixvote.harmonic"), "gpav_score", shared)
+    cfg = EnumerationConfig(cake_grid=3)
+    for inst in (fig1, indivisible):
+        for objective in ("gpav", "nash"):
+            oracle_discretized_opt(inst, objective, cfg)
+        oracle_min_max_avg(inst, F(1), cfg)
