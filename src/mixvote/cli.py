@@ -32,6 +32,7 @@ from .core import (
 )
 from .errors import CapacityError, InvariantError, MixvoteError
 from .generate import ConstructionSpec, gen_construction, gen_random
+from .harmonic import DEFAULT_TOL
 from .oracle import (
     EnumerationConfig,
     oracle_discretized_opt,
@@ -45,6 +46,7 @@ from .rules import (
     greedy_ejr_m,
     mnw_indivisible,
 )
+from .rules.pav import DEFAULT_EPS
 from .verify import (
     audit_degree,
     verify_cake_ejr,
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixvote",
         description="Collective choice over mixed divisible and indivisible goods",
     )
-    parser.add_argument("--harmonic-tol", type=float, default=1e-12)
+    parser.add_argument("--harmonic-tol", type=float, default=DEFAULT_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an allocation rule")
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--tie-breaker", default="default", choices=["default", "script"])
     p_run.add_argument("--script", help="tie-break script file (with --tie-breaker script)")
-    p_run.add_argument("--eps", type=float, default=1e-9)
+    p_run.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p_run.add_argument("--force", action="store_true")
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force checks")
     p_oracle.add_argument("--check", required=True, choices=["no-ejr-beta", "min-max-avg", "opt"])
     p_oracle.add_argument("--instance", required=True)
-    p_oracle.add_argument("--grid", type=int, default=8)
+    p_oracle.add_argument("--grid", type=int, default=EnumerationConfig().cake_grid)
     p_oracle.add_argument("--beta", type=parse_rational)
     p_oracle.add_argument("--mode", default="weak", choices=["strict", "weak"])
     p_oracle.add_argument("--t", type=parse_rational)

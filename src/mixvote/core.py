@@ -523,11 +523,14 @@ class InstanceIndex:
     cake cells between consecutive breakpoints (bit ``m + j`` for the cell
     ``[points[j], points[j+1]]``); every approval is a union of atoms, so
     each agent's approval is an int bitmask and a common bundle is the AND
-    of its members' masks.  Lengths are kept as ints at one common
-    denominator ``D``, the lcm of the denominators of ``c``, of every
-    breakpoint and of ``alpha/n``; an int at a common denominator is still
-    an exact rational.  The approval closure and each mode's tier table
-    are built on first request and kept; a build that fails is not kept.
+    of its members' masks.  Reading an approval pair ``[points[a],
+    points[b]]`` also adds the agent to the cells it covers, ``a..b-1``,
+    so ``cells[j]`` holds cell j's approvers.  Lengths are kept as ints at
+    one common denominator ``D``, the lcm of the denominators of ``c``, of
+    every breakpoint and of ``alpha/n``; an int at a common denominator is
+    still an exact rational.  The approval closure and each mode's tier
+    table are built on first request and kept; a build that fails is not
+    kept.
 
     The build keys each distinct endpoint object (``_endpoint_objects``)
     by value once, and looks every approval end up by its ``id``.  Equal
@@ -558,8 +561,7 @@ class InstanceIndex:
         self.points_d = [p_d for p_d, _ in at_d]
         m = inst.m
         good_approvers: list[list[int]] = [[] for _ in range(m)]
-        starts: list[list[int]] = [[] for _ in points]
-        ends: list[list[int]] = [[] for _ in points]
+        cells: list[list[int]] = [[] for _ in points[1:]]
         masks = []
         for i, bundle in enumerate(inst.agents):
             mask = 0
@@ -569,21 +571,13 @@ class InstanceIndex:
                 mask |= 1 << k
             for lo, hi in bundle.cake.intervals:
                 a, b = position[id(lo)], position[id(hi)]
-                starts[a].append(i)
-                ends[b].append(i)
+                for j in range(a, b):
+                    cells[j].append(i)
                 mask |= ((1 << b) - (1 << a)) << m
             masks.append(mask)
         self.masks = masks
         self.good_approvers = [frozenset(a) for a in good_approvers]
-        # sweep: the approvers of cell j are the agents whose interval
-        # started at or before points[j] and ends after it
-        active: set[int] = set()
-        cells = []
-        for j in range(len(points) - 1):
-            active.difference_update(ends[j])
-            active.update(starts[j])
-            cells.append(frozenset(active))
-        self.cells = cells
+        self.cells = [frozenset(a) for a in cells]
         self.distinct_approvals = len(set(masks))
         self._closure: list[ClosureRow] | None = None
         self._tiers: dict[bool, list[tuple[ClosureRow, tuple[int, ...]]]] = {}

@@ -33,6 +33,13 @@ def _require(condition: bool, message: str) -> None:
         raise ConstructionParameterError(message)
 
 
+def _count(name: str, value: int) -> int:
+    """``value``; DomainError unless an int (not a bool)."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def gen_fig1() -> tuple[Instance, dict]:
     """Two agents, two goods, a 0.9-length cake, alpha = 2; each agent
     approves her own good plus the whole cake."""
@@ -57,7 +64,7 @@ def gen_fig1() -> tuple[Instance, dict]:
 def gen_prop1(beta_prime: Fraction = Fraction(1, 2), n: int = 4) -> tuple[Instance, dict]:
     """Disjoint singleton approvals with alpha = beta_prime * n < n, so any
     sub-1 relaxation of the representation threshold is unsatisfiable."""
-    beta_prime = Fraction(beta_prime)
+    beta_prime, n = as_rational("beta_prime", beta_prime), _count("n", n)
     _require(0 < beta_prime < 1, f"beta_prime must lie in (0, 1), got {beta_prime}")
     alpha = beta_prime * n
     _require(
@@ -78,7 +85,7 @@ def gen_prop1(beta_prime: Fraction = Fraction(1, 2), n: int = 4) -> tuple[Instan
 def gen_prop4(beta: int = 1) -> tuple[Instance, dict]:
     """Large cohesive group versus singleton holdouts; Nash-welfare
     allocations appease the singletons and starve the group."""
-    _require(isinstance(beta, int) and beta >= 1, f"beta must be a positive integer, got {beta}")
+    _require(_count("beta", beta) >= 1, f"beta must be a positive integer, got {beta}")
     gamma = beta + 2
     n = gamma * gamma + gamma
     m = 2 * gamma
@@ -116,7 +123,8 @@ def gen_thm4(
     """Cake [0, 2t] with staggered prefix approvals; the right half [t, 2t]
     satisfies EJR-1 yet keeps the full group's average satisfaction within
     eps of the EJR-1 degree bound."""
-    t, delta, eps = Fraction(t), Fraction(delta), Fraction(eps)
+    t, n = as_rational("t", t), _count("n", n)
+    delta, eps = as_rational("delta", delta), as_rational("eps", eps)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(0 < delta < 1, f"delta must lie in (0, 1), got {delta}")
     _require(eps > 0, f"eps must be positive, got {eps}")
@@ -222,7 +230,7 @@ def gen_thm6(t: Fraction, n: int, eps: Fraction) -> tuple[Instance, dict]:
     """Tiered indivisible instance on which the greedy rule, with the
     bundled tie-break script, satisfies each tier through its dummy goods
     and drives the target group's average satisfaction to the degree bound."""
-    t, eps = Fraction(t), Fraction(eps)
+    t, n, eps = as_rational("t", t), _count("n", n), as_rational("eps", eps)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(eps > 0, f"eps must be positive, got {eps}")
     ft = math.floor(t)
@@ -257,7 +265,8 @@ def gen_appendix(
     """Overlapping goods blocks where every feasible allocation must skip one
     block entirely, capping the minimum average satisfaction over the
     cohesive groups."""
-    t, eps, gamma = Fraction(t), Fraction(eps), Fraction(gamma)
+    t, eps, gamma = as_rational("t", t), as_rational("eps", eps), as_rational("gamma", gamma)
+    q = _count("q", q)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(eps > 0, f"eps must be positive, got {eps}")
     k = math.floor(t)
@@ -315,9 +324,9 @@ def gen_random(
     """Seeded random instance: ``cake_atoms`` base intervals with random
     rational breakpoints; each agent approves each good and each base atom
     independently with the given probability."""
-    if n < 1:
+    if _count("n", n) < 1:
         raise DomainError("need at least one agent")
-    if m < 0 or cake_atoms < 0:
+    if _count("m", m) < 0 or _count("cake_atoms", cake_atoms) < 0:
         raise DomainError(f"m and cake_atoms must be nonnegative, got {m} and {cake_atoms}")
     if m + cake_atoms < 1:
         raise DomainError("need at least one good or cake atom")
@@ -365,37 +374,29 @@ def gen_construction(spec: ConstructionSpec) -> tuple[Instance, dict]:
     if spec.name == "fig1":
         return gen_fig1()
     if spec.name == "prop1":
-        return gen_prop1(
-            beta_prime=Fraction(p.get("beta_prime", Fraction(1, 2))),
-            n=int(p.get("n", 4)),
-        )
+        return gen_prop1(beta_prime=p.get("beta_prime", Fraction(1, 2)), n=p.get("n", 4))
     if spec.name == "prop4":
-        return gen_prop4(beta=int(p.get("beta", 1)))
+        return gen_prop4(beta=p.get("beta", 1))
     if spec.name == "thm4":
         return gen_thm4(
-            t=Fraction(p["t"]),
-            n=int(p["n"]),
-            delta=Fraction(p.get("delta", Fraction(1, 100))),
-            eps=Fraction(p.get("eps", Fraction(1, 4))),
+            t=p["t"],
+            n=p["n"],
+            delta=p.get("delta", Fraction(1, 100)),
+            eps=p.get("eps", Fraction(1, 4)),
         )
     if spec.name == "thm6":
-        return gen_thm6(t=Fraction(p["t"]), n=int(p["n"]), eps=Fraction(p["eps"]))
+        return gen_thm6(t=p["t"], n=p["n"], eps=p["eps"])
     if spec.name == "appendix":
-        return gen_appendix(
-            t=Fraction(p["t"]),
-            eps=Fraction(p["eps"]),
-            gamma=Fraction(p["gamma"]),
-            q=int(p["q"]),
-        )
+        return gen_appendix(t=p["t"], eps=p["eps"], gamma=p["gamma"], q=p["q"])
     if spec.name == "random":
         inst = gen_random(
-            n=int(p["n"]),
-            m=int(p.get("m", 0)),
-            cake_atoms=int(p.get("cake_atoms", 0)),
-            alpha=Fraction(p["alpha"]),
+            n=p["n"],
+            m=p.get("m", 0),
+            cake_atoms=p.get("cake_atoms", 0),
+            alpha=p["alpha"],
             density=float(p.get("density", 0.5)),
             seed=int(spec.seed or 0),
-            cake_length=Fraction(p["cake_length"]) if "cake_length" in p else None,
+            cake_length=p.get("cake_length"),
         )
         return inst, {"construction": "random", "seed": spec.seed or 0}
     raise ConstructionParameterError(

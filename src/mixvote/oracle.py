@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Bundle, Instance, IntervalSet, atomize
+from .core import Bundle, Instance, IntervalSet, as_rational
 from .errors import CapacityError, DomainError, InvariantError
 from .harmonic import harmonic_sum
 from .verify import verify_ejr_beta
@@ -46,15 +46,18 @@ class EnumerationConfig:
 
 
 def _grid_cells(inst: Instance, grid: int) -> list[tuple[Fraction, Fraction]]:
-    """Refine each approval atom into equal cells of length <= c/grid."""
+    """Cut [0, c] at every approval endpoint, read from the approvals (not
+    the instance index), and refine each piece into equal cells of length
+    <= c/grid."""
     if grid < 1:
         raise DomainError(f"cake_grid must be at least 1, got {grid}")
     if inst.cake_length == 0:
         return []
     target = inst.cake_length / grid
+    ends = {p for agent in inst.agents for pair in agent.cake.intervals for p in pair}
+    points = sorted(ends | {Fraction(0), inst.cake_length})
     cells: list[tuple[Fraction, Fraction]] = []
-    for atom in atomize(inst, inst.full_cake(), ()):
-        lo, hi = atom.interval
+    for lo, hi in zip(points, points[1:]):
         pieces = max(1, math.ceil((hi - lo) / target))
         step = (hi - lo) / pieces
         cells.extend((lo + j * step, lo + (j + 1) * step) for j in range(pieces))
@@ -175,12 +178,12 @@ def _cohesive_groups(inst: Instance, t: Fraction) -> list[tuple[int, ...]]:
 
 def oracle_min_max_avg(
     inst: Instance,
-    t: Fraction,
+    t: Fraction | int,
     cfg: EnumerationConfig | None = None,
 ) -> Fraction | None:
     """max over allocations of (min over t-cohesive groups of their average
     satisfaction); None when no group is t-cohesive (vacuous minimum)."""
-    t = Fraction(t)
+    t = as_rational("t", t)
     groups = _cohesive_groups(inst, t)
     if not groups:
         return None

@@ -39,9 +39,6 @@ class GreedyRound:
 class GreedyTrace:
     rounds: tuple[GreedyRound, ...]
 
-    def positive_rounds(self) -> list[GreedyRound]:
-        return [r for r in self.rounds if r.t_star > 0]
-
 
 def canonical_witness(inst: Instance, group: frozenset[int], t_star: Fraction) -> Bundle:
     """Witness of size exactly t_star: lowest-index goods first, then the

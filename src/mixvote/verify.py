@@ -114,41 +114,31 @@ class AxiomReport:
 _ONE = Fraction(1)
 
 
-def _ranks(values: Sequence[int]) -> list[int]:
-    """Each agent's position when agents are sorted by (value, index)."""
-    rank = [0] * len(values)
-    for r, i in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-        rank[i] = r
-    return rank
-
-
 def _profile_tiers(
     table: list[tuple[ClosureRow, tuple[int, ...]]],
     u: Sequence[int],
     scale: int = 1,
     off: int | None = None,
 ) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
-    """Yield ((row, thresholds), approvers sorted by rank) for every entry
-    of a tier table (``InstanceIndex.tiers``).
+    """Yield ((row, thresholds), approvers sorted by utility) for every
+    entry of a tier table (``InstanceIndex.tiers``).
 
-    Ranks order agents worst-utility-first (ties by index), so the k-th
-    prefix is the hardest group of size k for that bundle, and its
-    threshold at the utilities' unit is ``thresholds[k - 1] * scale``.
-    With ``off``, a row is skipped when its least-served approver has
-    utility above its top threshold minus ``off``: thresholds are
-    nondecreasing in k, so then no member of any of its tiers is at or
-    below that tier's threshold minus ``off``.
+    The sort is stable and ``row.approvers`` ascends by index, so agents
+    come worst-utility-first with ties in index order; the k-th prefix is
+    the hardest group of size k for that bundle, and its threshold at the
+    utilities' unit is ``thresholds[k - 1] * scale``.  With ``off``, a row
+    is skipped unsorted when its least-served approver has utility above
+    its top threshold minus ``off``: thresholds are nondecreasing in k, so
+    then no member of any of its tiers is at or below that tier's
+    threshold minus ``off``.
     """
-    rank = None  # sorted on the first row that is not skipped
     for tier in table:
         row, thresholds = tier
         if off is not None:
             least = min(map(u.__getitem__, row.approvers))
             if least > thresholds[-1] * scale - off:
                 continue
-        if rank is None:
-            rank = _ranks(u)
-        yield tier, sorted(row.approvers, key=rank.__getitem__)
+        yield tier, sorted(row.approvers, key=u.__getitem__)
 
 
 def cohesive_profiles(
@@ -166,14 +156,14 @@ def cohesive_profiles(
     profiles = []
     # both tables hold the same rows in the same order
     for ((_, caps), members), (_, sizes) in zip(_profile_tiers(cohesive, u), exact):
+        utils = [Fraction(u[i], unit) for i in members]  # ascending, as members are
         for k in range(1, len(members) + 1):
-            group = tuple(sorted(members[:k]))
             profiles.append(
                 CohesiveProfile(
-                    group=group,
+                    group=tuple(sorted(members[:k])),
                     t_cohesive_sup=Fraction(caps[k - 1], D),
                     t_exact_max=Fraction(sizes[k - 1], D),
-                    group_utilities=tuple(sorted(Fraction(u[i], unit) for i in group)),
+                    group_utilities=tuple(utils[:k]),
                 )
             )
     return profiles

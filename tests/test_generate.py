@@ -192,3 +192,47 @@ def test_dispatcher_names():
     assert meta["seed"] == 5
     with pytest.raises(ConstructionParameterError):
         gen_construction(ConstructionSpec("nope"))
+
+
+VALID_PARAMETERS = {
+    "prop1": {"beta_prime": F(1, 2), "n": 4},
+    "prop4": {"beta": 1},
+    "thm4": {"t": F(2), "n": 32, "delta": F(1, 100), "eps": F(1, 4)},
+    "thm6": {"t": F(5, 2), "n": 20, "eps": F(8, 25)},
+    "appendix": {"t": F(3, 2), "eps": F(1, 4), "gamma": F(1, 4), "q": 4},
+    "random": {"n": 3, "m": 2, "cake_atoms": 2, "alpha": F(1), "cake_length": F(1)},
+}
+GENERATORS = {
+    "prop1": gen_prop1,
+    "prop4": gen_prop4,
+    "thm4": gen_thm4,
+    "thm6": gen_thm6,
+    "appendix": gen_appendix,
+    "random": gen_random,
+}
+COUNTS = ("n", "m", "cake_atoms", "beta", "q")
+INEXACT = [
+    (name, field, value)
+    for name, parameters in VALID_PARAMETERS.items()
+    for field in parameters
+    for value in ((2.7, 2.0, True) if field in COUNTS else (0.1, 1.1, True))
+]
+
+
+@pytest.mark.parametrize("name, field, value", INEXACT)
+def test_inexact_construction_parameter_rejected(name, field, value):
+    """Rationals must be an int or a Fraction and counts an int, never a
+    float or a bool, whether the generator is called directly or by name."""
+    parameters = dict(VALID_PARAMETERS[name], **{field: value})
+    kind = "an int" if field in COUNTS else "an int or a Fraction"
+    message = f"^{field} must be {kind}, got {value!r}$"
+    with pytest.raises(DomainError, match=message):
+        gen_construction(ConstructionSpec(name, parameters))
+    with pytest.raises(DomainError, match=message):
+        GENERATORS[name](**parameters)
+
+
+@pytest.mark.parametrize("name", VALID_PARAMETERS)
+def test_valid_construction_parameters_build(name):
+    inst, _ = gen_construction(ConstructionSpec(name, VALID_PARAMETERS[name]))
+    assert inst.n > 0

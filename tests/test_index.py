@@ -47,7 +47,7 @@ from mixvote.errors import CapacityError, InvalidAllocationError, InvariantError
 from mixvote.generate import gen_random
 from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
-from mixvote.verify import DEGREE_BOUNDS
+from mixvote.verify import DEGREE_BOUNDS, _profile_tiers
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_PRIME = 10**9 + 7
@@ -321,6 +321,23 @@ def test_index_does_not_depend_on_shared_endpoints(seed):
     other = _fresh_endpoints(inst)
     assert other == inst
     assert vars(InstanceIndex(inst)) == vars(InstanceIndex(other))
+
+
+@given(instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_profile_tiers_order_members_by_utility_then_index(inst, data):
+    """Utilities from {0, 1, 2} make ties common; each kept row's members
+    come worst-served first, ties by index, and a row is skipped only when
+    its least-served approver is above its top threshold minus the offset."""
+    u = data.draw(st.lists(st.integers(0, 2), min_size=inst.n, max_size=inst.n))
+    off = data.draw(st.none() | st.integers(-3, 12))
+    table = inst.index.tiers(data.draw(st.booleans()))
+    kept = [
+        (tier, sorted(tier[0].approvers, key=lambda i: (u[i], i)))
+        for tier in table
+        if off is None or min(u[i] for i in tier[0].approvers) <= tier[1][-1] - off
+    ]
+    assert list(_profile_tiers(table, u, 1, off)) == kept
 
 
 @given(instances(max_agents=4))

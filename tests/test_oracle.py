@@ -19,7 +19,7 @@ from mixvote import (
     oracle_min_max_avg,
     oracle_no_ejr_beta,
 )
-from mixvote.errors import CapacityError
+from mixvote.errors import CapacityError, DomainError
 from mixvote.generate import gen_appendix, gen_prop1, gen_prop4, gen_random
 from mixvote.harmonic import exact_pav_score, gpav_score, harmonic
 from mixvote.oracle import EnumerationConfig, _cohesive_groups, _grid_cells
@@ -263,3 +263,32 @@ def test_scoring_reads_no_verifier_pass(fig1, monkeypatch):
         for objective in ("gpav", "nash"):
             oracle_discretized_opt(inst, objective, cfg)
         oracle_min_max_avg(inst, F(1), cfg)
+
+
+def test_grid_reads_no_index(fig1, monkeypatch):
+    """The grid is cut at the approvals' own endpoints, so no oracle builds
+    the instance index that the verifiers and rules read."""
+    def no_index(inst):
+        raise AssertionError("the oracle built the instance index")
+
+    monkeypatch.setattr(importlib.import_module("mixvote.core"), "InstanceIndex", no_index)
+    assert sum(1 for _ in enumerate_allocations(fig1)) > 0
+    for objective in ("gpav", "nash"):
+        oracle_discretized_opt(fig1, objective)
+    assert oracle_min_max_avg(fig1, F(1)) is not None
+
+
+def _tenth_pair():
+    """Two agents who approve [0, 1/10] of a cake of length 1, alpha 1."""
+    cake = normalize([(F(0), F(1, 10))])
+    return Instance(F(1), (), (Bundle(cake), Bundle(cake)), F(1))
+
+
+def test_min_max_avg_at_an_exact_t():
+    assert oracle_min_max_avg(_tenth_pair(), F(1, 10)) == F(1, 10)
+
+
+@pytest.mark.parametrize("t", [0.1, True, 1.0])
+def test_min_max_avg_rejects_an_inexact_t(t):
+    with pytest.raises(DomainError, match=f"^t must be an int or a Fraction, got {t!r}$"):
+        oracle_min_max_avg(_tenth_pair(), t)

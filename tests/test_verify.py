@@ -365,20 +365,26 @@ def test_ejr_1_margin_errors(fig1, margin, message):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_ranks_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
+def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     """A scan whose rows are all skipped sorts nothing; a scan that keeps
-    its rows sorts once."""
-    calls = []
-    original = verify_module._ranks
-    monkeypatch.setattr(verify_module, "_ranks", lambda u: calls.append(1) or original(u))
+    its rows sorts each row's approvers by utility once, in table order."""
+    keyed = []
+
+    def counting(iterable, **kwargs):
+        items = tuple(iterable)
+        if "key" in kwargs:
+            keyed.append(items)
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(verify_module, "sorted", counting, raising=False)
     inst = make_mixed(seed)
     everything = Bundle(inst.full_cake(), frozenset(inst.goods))
     big = Instance(inst.cake_length, inst.goods, inst.agents, inst.cake_length + inst.m)
     assert verify_ejr_m(big, everything).passed
     assert verify_ejr_1(big, everything).passed
-    assert calls == []
+    assert keyed == []
     assert cohesive_profiles(inst)
-    assert calls == [1]
+    assert keyed == [row.approvers for row, _ in inst.index.tiers(exact=False)]
 
 
 def test_closure_capacity_error(fig1):
