@@ -140,10 +140,10 @@ class IntervalSet:
 
     def prefix(self, length: Fraction) -> "IntervalSet":
         """Leftmost sub-piece of the given total length."""
-        if length < 0:
+        remaining = as_rational("length", length)
+        if remaining < 0:
             raise MalformedIntervalError("prefix length must be nonnegative")
         out: list[tuple[Fraction, Fraction]] = []
-        remaining = Fraction(length)
         for lo, hi in self.intervals:
             if remaining <= 0:
                 break
@@ -449,9 +449,9 @@ def achievable_exact_size(m_star: int, ell_star: Fraction, cap: Fraction) -> Fra
     j = 0..m_star; the maximum at or below the cap is closed-form
     (``exact_size``).  Returns 0 when no positive size is achievable.
     """
+    ell_star, cap = as_rational("ell_star", ell_star), as_rational("cap", cap)
     if m_star < 0 or ell_star < 0:
         raise ValueError("m_star and ell_star must be nonnegative")
-    ell_star, cap = Fraction(ell_star), Fraction(cap)
     unit = math.lcm(ell_star.denominator, cap.denominator)
     t = exact_size(m_star, int(ell_star * unit), int(cap * unit), unit)
     return Fraction(t, unit)
@@ -578,34 +578,25 @@ class InstanceIndex:
         self.masks = masks
         self.good_approvers = [frozenset(a) for a in good_approvers]
         self.cells = [frozenset(a) for a in cells]
-        self.distinct_approvals = len(set(masks))
         self._closure: list[ClosureRow] | None = None
         self._tiers: dict[bool, list[tuple[ClosureRow, tuple[int, ...]]]] = {}
 
-    def closure(
-        self,
-        max_size: int = DEFAULT_CLOSURE_CAP,
-        pool: Iterable[int] | None = None,
-    ) -> list[ClosureRow]:
+    def closure(self, pool: Iterable[int] | None = None) -> list[ClosureRow]:
         """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
         order.  Raises InvalidGroupError for a pool agent outside
         ``0..n-1``, and CapacityError when the closure has more than
-        ``max(max_size, distinct approvals in the pool)`` bundles; the
-        full-pool closure is kept for later calls."""
+        ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``
+        bundles; the full-pool closure is built once and kept."""
         if pool is not None:
             pool = set(pool)
             if not pool.issubset(range(len(self.masks))):
                 raise InvalidGroupError("agent index out of range")
-            return self._build(pool, max_size)
+            return self._build(pool)
         if self._closure is None:
-            self._closure = self._build(range(len(self.masks)), max_size)
-        elif len(self._closure) > max(max_size, self.distinct_approvals):
-            raise CapacityError(f"approval closure exceeds {max_size} bundles")
+            self._closure = self._build(range(len(self.masks)))
         return self._closure
 
-    def tiers(
-        self, exact: bool, max_size: int = DEFAULT_CLOSURE_CAP
-    ) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+    def tiers(self, exact: bool) -> list[tuple[ClosureRow, tuple[int, ...]]]:
         """The tier table of one mode: ``(row, thresholds)`` for every
         full-pool closure row of positive size, in closure order, where
         ``thresholds[k - 1]`` is the threshold of the tier (row, k) at D
@@ -615,15 +606,14 @@ class InstanceIndex:
         min(cap, size); its exact threshold (``exact``) is ``exact_size``
         of the row's goods count and cake length at that cap.  Both depend
         on the instance only, and both are nondecreasing in k.  Each mode
-        is built on first request and kept; ``max_size`` is checked as in
-        ``closure``, so a build that fails keeps no table.
+        is built from ``closure()`` on first request and kept; later
+        requests return it, and a failed closure build keeps no table.
         """
-        rows = self.closure(max_size)
         table = self._tiers.get(exact)
         if table is None:
             share, D = self.share_d, self.denominator
             table = []
-            for row in rows:
+            for row in self.closure():
                 size, n = row.size_d, len(row.approvers)
                 if size <= 0:
                     continue
@@ -639,15 +629,16 @@ class InstanceIndex:
             self._tiers[exact] = table
         return table
 
-    def _build(self, pool: Iterable[int], max_size: int) -> list[ClosureRow]:
+    def _build(self, pool: Iterable[int]) -> list[ClosureRow]:
         """One pass over the pool's distinct approvals.  Invariant: after
         each approval, ``rows`` maps every AND of a nonempty set of the
         approvals so far to the agents whose approval contains it.  It only
-        grows, so it exceeds the cap exactly when the closure does."""
+        grows, so it exceeds the cap (``DEFAULT_CLOSURE_CAP``, or the
+        number of distinct approvals if larger) exactly when the closure does."""
         groups: dict[int, int] = {}  # distinct approval -> its agents
         for i in pool:
             groups[self.masks[i]] = groups.get(self.masks[i], 0) | 1 << i
-        cap = max(max_size, len(groups))
+        cap = max(DEFAULT_CLOSURE_CAP, len(groups))
         rows: dict[int, int] = {}
         for a, agents in groups.items():
             # a & x is approved by a's agents and by those of every x giving it
@@ -658,7 +649,7 @@ class InstanceIndex:
             for cut, approvers in cuts.items():
                 rows[cut] = rows.get(cut, 0) | approvers
             if len(rows) > cap:
-                raise CapacityError(f"approval closure exceeds {max_size} bundles")
+                raise CapacityError(f"approval closure exceeds {DEFAULT_CLOSURE_CAP} bundles")
         m, D, pts = len(self.goods), self.denominator, self.points_d
         keyed = []
         for mask, agents in rows.items():
@@ -718,9 +709,7 @@ def allocation_units(
 
 
 def approval_closure(
-    inst: Instance,
-    agents: frozenset[int] | None = None,
-    max_size: int = DEFAULT_CLOSURE_CAP,
+    inst: Instance, agents: frozenset[int] | None = None
 ) -> list[tuple[Bundle, frozenset[int]]]:
     """All distinct common bundles of nonempty agent groups, with approver sets.
 
@@ -729,16 +718,13 @@ def approval_closure(
     full set of agents in ``agents`` whose approval contains it, in
     ``Bundle.key`` order.  Raises InvalidGroupError if ``agents`` names an
     agent outside ``0..n-1``, and CapacityError if the closure has more
-    than ``max(max_size, distinct approvals)`` bundles.  The bundles are
-    read from the instance index (``InstanceIndex.closure``), which builds
-    the closure in one pass over the distinct approval bitmasks, carrying
-    each bundle's approvers; each call returns a fresh list.
+    than ``max(DEFAULT_CLOSURE_CAP, distinct approvals)`` bundles.  The
+    bundles are read from the instance index (``InstanceIndex.closure``),
+    which builds the closure in one pass over the distinct approval
+    bitmasks, carrying each bundle's approvers; each call returns a fresh list.
     """
     index = inst.index
-    return [
-        (index.bundle(row), frozenset(row.approvers))
-        for row in index.closure(max_size, agents)
-    ]
+    return [(index.bundle(row), frozenset(row.approvers)) for row in index.closure(agents)]
 
 
 def atomize(

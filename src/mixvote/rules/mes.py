@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core import Bundle, Instance, IntervalSet
+from ..core import Bundle, Instance, IntervalSet, as_rational
 from ..errors import DomainError, InvariantError
 
 _GOOD, _CAKE = 0, 1  # equal-price ties prefer goods, then leftmost cake
@@ -58,7 +58,9 @@ def _price_units(budgets: list[int], cost: int) -> tuple[int, int] | None:
 def mes_price(budgets: list[Fraction], cost: Fraction) -> Fraction | None:
     """Minimal rho >= 0 with sum_i min(b_i, rho) = cost, or None if the
     total budget cannot cover the cost.  Raises DomainError unless the cost
-    is positive and every budget nonnegative."""
+    is positive, every budget nonnegative, and each an int or a Fraction."""
+    cost = as_rational("cost", cost)
+    budgets = [as_rational("budget", b) for b in budgets]
     if cost <= 0:
         raise DomainError("cost must be positive")
     if any(b < 0 for b in budgets):

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Atom, Bundle, Instance, atomize, normalize
+from ..core import Atom, Bundle, Instance, as_rational, atomize, normalize
 from ..errors import CapacityError, DomainError
 from ..harmonic import (
     DEFAULT_TOL,
@@ -316,6 +316,7 @@ def concave_cake_opt(
     Atoms sharing an approver set are interchangeable for the score, so they
     are merged for the solve and refilled left to right afterwards.
     """
+    budget = as_rational("budget", budget)
     table = _CakeClasses(inst, atoms)
     goods_mask = sum(1 << k for k, g in enumerate(inst.goods) if g in fixed_goods)
     y_rat, score, gap = table.solve(goods_mask, budget, eps, tol)

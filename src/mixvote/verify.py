@@ -61,14 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import (
-    DEFAULT_CLOSURE_CAP,
-    EMPTY_BUNDLE,
-    Bundle,
-    ClosureRow,
-    Instance,
-    format_rational,
-)
+from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, format_rational
 from .errors import DomainError, UnsupportedInstanceError
 
 
@@ -141,18 +134,14 @@ def _profile_tiers(
         yield tier, sorted(row.approvers, key=u.__getitem__)
 
 
-def cohesive_profiles(
-    inst: Instance,
-    allocation: Bundle | None = None,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
-) -> list[CohesiveProfile]:
+def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[CohesiveProfile]:
     """All deduplicated (common bundle, size) tiers with a positive threshold,
     ranked by the utilities of a valid ``allocation`` (none: all zero)."""
     index = inst.index
     unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
     D = index.denominator
-    cohesive = index.tiers(exact=False, max_size=max_closure)
-    exact = index.tiers(exact=True, max_size=max_closure)
+    cohesive = index.tiers(exact=False)
+    exact = index.tiers(exact=True)
     profiles = []
     # both tables hold the same rows in the same order
     for ((_, caps), members), (_, sizes) in zip(_profile_tiers(cohesive, u), exact):
@@ -173,7 +162,6 @@ def _scan(
     inst: Instance,
     allocation: Bundle,
     axiom: str,
-    max_closure: int,
     exact: bool,
     beta: Fraction = Fraction(0),
     strict: bool = False,
@@ -193,7 +181,7 @@ def _scan(
     scale = unit // index.denominator
     # ((-violation, t), group, agent with the group's max utility); smallest wins
     worst: tuple | None = None
-    table = index.tiers(exact, max_size=max_closure)
+    table = index.tiers(exact)
     for (_, thresholds), members in _profile_tiers(table, u, scale, off):
         for k, (i, t) in enumerate(zip(members, thresholds), 1):
             t *= scale
@@ -213,15 +201,11 @@ def _scan(
     return AxiomReport(axiom=axiom, passed=witness is None, witness=witness)
 
 
-def verify_ejr_m(
-    inst: Instance,
-    allocation: Bundle,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
-) -> AxiomReport:
+def verify_ejr_m(inst: Instance, allocation: Bundle) -> AxiomReport:
     """Exact-witness representation: every group that is t-cohesive with a
     commonly approved sub-bundle of size exactly t must contain a member
     with utility at least t."""
-    return _scan(inst, allocation, "ejr-m", max_closure, exact=True)
+    return _scan(inst, allocation, "ejr-m", exact=True)
 
 
 def verify_ejr_beta(
@@ -229,11 +213,10 @@ def verify_ejr_beta(
     allocation: Bundle,
     beta: Fraction,
     mode: str = "strict",
-    max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> AxiomReport:
     """Representation up to beta: some member of every t-cohesive group gets
     utility > t - beta ("strict") or >= t - beta ("weak")."""
-    beta = Fraction(beta)
+    beta = as_rational("beta", beta)
     if beta < 0:
         raise DomainError("beta must be nonnegative")
     if mode not in ("strict", "weak"):
@@ -242,7 +225,6 @@ def verify_ejr_beta(
         inst,
         allocation,
         f"ejr-beta[{beta},{mode}]",
-        max_closure,
         exact=False,
         beta=beta,
         strict=mode == "strict",
@@ -253,7 +235,6 @@ def verify_ejr_1(
     inst: Instance,
     allocation: Bundle,
     margin: float = 0.0,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> AxiomReport:
     """EJR up to one: utilities are exact rationals, so the strict compare
     is exact; ``margin`` relaxes the threshold for scores produced by
@@ -263,21 +244,17 @@ def verify_ejr_1(
     if margin < -1:
         raise DomainError(f"margin must be at least -1, got {margin}")
     beta = _ONE if margin == 0 else _ONE + Fraction(margin)
-    return _scan(inst, allocation, "ejr-1", max_closure, exact=False, beta=beta, strict=True)
+    return _scan(inst, allocation, "ejr-1", exact=False, beta=beta, strict=True)
 
 
-def verify_cake_ejr(
-    inst: Instance,
-    allocation: Bundle,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
-) -> AxiomReport:
+def verify_cake_ejr(inst: Instance, allocation: Bundle) -> AxiomReport:
     """Cake-only representation; coincides with the exact-witness axiom on
     cake instances (any size up to the common piece is an exact witness)."""
     if inst.m > 0:
         raise UnsupportedInstanceError(
             "cake-EJR applies to instances without indivisible goods"
         )
-    report = verify_ejr_m(inst, allocation, max_closure)
+    report = verify_ejr_m(inst, allocation)
     return AxiomReport(axiom="cake-ejr", passed=report.passed, witness=report.witness)
 
 
@@ -353,7 +330,6 @@ def audit_degree(
     allocation: Bundle,
     bound: str | Callable[[Fraction], Fraction],
     t_min: Fraction = Fraction(1),
-    max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> DegreeAuditReport:
     """Minimum slack of group average satisfaction over the bound f(t).
 
@@ -368,13 +344,14 @@ def audit_degree(
         name, f = bound, DEGREE_BOUNDS[bound]
     else:
         name, f = getattr(bound, "__name__", "custom"), bound
+    t_min = as_rational("t_min", t_min)
     unit, _, u = inst.validate_allocation(allocation)
     index = inst.index
     D = index.denominator
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
-    table = index.tiers(exact=False, max_size=max_closure)
+    table = index.tiers(exact=False)
     for (_, thresholds), members in _profile_tiers(table, u):
         running_sum = 0
         for k, (i, t) in enumerate(zip(members, thresholds), 1):

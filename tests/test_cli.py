@@ -44,7 +44,7 @@ def test_gen_run_verify_flow(tmp_path, capsys):
     assert ledger["purchases"][0]["payments"] == {"0": "9/20", "1": "9/20"}
     # the ledger's work counters stay in the library
     assert set(ledger) == {"initial_budget", "iterations", "purchases", "final_budgets"}
-    alloc = json.loads(open(alloc_path).read())
+    alloc = json.loads(Path(alloc_path).read_text())
     assert alloc["cake"] == [["0", "9/10"]]
     assert alloc["size"] == "9/10"
 
@@ -168,6 +168,31 @@ def test_verify_report_written_to_out(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(report_path.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("cake, passed", [([["0", "1"]], True), ([["0", "1/2"]], False)])
+def test_verify_cake_ejr_on_a_cake_instance(tmp_path, capsys, cake, passed):
+    # two agents who both approve [0, 1], alpha 1: the pair is owed the whole cake
+    inst = tmp_path / "cake.json"
+    alloc = tmp_path / "alloc.json"
+    save_json(str(inst), {
+        "cake_length": "1", "goods": [], "alpha": "1",
+        "agents": [{"goods": [], "cake": [["0", "1"]]}] * 2,
+    })
+    save_json(str(alloc), {"cake": cake, "goods": []})
+    code, out = run_cli(
+        capsys, "verify", "--axiom", "cake-ejr", "--instance", str(inst), "--allocation", str(alloc),
+    )
+    report = json.loads(out)
+    assert (report["axiom"], report["pass"]) == ("cake-ejr", passed)
+    assert code == (EXIT_OK if passed else EXIT_FAIL)
+
+
+def test_verify_cake_ejr_rejects_goods(fig1_files, capsys):
+    inst, alloc = fig1_files
+    code = dispatch(["verify", "--axiom", "cake-ejr", "--instance", inst, "--allocation", alloc])
+    assert code == EXIT_USAGE
+    assert "cake-EJR applies to instances without indivisible goods" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -26,6 +26,7 @@ from mixvote import (
 )
 from mixvote.cli import EXIT_USAGE, dispatch
 from mixvote.core import (
+    achievable_exact_size,
     allocation_from_dict,
     allocation_to_dict,
     format_rational,
@@ -295,6 +296,19 @@ def test_parse_matches_fraction_on_any_text(text):
 def test_parse_rejects_floats_bools_and_non_numbers(value):
     with pytest.raises(DomainError, match="not a rational number"):
         parse_rational(value)
+
+
+@pytest.mark.parametrize("value", [0.1, True])
+def test_lengths_take_only_exact_rationals(value):
+    piece = IntervalSet(((F(0), F(1)),))
+    assert piece.prefix(F(1, 10)) == IntervalSet(((F(0), F(1, 10)),))
+    assert achievable_exact_size(1, F(1, 10), F(1, 2)) == F(1, 10)
+    with pytest.raises(DomainError, match=r"^length must be an int or a Fraction, got"):
+        piece.prefix(value)
+    with pytest.raises(DomainError, match=r"^ell_star must be an int or a Fraction, got"):
+        achievable_exact_size(1, value, F(1, 2))
+    with pytest.raises(DomainError, match=r"^cap must be an int or a Fraction, got"):
+        achievable_exact_size(1, F(1, 10), value)
 
 
 def test_parse_keeps_integers_and_decimal_strings():

@@ -11,6 +11,7 @@ import sys
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from mixvote import (
     verify_ejr_beta,
     verify_ejr_m,
 )
+from mixvote import core
 from mixvote.cli import EXIT_INTERNAL, EXIT_USAGE, dispatch
 from mixvote.core import (
     InstanceIndex,
@@ -664,37 +666,48 @@ def test_index_dies_with_its_instance(fig1):
     assert ref() is None
 
 
-def test_capacity_error_after_default_build(fig1):
-    # fig1's closure has 3 bundles from 2 distinct approvals
-    verify_ejr_m(fig1, Bundle())
-    with pytest.raises(CapacityError):
-        cohesive_profiles(fig1, max_closure=2)
-    assert len(cohesive_profiles(fig1, max_closure=3)) > 0
-
-
 def test_failed_build_is_not_cached(fig1):
-    with pytest.raises(CapacityError):
-        approval_closure(fig1, max_size=2)
-    assert approval_closure(fig1, max_size=3) == naive_closure(fig1)
-    with pytest.raises(CapacityError):
-        verify_ejr_m(fig1, Bundle(), max_closure=2)
+    # fig1's closure has 3 bundles from 2 distinct approvals
+    with patch.object(core, "DEFAULT_CLOSURE_CAP", 2):
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                approval_closure(fig1)
+            with pytest.raises(CapacityError):
+                verify_ejr_m(fig1, Bundle())
+    with patch.object(core, "DEFAULT_CLOSURE_CAP", 3):
+        assert approval_closure(fig1) == naive_closure(fig1)
 
 
-def test_tier_tables_keep_the_capacity_check(fig1):
-    verify_ejr_m(fig1, Bundle())
-    verify_ejr_1(fig1, Bundle())
-    with pytest.raises(CapacityError):
-        verify_ejr_1(fig1, Bundle(), max_closure=2)
-    with pytest.raises(CapacityError):
-        audit_degree(fig1, Bundle(), "ejr-1", max_closure=2)
+def test_kept_tier_tables_are_read_without_the_closure(fig1, monkeypatch):
+    """Once both tier tables are kept, no verifier, audit or profile
+    listing goes back to ``closure()``, and every report is the same."""
+    bundle = Bundle(fig1.full_cake())
+
+    def calls():
+        return [
+            verify_ejr_m(fig1, bundle),
+            verify_ejr_1(fig1, bundle),
+            audit_degree(fig1, bundle, "ejr-1"),
+            cohesive_profiles(fig1, bundle),
+        ]
+
+    first = calls()
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure() called after both tier tables were kept")
+
+    monkeypatch.setattr(InstanceIndex, "closure", no_closure)
+    assert calls() == first
+    assert not first[0].passed
 
 
 def test_tier_tables_are_built_per_mode_and_not_on_failure(fig1):
     index = fig1.index
-    with pytest.raises(CapacityError):
-        verify_ejr_1(fig1, Bundle(), max_closure=2)
-    with pytest.raises(CapacityError):
-        index.tiers(True, max_size=2)
+    with patch.object(core, "DEFAULT_CLOSURE_CAP", 2):
+        with pytest.raises(CapacityError):
+            verify_ejr_1(fig1, Bundle())
+        with pytest.raises(CapacityError):
+            index.tiers(True)
     assert index._tiers == {}
     audit_degree(fig1, Bundle(), "ejr-1")
     assert set(index._tiers) == {False}
@@ -702,20 +715,29 @@ def test_tier_tables_are_built_per_mode_and_not_on_failure(fig1):
     assert set(index._tiers) == {False, True}
 
 
-@given(instances(), st.integers(1, 12), st.booleans(), st.data())
+@given(instances(), st.integers(1, 12), st.data())
 @settings(max_examples=60, deadline=None)
-def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, built_first, data):
-    if built_first:
-        approval_closure(inst)
+def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, data):
     pool = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
-    for agents in (None, frozenset(pool)):
-        size = len(naive_closure(inst, agents))
-        distinct = len({inst.agents[i] for i in (range(inst.n) if agents is None else agents)})
-        if size > max(cap, distinct):
-            with pytest.raises(CapacityError):
-                approval_closure(inst, agents, max_size=cap)
-        else:
-            assert len(approval_closure(inst, agents, max_size=cap)) == size
+    with patch.object(core, "DEFAULT_CLOSURE_CAP", cap):
+        for agents in (None, frozenset(pool)):
+            size = len(naive_closure(inst, agents))
+            distinct = len({inst.agents[i] for i in (range(inst.n) if agents is None else agents)})
+            if size > max(cap, distinct):
+                with pytest.raises(CapacityError, match=f"^approval closure exceeds {cap} bundles$"):
+                    approval_closure(inst, agents)
+            else:
+                assert len(approval_closure(inst, agents)) == size
+
+
+def test_cap_is_at_least_the_distinct_approvals():
+    # nested approvals: the closure is the two approvals themselves
+    inst = Instance(
+        F(1), (), (Bundle(normalize([(F(0), F(1, 2))])), Bundle(normalize([(F(0), F(1))]))), F(1)
+    )
+    with patch.object(core, "DEFAULT_CLOSURE_CAP", 1):
+        assert approval_closure(inst) == naive_closure(inst)
+        assert len(approval_closure(inst, frozenset({0, 1}))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +833,7 @@ FLOAT = "allocation cake with a non-rational endpoint 0.5"
 
 REVERSED_APPROVAL = """
 from fractions import Fraction as F
+from mixvote import core
 from mixvote.core import Bundle, Instance, IntervalSet, approval_closure
 from mixvote.errors import CapacityError, InvalidGroupError, MalformedIntervalError
 from mixvote.generate import gen_fig1
@@ -831,8 +854,9 @@ try:
     approval_closure(gen_fig1()[0], frozenset({-1}))
 except InvalidGroupError as exc:
     print("InvalidGroupError:", exc)
+core.DEFAULT_CLOSURE_CAP = 2
 try:
-    approval_closure(gen_fig1()[0], max_size=2)
+    approval_closure(gen_fig1()[0])
 except CapacityError as exc:
     print("CapacityError:", exc)
 """

@@ -66,6 +66,16 @@ class TestMesPrice:
             mes_price(budgets, cost)
         assert issubclass(DomainError, ValueError)  # callers catching ValueError still do
 
+    @pytest.mark.parametrize("budgets, cost, name", [
+        ([F(1)], 0.5, "cost"),
+        ([F(1)], True, "cost"),
+        ([F(1), 0.5], F(1), "budget"),
+        ([F(1), True], F(1), "budget"),
+    ])
+    def test_floats_and_bools_rejected(self, budgets, cost, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be an int or a Fraction, got"):
+            mes_price(budgets, cost)
+
 
 class TestFig1:
     def test_cake_only_with_exact_payments(self, fig1):

@@ -92,6 +92,16 @@ class TestConcaveCakeOpt:
         assert sum(lengths.values(), F(0)) <= 1
         assert gap <= 1e-9
 
+    def test_budget_takes_only_exact_rationals(self):
+        # a float budget of 0.3 gave lengths summing to 3/10, above 0.3
+        inst = gen_random(n=6, m=2, cake_atoms=4, alpha=F(2), density=0.6, seed=3)
+        atoms = atomize(inst, inst.full_cake(), ())
+        lengths, _, _ = concave_cake_opt(inst, atoms, frozenset(), F(3, 10))
+        assert sum(lengths.values()) == F(3, 10)
+        for budget in (0.3, True):
+            with pytest.raises(DomainError, match=r"^budget must be an int or a Fraction, got"):
+                concave_cake_opt(inst, atoms, frozenset(), budget)
+
     def test_fig1_fixed_good_takes_whole_cake(self, fig1):
         atoms = [a for a in atomize(fig1, fig1.full_cake(), fig1.goods) if not a.is_good]
         lengths, score, gap = concave_cake_opt(fig1, atoms, frozenset({"g1"}), F(1))

@@ -33,7 +33,7 @@ from mixvote.errors import (
 )
 from mixvote.generate import gen_prop4, gen_random
 from mixvote import verify as verify_module
-from mixvote.oracle import enumerate_allocations, EnumerationConfig
+from mixvote.oracle import enumerate_allocations, EnumerationConfig, oracle_no_ejr_beta
 from mixvote.verify import (
     AxiomReport,
     audit_degree,
@@ -253,6 +253,17 @@ class TestModesAndErrors:
         with pytest.raises(DomainError):
             verify_ejr_beta(fig1, Bundle(), F(-1), "strict")
 
+    def test_beta_takes_only_exact_rationals(self):
+        # a float beta moved the strict verdict: 0.1 lies above 1/10
+        inst = Instance(F(1), (), (Bundle(cake=normalize([(F(0), F(1))])),), F(1))
+        alloc = Bundle(cake=normalize([(F(0), F(9, 10))]))
+        assert not verify_ejr_beta(inst, alloc, F(1, 10)).passed
+        for beta in (0.1, True):
+            with pytest.raises(DomainError, match=r"^beta must be an int or a Fraction, got"):
+                verify_ejr_beta(inst, alloc, beta)
+            with pytest.raises(DomainError, match=r"^beta must be an int or a Fraction, got"):
+                oracle_no_ejr_beta(inst, beta)
+
     def test_margin_below_minus_one_names_margin(self, fig1):
         with pytest.raises(DomainError, match=r"^margin must be at least -1, got -2\.0$"):
             verify_ejr_1(fig1, Bundle(), margin=-2.0)
@@ -387,12 +398,25 @@ def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     assert keyed == [row.approvers for row, _ in inst.index.tiers(exact=False)]
 
 
-def test_closure_capacity_error(fig1):
-    from mixvote import cohesive_profiles
+def test_closure_capacity_error(fig1, monkeypatch):
+    from mixvote import cohesive_profiles, core
     from mixvote.errors import CapacityError
 
-    with pytest.raises(CapacityError):
-        cohesive_profiles(fig1, max_closure=2)
+    # fig1's closure has 3 bundles from 2 distinct approvals
+    monkeypatch.setattr(core, "DEFAULT_CLOSURE_CAP", 2)
+    with pytest.raises(CapacityError, match="^approval closure exceeds 2 bundles$"):
+        cohesive_profiles(fig1)
+
+
+def test_audit_t_min_takes_only_exact_rationals():
+    # both tiers of the common bundle [0, 1/10] sit at t = 1/10; a float
+    # t_min of 0.1 lies above 1/10 and dropped them
+    inst = Instance(F(1), (), (Bundle(cake=normalize([(F(0), F(1, 10))])),) * 2, F(1))
+    report = audit_degree(inst, Bundle(), "gpav", t_min=F(1, 10))
+    assert (len(report.entries), report.min_slack) == (2, F(9, 10))
+    for t_min in (0.1, True):
+        with pytest.raises(DomainError, match=r"^t_min must be an int or a Fraction, got"):
+            audit_degree(inst, Bundle(), "gpav", t_min=t_min)
 
 
 # ---------------------------------------------------------------------------
