@@ -66,6 +66,13 @@ def as_rational(name: str, value: Fraction | int) -> Fraction:
     return Fraction(value)
 
 
+def as_count(name: str, value: int) -> int:
+    """``value``; DomainError unless an int (not a bool)."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as "p/q", omitting "/q" for integers."""
     return str(value if type(value) is Fraction else Fraction(value))
@@ -449,9 +456,10 @@ def achievable_exact_size(m_star: int, ell_star: Fraction, cap: Fraction) -> Fra
     j = 0..m_star; the maximum at or below the cap is closed-form
     (``exact_size``).  Returns 0 when no positive size is achievable.
     """
+    m_star = as_count("m_star", m_star)
     ell_star, cap = as_rational("ell_star", ell_star), as_rational("cap", cap)
     if m_star < 0 or ell_star < 0:
-        raise ValueError("m_star and ell_star must be nonnegative")
+        raise DomainError("m_star and ell_star must be nonnegative")
     unit = math.lcm(ell_star.denominator, cap.denominator)
     t = exact_size(m_star, int(ell_star * unit), int(cap * unit), unit)
     return Fraction(t, unit)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Bundle, Instance, as_rational, format_rational, normalize
+from .core import Bundle, Instance, as_count, as_rational, format_rational, normalize
 from .errors import ConstructionParameterError, DomainError, InvariantError
 
 CONSTRUCTION_NAMES = ("fig1", "prop1", "prop4", "thm4", "thm6", "appendix", "random")
@@ -31,13 +31,6 @@ class ConstructionSpec:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConstructionParameterError(message)
-
-
-def _count(name: str, value: int) -> int:
-    """``value``; DomainError unless an int (not a bool)."""
-    if type(value) is not int:
-        raise DomainError(f"{name} must be an int, got {value!r}")
-    return value
 
 
 def gen_fig1() -> tuple[Instance, dict]:
@@ -64,7 +57,7 @@ def gen_fig1() -> tuple[Instance, dict]:
 def gen_prop1(beta_prime: Fraction = Fraction(1, 2), n: int = 4) -> tuple[Instance, dict]:
     """Disjoint singleton approvals with alpha = beta_prime * n < n, so any
     sub-1 relaxation of the representation threshold is unsatisfiable."""
-    beta_prime, n = as_rational("beta_prime", beta_prime), _count("n", n)
+    beta_prime, n = as_rational("beta_prime", beta_prime), as_count("n", n)
     _require(0 < beta_prime < 1, f"beta_prime must lie in (0, 1), got {beta_prime}")
     alpha = beta_prime * n
     _require(
@@ -85,7 +78,7 @@ def gen_prop1(beta_prime: Fraction = Fraction(1, 2), n: int = 4) -> tuple[Instan
 def gen_prop4(beta: int = 1) -> tuple[Instance, dict]:
     """Large cohesive group versus singleton holdouts; Nash-welfare
     allocations appease the singletons and starve the group."""
-    _require(_count("beta", beta) >= 1, f"beta must be a positive integer, got {beta}")
+    _require(as_count("beta", beta) >= 1, f"beta must be a positive integer, got {beta}")
     gamma = beta + 2
     n = gamma * gamma + gamma
     m = 2 * gamma
@@ -123,7 +116,7 @@ def gen_thm4(
     """Cake [0, 2t] with staggered prefix approvals; the right half [t, 2t]
     satisfies EJR-1 yet keeps the full group's average satisfaction within
     eps of the EJR-1 degree bound."""
-    t, n = as_rational("t", t), _count("n", n)
+    t, n = as_rational("t", t), as_count("n", n)
     delta, eps = as_rational("delta", delta), as_rational("eps", eps)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(0 < delta < 1, f"delta must lie in (0, 1), got {delta}")
@@ -230,7 +223,7 @@ def gen_thm6(t: Fraction, n: int, eps: Fraction) -> tuple[Instance, dict]:
     """Tiered indivisible instance on which the greedy rule, with the
     bundled tie-break script, satisfies each tier through its dummy goods
     and drives the target group's average satisfaction to the degree bound."""
-    t, n, eps = as_rational("t", t), _count("n", n), as_rational("eps", eps)
+    t, n, eps = as_rational("t", t), as_count("n", n), as_rational("eps", eps)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(eps > 0, f"eps must be positive, got {eps}")
     ft = math.floor(t)
@@ -266,7 +259,7 @@ def gen_appendix(
     block entirely, capping the minimum average satisfaction over the
     cohesive groups."""
     t, eps, gamma = as_rational("t", t), as_rational("eps", eps), as_rational("gamma", gamma)
-    q = _count("q", q)
+    q = as_count("q", q)
     _require(t >= 1, f"t must be at least 1, got {t}")
     _require(eps > 0, f"eps must be positive, got {eps}")
     k = math.floor(t)
@@ -324,9 +317,9 @@ def gen_random(
     """Seeded random instance: ``cake_atoms`` base intervals with random
     rational breakpoints; each agent approves each good and each base atom
     independently with the given probability."""
-    if _count("n", n) < 1:
+    if as_count("n", n) < 1:
         raise DomainError("need at least one agent")
-    if _count("m", m) < 0 or _count("cake_atoms", cake_atoms) < 0:
+    if as_count("m", m) < 0 or as_count("cake_atoms", cake_atoms) < 0:
         raise DomainError(f"m and cake_atoms must be nonnegative, got {m} and {cake_atoms}")
     if m + cake_atoms < 1:
         raise DomainError("need at least one good or cake atom")

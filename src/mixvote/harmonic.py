@@ -23,17 +23,24 @@ headroom for the expansion terms (below 0.011) and the bounds' own sums.
 An exact integer term, rounded once to the nearest float, carries 2u of
 its value.  So `harmonic_sum`, a `math.fsum` of terms, is certified to the
 sum of their bounds, at most n * max(tol, 2**-48) for n terms.
+
+numpy is needed only by the series and by the gpav cake solver, so `np` is
+bound lazily: importing this module finds numpy but runs none of its code;
+the first attribute read of `np` loads it, and from then on `np` is the
+plain numpy module.  The exact rules, verifiers, oracles and integer
+harmonic numbers so start without numpy.  `rules.pav` takes this same
+`np`, so which modules load numpy eagerly is decided here alone.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .core import Bundle, Instance, utilities
 from .errors import DomainError
@@ -43,6 +50,24 @@ DEFAULT_TOL = 1e-12
 _K = 48  # truncation point of the direct series
 _EXACT_INTEGER_LIMIT = 10**4
 _U = 2.0**-53  # unit roundoff of a double
+
+
+def _lazy_numpy():
+    """numpy, registered in `sys.modules` but executed on first attribute
+    read (an already imported numpy is returned as it is)."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 @dataclass(frozen=True)

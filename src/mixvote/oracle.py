@@ -206,7 +206,7 @@ def oracle_discretized_opt(
     The Nash score is (agents with positive utility, their utilities' product).
     """
     if objective not in ("gpav", "nash"):
-        raise ValueError(f"unknown objective {objective!r}")
+        raise DomainError(f"unknown objective {objective!r}")
     exact = inst.cake_length == 0
     top = min(inst.m, math.floor(inst.alpha))  # the most goods a bundle holds
     scale = math.lcm(*range(1, top + 1))

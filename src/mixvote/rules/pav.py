@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from ..core import Atom, Bundle, Instance, as_rational, atomize, normalize
 from ..errors import CapacityError, DomainError
 from ..harmonic import (
@@ -46,6 +44,7 @@ from ..harmonic import (
     harmonic_deriv_vec,
     harmonic_sum,
     harmonic_vec,
+    np,
 )
 
 DEFAULT_GOOD_CAP = 16

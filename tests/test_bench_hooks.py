@@ -8,6 +8,9 @@ every name it lists.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,20 @@ _spec.loader.exec_module(spans)
 )
 def test_hook_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
+
+
+def test_hook_modules_load_with_the_package():
+    """The tracer finds its hooks in `sys.modules`, so every module they
+    name is imported by `import mixvote` alone, in a fresh process."""
+    modules = sorted({mod for mod, _, _ in spans.TARGETS} | {spans.TIER_ITERATOR[0]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"import sys, mixvote; print([m for m in {modules!r} if m not in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tier_counter_unpacks_the_tier_iterator(monkeypatch):

@@ -311,6 +311,17 @@ def test_lengths_take_only_exact_rationals(value):
         achievable_exact_size(1, F(1, 10), value)
 
 
+@pytest.mark.parametrize("m_star, ell_star, message", [
+    (1.5, F(1, 2), r"m_star must be an int, got 1\.5"),
+    (True, F(1, 2), "m_star must be an int, got True"),
+    (-1, F(1, 2), "m_star and ell_star must be nonnegative"),
+    (1, F(-1, 2), "m_star and ell_star must be nonnegative"),
+], ids=["fractional-count", "bool-count", "negative-count", "negative-length"])
+def test_achievable_exact_size_rejects_a_bad_goods_count_or_length(m_star, ell_star, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        achievable_exact_size(m_star, ell_star, F(2))
+
+
 def test_parse_keeps_integers_and_decimal_strings():
     assert parse_rational(3) == F(3)
     assert parse_rational("0.1") == F(1, 10)

@@ -6,10 +6,15 @@ for the tail.
 """
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +32,8 @@ from mixvote.harmonic import (
     harmonic_sum,
     harmonic_vec,
 )
+
+from test_rules_pav import GOLDEN_PINS, pin
 
 mp.mp.dps = 40
 TOL = 1e-12
@@ -235,3 +242,80 @@ class TestGpavScore:
         exact = exact_pav_score([1, 2, 5])
         approx = sum(harmonic(k).value for k in (1, 2, 5))
         assert abs(float(exact) - approx) < 1e-12
+
+
+EXACT_WORK_THEN_GPAV = """
+import pickle, sys, tempfile
+from fractions import Fraction as F
+from pathlib import Path
+
+import mixvote
+from mixvote import Bundle, cli
+from mixvote.core import allocation_to_dict, instance_to_dict, save_json
+from mixvote.generate import gen_fig1, gen_random
+
+def numpy_modules():
+    return sorted(name for name in sys.modules if name.startswith("numpy."))
+
+fig1 = gen_fig1()[0]
+goods = gen_random(n=4, m=4, cake_atoms=0, alpha=F(2), density=0.5, seed=3)
+for inst in (fig1, goods):
+    alloc, _ = mixvote.greedy_ejr_m(inst)
+    mixvote.generalized_mes(inst)
+    mixvote.verify_ejr_m(inst, alloc)
+    mixvote.verify_ejr_1(inst, alloc)
+    mixvote.verify_ejr_beta(inst, alloc, F(1, 2))
+    mixvote.audit_degree(inst, alloc, "ejr-m")
+    mixvote.cohesive_profiles(inst, alloc)
+    sum(1 for _ in mixvote.enumerate_allocations(inst))
+    mixvote.oracle_discretized_opt(inst, "nash")
+    mixvote.oracle_min_max_avg(inst, 1)
+mixvote.oracle_discretized_opt(goods, "gpav")
+mixvote.mnw_indivisible(goods)
+mixvote.harmonic(3)
+with tempfile.TemporaryDirectory() as tmp:
+    inst_path, alloc_path = str(Path(tmp, "inst.json")), str(Path(tmp, "alloc.json"))
+    save_json(inst_path, instance_to_dict(fig1))
+    save_json(alloc_path, allocation_to_dict(fig1, Bundle(cake=fig1.full_cake())))
+    for argv in (["run", "--rule", "gmes"], ["run", "--rule", "greedy-ejr-m"],
+                 ["verify", "--axiom", "ejr-m", "--allocation", alloc_path],
+                 ["audit", "--bound", "ejr-m", "--allocation", alloc_path]):
+        assert cli.dispatch([*argv, "--instance", inst_path, "--out", str(Path(tmp, "out.json"))]) in (0, 1)
+print(numpy_modules())
+solution = mixvote.generalized_pav(fig1)
+print(bool(numpy_modules()))
+print(pickle.dumps(solution).hex())
+"""
+
+
+def test_exact_paths_start_without_numpy(fig1):
+    """The exact rules, verifiers, oracles, integer harmonic numbers and CLI
+    commands run in a fresh process without loading numpy; the first gpav
+    solve loads it and gives the pinned fig1 solution."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", EXACT_WORK_THEN_GPAV],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, solution = proc.stdout.splitlines()[-3:]
+    assert before == "[]"
+    assert after == "True"
+    assert pin(fig1, pickle.loads(bytes.fromhex(solution))) == GOLDEN_PINS["fig1"]
+
+
+def test_numpy_imported_first_is_shared():
+    """A numpy imported before the package is the one the series uses; it
+    is not executed a second time."""
+    script = (
+        "import importlib, numpy, mixvote\n"
+        "assert importlib.import_module('mixvote.harmonic').np is numpy\n"
+        "print(mixvote.harmonic(0.5).value)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == harmonic(F(1, 2)).value

@@ -292,3 +292,9 @@ def test_min_max_avg_at_an_exact_t():
 def test_min_max_avg_rejects_an_inexact_t(t):
     with pytest.raises(DomainError, match=f"^t must be an int or a Fraction, got {t!r}$"):
         oracle_min_max_avg(_tenth_pair(), t)
+
+
+@pytest.mark.parametrize("objective", ["foo", "GPAV", "", None])
+def test_discretized_opt_rejects_an_unknown_objective(fig1, objective):
+    with pytest.raises(DomainError, match=f"^unknown objective {objective!r}$"):
+        oracle_discretized_opt(fig1, objective)
