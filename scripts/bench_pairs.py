@@ -10,7 +10,8 @@ drift of a shared host falls on both.  The base is the
 temporary directory that is removed on exit, failure included.  The output
 file holds the environment, and per spec and side the median and quartiles
 of every end-to-end metric of ``BENCHMARK.json``, the pairs the change won
-on each metric, and the output digests.
+on each metric, and the output digests.  A run that fails ends the script
+with its spec, side, exit code and the end of its stderr.
 """
 
 from __future__ import annotations
@@ -26,14 +27,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STDERR_LINES = 20  # of a failed run, shown
+
+
+class RunFailed(Exception):
+    """A benchmark process exited non-zero; the message gives its exit code
+    and the last lines of its stderr."""
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One benchmark process in ``tree``: its fuller report and its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=seconds * 10 + 300,
-                          check=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=seconds * 10 + 300)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])
+        raise RunFailed(f"exit code {proc.returncode}; end of its stderr:\n{tail}")
     report, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(report), json.loads(result)
 
@@ -48,7 +57,10 @@ def compare(spec: str, base: Path, seconds: float, metrics: list[dict]) -> tuple
     runs = {"base": [], "change": []}
     for i in range(int(pairs)):
         for side, tree in (("base", base), ("change", ROOT)):
-            runs[side].append(run_once(tree, workload, int(seed), seconds))
+            try:
+                runs[side].append(run_once(tree, workload, int(seed), seconds))
+            except RunFailed as exc:
+                sys.exit(f"{spec} {side} run failed with {exc}")
             print(f"{spec} pair {i + 1} {side}: {runs[side][-1][1]['metrics']}", file=sys.stderr)
     out = {"workload": workload, "seed": int(seed), "pairs": int(pairs)}
     for side, done in runs.items():

@@ -73,6 +73,13 @@ def as_count(name: str, value: int) -> int:
     return value
 
 
+def as_real(name: str, value: float) -> float:
+    """``value``; DomainError if a bool, which would pass for 0 or 1."""
+    if type(value) is bool:
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize a rational as "p/q", omitting "/q" for integers."""
     return str(value if type(value) is Fraction else Fraction(value))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Bundle, Instance, as_count, as_rational, format_rational, normalize
+from .core import Bundle, Instance, as_count, as_rational, as_real, format_rational, normalize
 from .errors import ConstructionParameterError, DomainError, InvariantError
 
 CONSTRUCTION_NAMES = ("fig1", "prop1", "prop4", "thm4", "thm6", "appendix", "random")
@@ -323,7 +323,7 @@ def gen_random(
         raise DomainError(f"m and cake_atoms must be nonnegative, got {m} and {cake_atoms}")
     if m + cake_atoms < 1:
         raise DomainError("need at least one good or cake atom")
-    if not 0 <= density <= 1:
+    if not 0 <= as_real("density", density) <= 1:
         raise DomainError(f"density must lie in [0, 1], got {density}")
     alpha = as_rational("alpha", alpha)
     c = Fraction(cake_atoms, 2) if cake_length is None else as_rational("cake_length", cake_length)

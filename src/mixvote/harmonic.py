@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .core import Bundle, Instance, utilities
+from .core import Bundle, Instance, as_real, utilities
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-12
@@ -115,13 +115,13 @@ def harmonic(x: Fraction | int | float, tol: float = DEFAULT_TOL) -> HarmonicVal
 def harmonic_sum(xs: Iterable[Fraction | int | float], tol: float = DEFAULT_TOL) -> HarmonicValue:
     """Sum of H over ``xs``, each term certified to ``tol``, by `math.fsum`;
     the bound covers every term and the rounding of the sum."""
-    if not tol > 0:  # also rejects NaN
+    if not as_real("tol", tol) > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
     values: list[float] = []
     args: list[float] = []
     for x in xs:
         if type(x) is not Fraction and type(x) is not int:
-            if isinstance(x, float) and not math.isfinite(x):
+            if isinstance(as_real("x", x), float) and not math.isfinite(x):
                 raise DomainError("x must be finite")
             x = Fraction(x)
         if x.numerator < 0:

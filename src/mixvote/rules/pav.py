@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..core import Atom, Bundle, Instance, as_rational, atomize, normalize
+from ..core import Atom, Bundle, Instance, as_rational, as_real, atomize, normalize
 from ..errors import CapacityError, DomainError
 from ..harmonic import (
     DEFAULT_TOL,
@@ -347,8 +347,9 @@ def generalized_pav(
     certified upper bound of every solved subset; a screened subset's bound
     lies below the winner's score.
     """
-    if not (math.isfinite(eps) and eps > 0):
+    if not (math.isfinite(as_real("eps", eps)) and eps > 0):
         raise DomainError(f"eps must be finite and positive, got {eps}")
+    as_real("tol", tol)
     if inst.m > DEFAULT_GOOD_CAP and not force:
         raise CapacityError(
             f"goods enumeration capped at {DEFAULT_GOOD_CAP} (instance has {inst.m}); "

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, format_rational
+from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, as_real, format_rational
 from .errors import DomainError, UnsupportedInstanceError
 
 
@@ -239,7 +239,7 @@ def verify_ejr_1(
     """EJR up to one: utilities are exact rationals, so the strict compare
     is exact; ``margin`` relaxes the threshold for scores produced by
     approximate optimizers."""
-    if not math.isfinite(margin):
+    if not math.isfinite(as_real("margin", margin)):
         raise DomainError(f"margin must be finite, got {margin}")
     if margin < -1:
         raise DomainError(f"margin must be at least -1, got {margin}")

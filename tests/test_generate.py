@@ -169,6 +169,10 @@ class TestRandom:
         with pytest.raises(DomainError, match="density must lie in"):
             gen_random(n=3, m=2, cake_atoms=2, alpha=F(2), density=density, seed=0)
 
+    def test_bool_density_rejected(self):
+        with pytest.raises(DomainError, match="^density must be a number, got True$"):
+            gen_random(n=3, m=2, cake_atoms=2, alpha=F(2), density=True, seed=0)
+
     @pytest.mark.parametrize("m, cake_atoms", [(2, -1), (-4, 6), (-1, -1)])
     def test_negative_counts_rejected(self, m, cake_atoms):
         with pytest.raises(DomainError, match="m and cake_atoms must be nonnegative"):

@@ -129,6 +129,17 @@ class TestCertifiedBounds:
         with pytest.raises(DomainError):
             harmonic(x, tol)
 
+    def test_bools_rejected(self):
+        # tol=True certified only to 1.0, and harmonic(True) returned H_1
+        with pytest.raises(DomainError, match="^tol must be a number, got True$"):
+            harmonic(2, tol=True)
+        for x in (True, False):
+            with pytest.raises(DomainError, match=f"^x must be a number, got {x}$"):
+                harmonic(x)
+        with pytest.raises(DomainError, match="^x must be a number, got True$"):
+            harmonic_sum([2, True])
+        assert harmonic(2, tol=1).value == harmonic(2).value == 1.5
+
 
 def assert_vec_certified(xs) -> None:
     """Every element of harmonic_vec lies within its bound of mpmath's H_x."""

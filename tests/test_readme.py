@@ -21,3 +21,4 @@ def test_library_sketch_runs():
     assert namespace["pav"].subsets_solved > 0
     ledger = namespace["ledger"]
     assert ledger.pops == ledger.iterations + ledger.stale > 0
+    assert namespace["bought"][0].payments == {0: Fraction(9, 20), 1: Fraction(9, 20)}

@@ -24,7 +24,8 @@ from mixvote import (
     verify_ejr_1,
 )
 from mixvote.core import allocation_to_dict, atomize, format_rational
-from mixvote.errors import DomainError
+from mixvote.errors import DomainError, InvariantError
+from mixvote.rules import mes as mes_module
 from mixvote.generate import gen_fig1, gen_random, gen_thm4
 from mixvote.rules import PaymentLedger, Purchase
 
@@ -149,16 +150,9 @@ def test_thm4_cake_instance_gets_cake_ejr():
     assert verify_cake_ejr(inst, alloc).passed
 
 
-def test_partial_interval_purchase_resumes_at_higher_price():
-    """A mid-interval budget exhaustion leaves the remainder in play; the
-    surviving approver buys a further stretch at the recomputed price.
-
-    Hand-derived run: g1 at rho 1/3 (payers 0, 2, 3), then [0, 5/6] of the
-    cake at rho 1/2 exhausting agent 0, then [5/6, 7/6] at rho 1 exhausting
-    agent 1.
-    """
+def resuming_instance() -> Instance:
     cake = normalize([(F(0), F(2))])
-    inst = Instance(
+    return Instance(
         cake_length=F(2),
         goods=("g1",),
         agents=(
@@ -169,7 +163,17 @@ def test_partial_interval_purchase_resumes_at_higher_price():
         ),
         alpha=F(3),
     )
-    alloc, ledger = generalized_mes(inst)
+
+
+def test_partial_interval_purchase_resumes_at_higher_price():
+    """A mid-interval budget exhaustion leaves the remainder in play; the
+    surviving approver buys a further stretch at the recomputed price.
+
+    Hand-derived run: g1 at rho 1/3 (payers 0, 2, 3), then [0, 5/6] of the
+    cake at rho 1/2 exhausting agent 0, then [5/6, 7/6] at rho 1 exhausting
+    agent 1.
+    """
+    alloc, ledger = generalized_mes(resuming_instance())
     assert alloc.goods == frozenset({"g1"})
     assert alloc.cake == normalize([(F(0), F(7, 6))])
     assert [(p.item, p.rho) for p in ledger.purchases] == [
@@ -292,6 +296,99 @@ def test_payment_checks_survive_optimize_flag():
         f"InvariantError: payment -9/20 by agent 1 for {item} is not positive",
         f"InvariantError: payer 2 of {item} is not an agent",
     ]
+
+
+def test_purchases_are_built_on_first_read(monkeypatch):
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(Purchase(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(mes_module, "Purchase", counted)
+    inst = gen_random(n=60, m=6, cake_atoms=6, alpha=F(9, 4), density=0.05, seed=3)
+    alloc, ledger = generalized_mes(inst)
+    assert made == []
+    purchases = ledger.purchases
+    assert purchases == made and len(made) == ledger.iterations > 0
+    assert ledger.purchases is purchases
+    assert len(made) == ledger.iterations
+    assert alloc.goods == {p.item for p in purchases if p.x is None}
+
+
+@given(index_instances())
+@settings(max_examples=100, deadline=None)
+def test_validate_reads_both_forms_of_a_ledger(inst):
+    alloc, ledger = generalized_mes(inst)
+    unpaid = [g for g in inst.goods if g not in alloc.goods]
+    ledger.validate(inst, alloc)  # from the int records
+    built = ledger.purchases
+    ledger.validate(inst, alloc)  # from the Purchase list
+    assert ledger.purchases is built
+    if unpaid:
+        extra = alloc.union(Bundle(goods=frozenset(unpaid[:1])))
+        _, fresh = generalized_mes(inst)
+        with pytest.raises(InvariantError) as unread:
+            fresh.validate(inst, extra)
+        with pytest.raises(InvariantError) as read:
+            ledger.validate(inst, extra)
+        assert str(unread.value) == str(read.value)
+
+
+def four_approvers() -> Instance:
+    good = Bundle(goods=frozenset({"g1"}))
+    return Instance(cake_length=F(0), goods=("g1",), agents=(good,) * 4, alpha=F(1))
+
+
+# a record is (k, rho, unit, payers, paid, start, end); each case edits one
+# field of the first, keeping (but for the share of 0) its total at its cost
+TAMPERED_RECORDS = {
+    "payer 2 of fig1's cake": (
+        lambda: gen_fig1()[0], 3, lambda r: [0, 2],
+        f"payer 2 of {(F(0), F(9, 10))} is not an agent",
+    ),
+    "cake share 0": (
+        lambda: gen_fig1()[0], 4, lambda r: 0,
+        f"payment 0 by agent 0 for {(F(0), F(9, 10))} is not positive",
+    ),
+    "good paid 0 by two of four": (
+        four_approvers, 4, lambda r: [r[2] // 2, r[2] // 2, 0, 0],
+        "payment 0 by agent 2 for g1 is not positive",
+    ),
+    "good paid -1/4 by one of four": (
+        four_approvers, 4, lambda r: [r[2] // 2, r[2] // 2, r[2] // 4, -r[2] // 4],
+        "payment -1/4 by agent 3 for g1 is not positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TAMPERED_RECORDS))
+def test_tampered_records_fail_alike_before_and_after_reading(name):
+    make, field, value, message = TAMPERED_RECORDS[name]
+    inst = make()
+    alloc, ledger = generalized_mes(inst)
+    record = list(ledger._records[0])
+    record[field] = value(record)
+    ledger._records[0] = tuple(record)
+    with pytest.raises(InvariantError) as unread:
+        ledger.validate(inst, alloc)
+    ledger.purchases  # built from the tampered record
+    with pytest.raises(InvariantError) as read:
+        ledger.validate(inst, alloc)
+    assert str(unread.value) == str(read.value) == message
+
+
+@pytest.mark.parametrize("make, edit", [
+    (lambda: gen_fig1()[0], lambda budgets: budgets.update({99: F(0)})),
+    (lambda: gen_fig1()[0], lambda budgets: budgets.update({"x": F(0)})),
+    (resuming_instance, lambda budgets: budgets.pop(0)),  # agent 0 ends with 0
+])
+def test_final_budgets_name_exactly_the_agents(make, edit):
+    inst = make()
+    alloc, ledger = generalized_mes(inst)
+    edit(ledger.final_budgets)
+    with pytest.raises(InvariantError, match=rf"^final budgets must name exactly the agents 0\.\.{inst.n - 1}$"):
+        ledger.validate(inst, alloc)
 
 
 def _rational(q):

@@ -413,6 +413,13 @@ def test_eps_checked_before_solving(fig1, eps, with_cake):
         generalized_pav(inst, eps=eps)
 
 
+@pytest.mark.parametrize("name", ["eps", "tol"])
+def test_bool_eps_or_tol_rejected(fig1, name):
+    # eps=True ran at eps 1.0
+    with pytest.raises(DomainError, match=rf"^{name} must be a number, got True$"):
+        generalized_pav(fig1, **{name: True})
+
+
 # ---------------------------------------------------------------------------
 # The cake solver on its own: maximize sum_i H(base_i + approved lengths)
 # over class lengths in [0, L] summing to at most the budget.

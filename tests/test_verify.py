@@ -270,6 +270,12 @@ class TestModesAndErrors:
         # margin -1 is beta 0, still a valid relaxation
         assert verify_ejr_1(fig1, Bundle(), margin=-1.0).axiom == "ejr-1"
 
+    @pytest.mark.parametrize("margin", [True, False])
+    def test_bool_margin_rejected(self, fig1, margin):
+        # True ran EJR-2 (beta 1 + 1) under the label ejr-1
+        with pytest.raises(DomainError, match=rf"^margin must be a number, got {margin}$"):
+            verify_ejr_1(fig1, Bundle(), margin=margin)
+
     def test_bad_mode_rejected(self, fig1):
         with pytest.raises(DomainError):
             verify_ejr_beta(fig1, Bundle(), F(1), "sorta")
