@@ -118,7 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     outputs = {"allocation": alloc_path}
     if args.rule == "greedy-ejr-m":
         policy = _load(args.script, _script) if args.script else None
-        bundle, trace = greedy_ejr_m(inst, tie_breaker=policy, force=args.force)
+        bundle, trace = greedy_ejr_m(inst, tie_breaker=policy)
         sidecar = base + ".trace.json"
         save_json(sidecar, {
             "rounds": [
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tie-breaker", default="default", choices=["default", "script"])
     p_run.add_argument("--script", help="tie-break script file (with --tie-breaker script)")
     p_run.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p_run.add_argument("--force", action="store_true")
+    p_run.add_argument("--force", action="store_true", help="lift the goods cap of gpav and mnw")
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 

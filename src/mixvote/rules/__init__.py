@@ -1,11 +1,11 @@
 """Allocation rules for mixed-goods instances."""
 
+from ..core import achievable_exact_size
 from .greedy import (
     DefaultTieBreaker,
     GreedyRound,
     GreedyTrace,
     ScriptedTieBreaker,
-    achievable_exact_size,
     canonical_witness,
     greedy_ejr_m,
 )

@@ -2,9 +2,9 @@
 
 Each round finds the largest t* such that some remaining group is
 t*-cohesive and commonly approves a sub-bundle of size exactly t*, removes
-one such group, and adds its witness bundle to the allocation.  The group
-search is exhaustive over common-bundle classes (exponential in the worst
-case; the instance size is capped unless forced).
+one such group, and adds its witness bundle to the allocation.  A round is
+one scan of the instance's exact tier table, built once from the approval
+closure, so the closure cap (``CapacityError``) bounds every round.
 """
 
 from __future__ import annotations
@@ -14,18 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# achievable_exact_size and exact_size live in core and are re-exported here
-from ..core import (
-    Bundle,
-    EMPTY_BUNDLE,
-    Instance,
-    achievable_exact_size,
-    common_bundle,
-    exact_size,
-)
-from ..errors import CapacityError, InvariantError, ScriptError
-
-DEFAULT_AGENT_CAP = 20
+from ..core import Bundle, EMPTY_BUNDLE, Instance, common_bundle
+from ..errors import InvariantError, ScriptError
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class ScriptedTieBreaker:
     """
 
     def __init__(self, steps: Sequence[tuple[Sequence[int], Bundle]]):
-        self._steps = [(frozenset(g), w) for g, w in steps]
+        self._steps = [(tuple(g), w) for g, w in steps]
         self._cursor = 0
         self._fallback = DefaultTieBreaker()
 
@@ -91,8 +81,15 @@ class ScriptedTieBreaker:
     ) -> tuple[frozenset[int], Bundle]:
         if self._cursor >= len(self._steps):
             return self._fallback.choose(inst, remaining, t_star, achieving_groups)
-        group, witness = self._steps[self._cursor]
+        members, witness = self._steps[self._cursor]
         self._cursor += 1
+        for i in members:
+            # a bool or a float would pass for the int it equals
+            if type(i) is not int or not 0 <= i < inst.n:
+                raise ScriptError(
+                    f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}"
+                )
+        group = frozenset(members)
         if not group <= remaining:
             raise ScriptError("scripted group contains already-removed agents")
         if len(group) * inst.alpha < t_star * inst.n:
@@ -111,14 +108,8 @@ class ScriptedTieBreaker:
 def greedy_ejr_m(
     inst: Instance,
     tie_breaker: DefaultTieBreaker | ScriptedTieBreaker | None = None,
-    force: bool = False,
 ) -> tuple[Bundle, GreedyTrace]:
     """Run the greedy rule; returns the allocation and its round trace."""
-    if inst.n > DEFAULT_AGENT_CAP and not force:
-        raise CapacityError(
-            f"exhaustive group search capped at {DEFAULT_AGENT_CAP} agents "
-            f"(instance has {inst.n}); pass force=True to override"
-        )
     policy = tie_breaker or DefaultTieBreaker()
     index = inst.index
     unit = index.denominator

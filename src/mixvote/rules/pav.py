@@ -302,6 +302,11 @@ class _CakeClasses:
         return atom_lengths
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(as_real("eps", eps)) and eps > 0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
+
+
 def concave_cake_opt(
     inst: Instance,
     atoms: list[Atom],
@@ -315,6 +320,7 @@ def concave_cake_opt(
     Atoms sharing an approver set are interchangeable for the score, so they
     are merged for the solve and refilled left to right afterwards.
     """
+    _check_eps(eps)
     budget = as_rational("budget", budget)
     table = _CakeClasses(inst, atoms)
     goods_mask = sum(1 << k for k, g in enumerate(inst.goods) if g in fixed_goods)
@@ -347,8 +353,7 @@ def generalized_pav(
     certified upper bound of every solved subset; a screened subset's bound
     lies below the winner's score.
     """
-    if not (math.isfinite(as_real("eps", eps)) and eps > 0):
-        raise DomainError(f"eps must be finite and positive, got {eps}")
+    _check_eps(eps)
     as_real("tol", tol)
     if inst.m > DEFAULT_GOOD_CAP and not force:
         raise CapacityError(

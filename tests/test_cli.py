@@ -214,13 +214,33 @@ def test_non_string_good_name_is_usage_error(tmp_path, capsys):
 
 
 def test_capacity_exit_code(tmp_path, capsys):
+    # gpav's goods cap is 16; --force lifts it
+    inst = tmp_path / "many_goods.json"
+    run_cli(
+        capsys, "gen", "--construction", "random", "--n", "3", "--m", "17",
+        "--alpha", "1", "--seed", "1", "--out", str(inst),
+    )
+    code = dispatch(["run", "--rule", "gpav", "--instance", str(inst)])
+    assert code == EXIT_CAPACITY
+    assert "goods enumeration capped at 16" in capsys.readouterr().err
+    code, _ = run_cli(capsys, "run", "--rule", "gpav", "--instance", str(inst), "--force")
+    assert code == EXIT_OK
+
+
+def test_greedy_has_no_agent_cap(tmp_path, capsys):
+    # this n=25 run exited 3 while greedy capped the agents at 20
     inst = tmp_path / "big.json"
     run_cli(
         capsys, "gen", "--construction", "random", "--n", "25", "--m", "2",
         "--alpha", "1", "--seed", "1", "--out", str(inst),
     )
     code, _ = run_cli(capsys, "run", "--rule", "greedy-ejr-m", "--instance", str(inst))
-    assert code == EXIT_CAPACITY
+    assert code == EXIT_OK
+    alloc = tmp_path / "big.greedy-ejr-m.alloc.json"
+    code, _ = run_cli(
+        capsys, "verify", "--axiom", "ejr-m", "--instance", str(inst), "--allocation", str(alloc),
+    )
+    assert code == EXIT_OK
 
 
 def test_reports_idempotent_modulo_timing(tmp_path, capsys):
@@ -342,6 +362,19 @@ def test_tie_breaker_and_script_go_together(fig1_files, capsys, flags, message):
     code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", inst, *flags])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("member", [0.0, True, "0", 7, -1])
+def test_script_member_not_an_agent_is_usage_error(fig1_files, tmp_path, capsys, member):
+    inst, _ = fig1_files
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps([{"group": [member], "witness": {"goods": ["g2"], "cake": []}}]))
+    code = dispatch([
+        "run", "--rule", "greedy-ejr-m", "--instance", inst,
+        "--tie-breaker", "script", "--script", str(path),
+    ])
+    assert code == EXIT_USAGE
+    assert f"scripted group member {member!r} is not an agent index in 0..1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rule", ["gmes", "gpav", "mnw"])

@@ -258,7 +258,7 @@ def allocations(inst):
     """The greedy output plus grid-3 enumerations, whose cake denominators
     need not divide the index denominator."""
     cfg = EnumerationConfig(cake_grid=3, max_candidates=1 << 16)
-    yield greedy_ejr_m(inst, force=True)[0]
+    yield greedy_ejr_m(inst)[0]
     yield from itertools.islice(enumerate_allocations(inst, cfg), 6)
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,7 @@ from mixvote import (
     Bundle,
     Instance,
     common_bundle,
+    gen_random,
     greedy_ejr_m,
     normalize,
     utilities,
@@ -17,7 +20,7 @@ from mixvote import (
     verify_ejr_m,
 )
 from mixvote.core import allocation_to_dict
-from mixvote.errors import CapacityError, ScriptError
+from mixvote.errors import ScriptError
 from mixvote.rules import ScriptedTieBreaker, achievable_exact_size
 
 from conftest import brute_max_round_t, make_mixed
@@ -132,14 +135,34 @@ def test_pure_cake_output_satisfies_cake_ejr(seed):
     assert verify_cake_ejr(inst, alloc).passed
 
 
-def test_capacity_cap_and_force():
-    from mixvote import gen_random
-
+def test_no_agent_cap():
+    # n=21 was refused without force=True, which greedy no longer takes
     inst = gen_random(n=21, m=2, cake_atoms=0, alpha=F(1), density=0.4, seed=0)
-    with pytest.raises(CapacityError):
-        greedy_ejr_m(inst)
-    alloc, _ = greedy_ejr_m(inst, force=True)
+    alloc, _ = greedy_ejr_m(inst)
     assert alloc.size() <= inst.alpha
+    assert verify_ejr_m(inst, alloc).passed
+    with pytest.raises(TypeError):
+        greedy_ejr_m(inst, force=True)
+
+
+# sha256 of the rounds (t*, sorted group, witness) at n=300, m=30, 30 atoms,
+# pinned from the rule as it ran under force=True before the agent cap went
+GOLDEN_GREEDY_300 = "5489be003c4d6a1cb9e267007d0dec0bbcf743ad906a1a7a280de373c6633a1f"
+
+
+def test_mes_scale_rounds_pinned():
+    inst = gen_random(n=300, m=30, cake_atoms=30, alpha=F(45, 4), density=0.05, seed=7)
+    started = time.perf_counter()
+    alloc, trace = greedy_ejr_m(inst)
+    elapsed = time.perf_counter() - started
+    rounds = [
+        [str(r.t_star), sorted(r.group), allocation_to_dict(inst, r.witness)]
+        for r in trace.rounds
+    ]
+    digest = hashlib.sha256(json.dumps(rounds, sort_keys=True).encode()).hexdigest()
+    assert (len(rounds), digest) == (31, GOLDEN_GREEDY_300)
+    assert verify_ejr_m(inst, alloc).passed
+    assert elapsed < 1.0
 
 
 class TestScriptedPolicy:
@@ -151,6 +174,21 @@ class TestScriptedPolicy:
     def test_unapproved_witness_rejected(self, fig1):
         script = ScriptedTieBreaker([([0], Bundle(goods=frozenset({"g2"})))])
         with pytest.raises(ScriptError):
+            greedy_ejr_m(fig1, tie_breaker=script)
+
+    @pytest.mark.parametrize("member", [0.0, True, "0", 7, -1])
+    def test_group_member_must_be_an_agent_index(self, fig1, member):
+        # 0.0 failed with a TypeError, True ran as agent 1, and "0", 7 and -1
+        # were reported as already removed
+        script = ScriptedTieBreaker([([member], Bundle(goods=frozenset({"g2"})))])
+        message = rf"^scripted group member {re.escape(repr(member))} is not an agent index in 0\.\.1$"
+        with pytest.raises(ScriptError, match=message):
+            greedy_ejr_m(fig1, tie_breaker=script)
+
+    def test_removed_agent_rejected(self, fig1):
+        step = ([0], Bundle(goods=frozenset({"g1"})))
+        script = ScriptedTieBreaker([step, step])
+        with pytest.raises(ScriptError, match="^scripted group contains already-removed agents$"):
             greedy_ejr_m(fig1, tie_breaker=script)
 
     def test_valid_script_steers_the_round(self, fig1):

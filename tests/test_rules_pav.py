@@ -108,6 +108,18 @@ class TestConcaveCakeOpt:
         assert lengths[(F(0), F(9, 10))] == F(9, 10)
         assert gap == 0.0
 
+    @pytest.mark.parametrize("eps, message", [
+        (True, r"^eps must be a number, got True$"),
+        (float("nan"), "^eps must be finite and positive, got nan$"),
+        (-1.0, "^eps must be finite and positive, got -1.0$"),
+        (0.0, "^eps must be finite and positive, got 0.0$"),
+    ])
+    def test_eps_checked_as_in_generalized_pav(self, fig1, eps, message):
+        # each of these returned gap 0.0 on fig1's cake
+        atoms = [a for a in atomize(fig1, fig1.full_cake(), fig1.goods) if not a.is_good]
+        with pytest.raises(DomainError, match=message):
+            concave_cake_opt(fig1, atoms, frozenset({"g1"}), F(1), eps=eps)
+
 
 @pytest.mark.parametrize("seed", range(12))
 def test_indivisible_score_equals_exact_oracle(seed):
