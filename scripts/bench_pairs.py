@@ -10,8 +10,13 @@ drift of a shared host falls on both.  The base is the
 temporary directory that is removed on exit, failure included.  The output
 file holds the environment, and per spec and side the median and quartiles
 of every end-to-end metric of ``BENCHMARK.json``, the pairs the change won
-on each metric, and the output digests.  A run that fails ends the script
-with its spec, side, exit code and the end of its stderr.
+on each metric, and the output digests.  Per spec, ``digests_equal`` says
+whether both sides gave the same output digests, and per metric
+``meets_gain_rule`` whether a gain there would hold as a claim: the change
+won at least 9 in 10 pairs, and its median beats the base median, in the
+metric's better direction, by more than the base's quartile spread.  A
+run that fails ends the script with its spec, side, exit code and the end
+of its stderr.
 """
 
 from __future__ import annotations
@@ -68,11 +73,17 @@ def compare(spec: str, base: Path, seconds: float, metrics: list[dict]) -> tuple
                      for m in metrics}
         out[side]["output_digests"] = sorted({d for rep, _ in done for d in rep["output_digest"]})
         out[side]["all_correct"] = all(r["correct"] for _, r in done)
-    out["change_won"] = {}
+    out["digests_equal"] = out["base"]["output_digests"] == out["change"]["output_digests"]
+    out["change_won"], out["meets_gain_rule"] = {}, {}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
-        base_runs, change_runs = (out[side][m["name"]]["runs"] for side in ("base", "change"))
-        out["change_won"][m["name"]] = sum(sign * (c - b) > 0 for b, c in zip(base_runs, change_runs))
+        base, change = (out[side][m["name"]] for side in ("base", "change"))
+        won = sum(sign * (c - b) > 0 for b, c in zip(base["runs"], change["runs"]))
+        out["change_won"][m["name"]] = won
+        out["meets_gain_rule"][m["name"]] = (
+            10 * won >= 9 * int(pairs)
+            and sign * (change["median"] - base["median"]) > base["q3"] - base["q1"]
+        )
     return out, runs["base"][0][0]["environment"]
 
 

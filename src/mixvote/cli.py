@@ -84,6 +84,20 @@ def _sizes(text: str) -> list[tuple[int, int, int]]:
     return sizes
 
 
+def _inapplicable(kind: str, choice: str, flags) -> str | None:
+    """The usage message for the first given flag that does not apply to
+    ``--kind choice``; ``flags`` holds (flag, given, choices it applies to)."""
+    for flag, given, applies in flags:
+        if given and choice not in applies:
+            return f"{flag} applies to --{kind} {' and '.join(applies)} only"
+    return None
+
+
+def _given(**flags) -> dict:
+    """The flags that were passed, so an absent one keeps the library default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
@@ -102,8 +116,13 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.tie_breaker == "script" and args.rule != "greedy-ejr-m":
-        print("--tie-breaker script applies to --rule greedy-ejr-m only", file=sys.stderr)
+    misused = _inapplicable("rule", args.rule, (
+        ("--tie-breaker script", args.tie_breaker == "script", ("greedy-ejr-m",)),
+        ("--force", args.force, ("gpav", "mnw")),
+        ("--eps", args.eps is not None, ("gpav",)),
+    ))
+    if misused:
+        print(misused, file=sys.stderr)
         return EXIT_USAGE
     if args.tie_breaker == "script" and args.script is None:
         print("--script is required for --tie-breaker script", file=sys.stderr)
@@ -155,10 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs["ledger"] = sidecar
     elif args.rule == "gpav":
         solution = generalized_pav(
-            inst,
-            eps=args.eps,
-            force=args.force,
-            tol=args.harmonic_tol,
+            inst, force=args.force, tol=args.harmonic_tol, **_given(eps=args.eps)
         )
         bundle = solution.allocation
         sidecar = base + ".solution.json"
@@ -191,17 +207,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    misused = _inapplicable("axiom", args.axiom, (
+        ("--margin", args.margin is not None, ("ejr-1",)),
+        ("--beta", args.beta is not None, ("ejr-beta",)),
+        ("--mode", args.mode is not None, ("ejr-beta",)),
+    ))
+    if misused:
+        print(misused, file=sys.stderr)
+        return EXIT_USAGE
     inst = _load(args.instance, instance_from_dict)
     allocation = _load(args.allocation, allocation_from_dict)
     if args.axiom == "ejr-m":
         report = verify_ejr_m(inst, allocation)
     elif args.axiom == "ejr-1":
-        report = verify_ejr_1(inst, allocation, margin=args.margin)
+        report = verify_ejr_1(inst, allocation, **_given(margin=args.margin))
     elif args.axiom == "ejr-beta":
         if args.beta is None:
             print("--beta is required for ejr-beta", file=sys.stderr)
             return EXIT_USAGE
-        report = verify_ejr_beta(inst, allocation, args.beta, args.mode)
+        report = verify_ejr_beta(inst, allocation, args.beta, **_given(mode=args.mode))
     else:
         report = verify_cake_ejr(inst, allocation)
     _emit(report.to_dict(), args.out)
@@ -325,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--tie-breaker", default="default", choices=["default", "script"])
     p_run.add_argument("--script", help="tie-break script file (with --tie-breaker script)")
-    p_run.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_run.add_argument("--eps", type=float, help=f"gpav's solver tolerance (default {DEFAULT_EPS})")
     p_run.add_argument("--force", action="store_true", help="lift the goods cap of gpav and mnw")
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
@@ -334,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--axiom", required=True, choices=["ejr-m", "ejr-1", "ejr-beta", "cake-ejr"])
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--allocation", required=True)
-    p_verify.add_argument("--beta", type=parse_rational)
-    p_verify.add_argument("--mode", default="strict", choices=["strict", "weak"])
-    p_verify.add_argument("--margin", type=float, default=0.0)
+    p_verify.add_argument("--beta", type=parse_rational, help="ejr-beta only (required)")
+    p_verify.add_argument("--mode", choices=["strict", "weak"], help="ejr-beta only (default strict)")
+    p_verify.add_argument("--margin", type=float, help="ejr-1 only (default 0)")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 

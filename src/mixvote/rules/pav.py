@@ -265,9 +265,17 @@ class _CakeClasses:
         utils = [(mask & goods_mask).bit_count() for mask in self.masks]
         base = np.array(utils, dtype=float)
         y_rat, gap = _solve(base, self.inc, self.flengths, self.lengths, budget, eps)
+        # cake sums on ints over the amounts' common denominator; one
+        # Fraction per agent that gets cake, the goods count otherwise
+        den = math.lcm(*(y.denominator for y in y_rat))
+        cake = [0] * len(utils)
         for group, amount in zip(self.members, y_rat):
+            share = amount.numerator * (den // amount.denominator)
             for i in group:
-                utils[i] += amount
+                cake[i] += share
+        for i, c in enumerate(cake):
+            if c:
+                utils[i] = Fraction(utils[i] * den + c, den)
         return y_rat, harmonic_sum(utils, tol), gap
 
     def bound(self, goods_mask: int, budget: Fraction, relaxed: Sequence[int]) -> float:

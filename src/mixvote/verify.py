@@ -46,10 +46,19 @@ same way.  Every reader (``_scan``, ``audit_degree``,
 
 Thresholds are nondecreasing in k in both modes (min(k*share, size) and
 ``exact_size`` are monotone in the cap).  A member fails a tier when its
-utility is at most the threshold minus an offset, so when a row's
-least-served approver has utility above the row's top threshold minus
-that offset, every member of every tier of that row clears its
-threshold, and the scan skips the row without sorting its approvers.
+utility is at most the threshold minus an offset, so no tier of a row is
+more violated than the row's top threshold minus its least-served
+approver's utility.  The scan skips a row, without sorting its
+approvers, when that bound cannot fail, or, once a failing tier is
+found, when it is strictly below the worst violation so far: every tier
+of the row is then strictly less violated, so none can win the "smaller
+t, then smaller group" tie-break, while a tie is still visited.  The
+least utility of any agent bounds every row's least-served approver
+from below, so a row whose top threshold lies under that floor plus the
+offset (raised as violations are found) is skipped before the min over
+its approvers is taken.  The witness is the minimum over all failing
+tiers, so it does not depend on which rows are visited; ``audit_degree``
+and ``cohesive_profiles`` walk every row in closure order.
 Comparisons are on ints; ints at a common denominator are still exact
 rationals, and witnesses are converted back to ``Fraction``.
 """
@@ -112,6 +121,7 @@ def _profile_tiers(
     u: Sequence[int],
     scale: int = 1,
     off: int | None = None,
+    bar: list[int] | None = None,
 ) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
     """Yield ((row, thresholds), approvers sorted by utility) for every
     entry of a tier table (``InstanceIndex.tiers``).
@@ -119,17 +129,34 @@ def _profile_tiers(
     The sort is stable and ``row.approvers`` ascends by index, so agents
     come worst-utility-first with ties in index order; the k-th prefix is
     the hardest group of size k for that bundle, and its threshold at the
-    utilities' unit is ``thresholds[k - 1] * scale``.  With ``off``, a row
-    is skipped unsorted when its least-served approver has utility above
-    its top threshold minus ``off``: thresholds are nondecreasing in k, so
-    then no member of any of its tiers is at or below that tier's
-    threshold minus ``off``.
+    utilities' unit is ``thresholds[k - 1] * scale``.
+
+    With ``off``, a row that cannot matter is skipped unsorted.  A tier's
+    gap is its best-served member's utility minus its threshold, and the
+    tier fails when its gap is at most -off.  Thresholds are nondecreasing
+    in k, so no gap of a row is below least - top: its least-served
+    approver's utility minus its top threshold.  ``bar`` is a one-element
+    list, [-off] unless given, that the caller lowers to the worst gap
+    found so far.  A row is skipped when
+
+    - least - top > bar[0] (the bar test): before any failure, no tier of
+      the row fails; after one, every tier of the row is strictly less
+      violated than the worst found, so none can be the witness.  A row
+      that ties may hold a smaller t or group, so the test is strict;
+    - top < min(u) - bar[0] (the floor test): no agent's utility is below
+      min(u), so the bar test would hold; this one is checked first, as
+      it needs no min over the row's approvers.
     """
+    if off is not None:
+        bar = [-off] if bar is None else bar
+        lowest = min(u)
     for tier in table:
         row, thresholds = tier
         if off is not None:
-            least = min(map(u.__getitem__, row.approvers))
-            if least > thresholds[-1] * scale - off:
+            top = thresholds[-1] * scale
+            if top < lowest - bar[0]:
+                continue
+            if min(map(u.__getitem__, row.approvers)) - top > bar[0]:
                 continue
         yield tier, sorted(row.approvers, key=u.__getitem__)
 
@@ -181,8 +208,9 @@ def _scan(
     scale = unit // index.denominator
     # ((-violation, t), group, agent with the group's max utility); smallest wins
     worst: tuple | None = None
+    bar = [-off]  # the worst gap u - t found so far, or -off before any
     table = index.tiers(exact)
-    for (_, thresholds), members in _profile_tiers(table, u, scale, off):
+    for (_, thresholds), members in _profile_tiers(table, u, scale, off, bar):
         for k, (i, t) in enumerate(zip(members, thresholds), 1):
             t *= scale
             if t <= 0 or u[i] > t - off:
@@ -193,6 +221,7 @@ def _scan(
             candidate = (head, tuple(sorted(members[:k])), i)
             if worst is None or candidate < worst:
                 worst = candidate
+                bar[0] = head[0]
     witness = None
     if worst is not None:
         (_, t), group, i = worst

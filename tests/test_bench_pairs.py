@@ -54,6 +54,7 @@ def test_compare_summarizes_each_side(monkeypatch):
     assert out["change_won"] == {"items_per_ref_s": 2, "item_ref_ms_p50": 1}
     assert out["base"]["output_digests"] == ["d1"]
     assert out["change"]["output_digests"] == ["d1", "d2"]
+    assert not out["digests_equal"]
     assert out["base"]["all_correct"] and out["change"]["all_correct"]
     assert env == {"tree": "base"}
 
@@ -63,6 +64,51 @@ def test_one_incorrect_run_marks_its_side(monkeypatch):
                             (10.0, 5.0, "d", True), (10.0, 5.0, "d", False)])
     out, _ = bench_pairs.compare("verify-chain:2:2", Path("base"), 30, METRICS)
     assert out["base"]["all_correct"] and not out["change"]["all_correct"]
+    assert out["digests_equal"]
+
+
+def gain_runs(base_values, change_values):
+    """Alternating stub runs where both metrics take the given values, so a
+    rise is a gain in items_per_ref_s and a loss in item_ref_ms_p50."""
+    return [(value, value, "d", True)
+            for pair in zip(base_values, change_values) for value in pair]
+
+
+BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize("change, meets", [
+    # 10 of 10 won, median 114.5 against 104.5, beyond the spread 107.25 - 101.75
+    ([v + 10 for v in BASE], True),
+    # 9 of 10 won still holds
+    ([v + 10 for v in BASE[:9]] + [90.0], True),
+    # 8 of 10 won does not
+    ([v + 10 for v in BASE[:8]] + [90.0, 90.0], False),
+    # 10 of 10 won, but the median gain 5 lies inside the spread 5.5
+    ([v + 5 for v in BASE], False),
+    # a median gain equal to the spread is not more than it
+    ([v + 5.5 for v in BASE], False),
+])
+def test_gain_rule(monkeypatch, change, meets):
+    stub_runs(monkeypatch, gain_runs(BASE, change))
+    out, _ = bench_pairs.compare("verify-chain:1:10", Path("base"), 30, METRICS)
+    assert out["meets_gain_rule"] == {"items_per_ref_s": meets, "item_ref_ms_p50": False}
+
+
+def test_gain_rule_reads_the_better_direction(monkeypatch):
+    """Falling values are a gain only where lower is better."""
+    stub_runs(monkeypatch, gain_runs(BASE, [v - 10 for v in BASE]))
+    out, _ = bench_pairs.compare("verify-chain:1:10", Path("base"), 30, METRICS)
+    assert out["change_won"] == {"items_per_ref_s": 0, "item_ref_ms_p50": 10}
+    assert out["meets_gain_rule"] == {"items_per_ref_s": False, "item_ref_ms_p50": True}
+
+
+def test_gain_rule_over_fewer_pairs(monkeypatch):
+    """At 3 pairs, 9 in 10 means all 3."""
+    stub_runs(monkeypatch, gain_runs(BASE[:3], [200.0, 200.0, 50.0]))
+    out, _ = bench_pairs.compare("verify-chain:2:3", Path("base"), 30, METRICS)
+    assert out["change_won"]["items_per_ref_s"] == 2
+    assert not out["meets_gain_rule"]["items_per_ref_s"]
 
 
 def failing_benchmark(monkeypatch):

@@ -392,6 +392,65 @@ def test_script_tie_breaker_is_greedy_only(fig1_files, tmp_path, capsys, rule, s
     assert not (tmp_path / f"fig1.{rule}.alloc.json").exists()
 
 
+@pytest.mark.parametrize("rule, flags, message", [
+    ("greedy-ejr-m", ["--force", "--eps", "-5"], "--force applies to --rule gpav and mnw only"),
+    ("greedy-ejr-m", ["--force"], "--force applies to --rule gpav and mnw only"),
+    ("gmes", ["--force"], "--force applies to --rule gpav and mnw only"),
+    ("greedy-ejr-m", ["--eps", "-5"], "--eps applies to --rule gpav only"),
+    ("gmes", ["--eps", "1e-9"], "--eps applies to --rule gpav only"),
+    ("mnw", ["--eps", "1e-9"], "--eps applies to --rule gpav only"),
+])
+def test_run_flag_that_does_not_apply_is_usage_error(fig1_files, tmp_path, capsys, rule, flags, message):
+    inst, _ = fig1_files
+    code = dispatch(["run", "--rule", rule, "--instance", inst, *flags])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / f"fig1.{rule}.alloc.json").exists()
+
+
+def test_gpav_without_eps_takes_the_default(fig1_files, tmp_path, capsys):
+    inst, _ = fig1_files
+    sidecars = []
+    for flags in ([], ["--eps", str(cli.DEFAULT_EPS)]):
+        code, _ = run_cli(capsys, "run", "--rule", "gpav", "--instance", inst, *flags)
+        assert code == EXIT_OK
+        sidecars.append((tmp_path / "fig1.gpav.solution.json").read_text())
+    assert sidecars[0] == sidecars[1]
+
+
+@pytest.mark.parametrize("axiom, flags, message", [
+    ("ejr-m", ["--margin", "0.5", "--beta", "3", "--mode", "weak"],
+     "--margin applies to --axiom ejr-1 only"),
+    ("ejr-beta", ["--beta", "1", "--margin", "0"], "--margin applies to --axiom ejr-1 only"),
+    ("cake-ejr", ["--margin", "0"], "--margin applies to --axiom ejr-1 only"),
+    ("ejr-1", ["--mode", "weak", "--beta", "100"], "--beta applies to --axiom ejr-beta only"),
+    ("ejr-m", ["--beta", "3"], "--beta applies to --axiom ejr-beta only"),
+    ("ejr-1", ["--mode", "weak"], "--mode applies to --axiom ejr-beta only"),
+    ("cake-ejr", ["--mode", "strict"], "--mode applies to --axiom ejr-beta only"),
+])
+def test_verify_flag_that_does_not_apply_is_usage_error(fig1_files, capsys, axiom, flags, message):
+    inst, alloc = fig1_files
+    code = dispatch(["verify", "--axiom", axiom, "--instance", inst, "--allocation", alloc, *flags])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("axiom, absent, explicit", [
+    ("ejr-1", [], ["--margin", "0"]),
+    ("ejr-beta", ["--beta", "1/2"], ["--beta", "1/2", "--mode", "strict"]),
+])
+def test_absent_verify_flag_takes_the_library_default(fig1_files, capsys, axiom, absent, explicit):
+    inst, alloc = fig1_files
+    runs = [
+        run_cli(capsys, "verify", "--axiom", axiom, "--instance", inst, "--allocation", alloc, *flags)
+        for flags in (absent, explicit)
+    ]
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["axiom"] == ("ejr-1" if axiom == "ejr-1" else "ejr-beta[1/2,strict]")
+
+
 @pytest.mark.parametrize("field, value", [("alpha", "2/0"), ("cake_length", None)])
 def test_malformed_instance_file_is_usage_error(tmp_path, capsys, field, value):
     data = instance_to_dict(gen_fig1()[0])

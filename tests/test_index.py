@@ -49,7 +49,7 @@ from mixvote.errors import CapacityError, InvalidAllocationError, InvariantError
 from mixvote.generate import gen_random
 from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
-from mixvote.verify import DEGREE_BOUNDS, _profile_tiers
+from mixvote.verify import DEGREE_BOUNDS, AxiomReport, Witness, _profile_tiers
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_PRIME = 10**9 + 7
@@ -178,6 +178,45 @@ def naive_scan(inst, allocation, exact, beta=F(0), strict=False):
             if worst is None or rank < worst[0]:
                 worst = (rank, (rank[2], t, t - beta, max_u))
     return None if worst is None else worst[1]
+
+
+def reference_scan(inst, allocation, axiom, exact, beta=F(0), strict=False):
+    """``verify._scan`` without its row skips: every row of the tier table
+    is sorted and every tier compared, on the same ints and with the same
+    (gap, t, group) order."""
+    unit, _, u = inst.validate_allocation(allocation, beta.denominator)
+    off = beta.numerator * (unit // beta.denominator) + (0 if strict else 1)
+    scale = unit // inst.index.denominator
+    failing = []
+    for row, thresholds in inst.index.tiers(exact):
+        members = sorted(row.approvers, key=lambda i: (u[i], i))
+        for k, (i, t) in enumerate(zip(members, thresholds), 1):
+            t *= scale
+            if t > 0 and u[i] <= t - off:
+                failing.append(((u[i] - t, t), tuple(sorted(members[:k])), i))
+    witness = None
+    if failing:
+        (_, t), group, i = min(failing)
+        t = F(t, unit)
+        witness = Witness(group=group, t=t, threshold=t - beta, max_utility=F(u[i], unit))
+    return AxiomReport(axiom=axiom, passed=witness is None, witness=witness)
+
+
+def scan_cases(inst, alloc):
+    """(report, reference report) for every scanning verifier: EJR-M, EJR-1
+    at four margins, EJR-beta in both modes at five betas, cake-EJR."""
+    cases = [(verify_ejr_m(inst, alloc), ("ejr-m", True))]
+    for margin in (0, 1e-6, -0.5, 2.0):
+        cases.append((verify_ejr_1(inst, alloc, margin), ("ejr-1", False, 1 + F(margin), True)))
+    for beta in (F(0), F(1, 3), F(1), F(7, 5), F(3)):
+        for mode in ("strict", "weak"):
+            cases.append((
+                verify_ejr_beta(inst, alloc, beta, mode),
+                (f"ejr-beta[{beta},{mode}]", False, beta, mode == "strict"),
+            ))
+    if inst.m == 0:
+        cases.append((verify_cake_ejr(inst, alloc), ("cake-ejr", True)))
+    return [(report, reference_scan(inst, alloc, *args)) for report, args in cases]
 
 
 def naive_audit(inst, allocation, f, t_min=F(1)):
@@ -340,6 +379,26 @@ def test_profile_tiers_order_members_by_utility_then_index(inst, data):
         if off is None or min(u[i] for i in tier[0].approvers) <= tier[1][-1] - off
     ]
     assert list(_profile_tiers(table, u, 1, off)) == kept
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_skipping_scan_reports_as_the_full_scan(inst):
+    """The row skips of ``_profile_tiers`` leave every report as a scan of
+    every row gives it."""
+    for alloc in allocations(inst):
+        for report, reference in scan_cases(inst, alloc):
+            assert report.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_skipping_scan_reports_as_the_full_scan_on_larger_closures(seed):
+    """Ten to fifteen agents give closures of dozens of rows, so a failing
+    tier is often found before rows that the bar then skips."""
+    inst = gen_random(n=10 + seed, m=3, cake_atoms=3, alpha=F(5, 2), density=0.45, seed=seed)
+    for alloc in allocations(inst):
+        for report, reference in scan_cases(inst, alloc):
+            assert report.to_dict() == reference.to_dict()
 
 
 @given(instances(max_agents=4))

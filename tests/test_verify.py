@@ -404,6 +404,29 @@ def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     assert keyed == [row.approvers for row, _ in inst.index.tiers(exact=False)]
 
 
+def test_violation_tie_goes_to_the_smaller_t():
+    """Agent 0 approves the whole cake and gets 3/8, so it fails t = 1/2
+    by 1/8; agent 1 approves [7/8, 1] and gets nothing, so it fails
+    t = 1/8 by 1/8.  The scan meets the t = 1/2 row first; the later row
+    ties on violation and must still be scanned, since its smaller t wins."""
+    inst = Instance(F(1), (), (
+        Bundle(cake=normalize([(F(0), F(1))])),
+        Bundle(cake=normalize([(F(7, 8), F(1))])),
+    ), F(1))
+    alloc = Bundle(cake=normalize([(F(0), F(3, 8))]))
+    for exact in (True, False):
+        assert [row.approvers for row, _ in inst.index.tiers(exact)] == [(0,), (0, 1)]
+    reports = [
+        verify_ejr_m(inst, alloc),
+        verify_cake_ejr(inst, alloc),
+        verify_ejr_1(inst, alloc, margin=-1),
+        verify_ejr_beta(inst, alloc, F(0), "weak"),
+    ]
+    for report in reports:
+        w = report.witness
+        assert (w.group, w.t, w.max_utility) == ((1,), F(1, 8), F(0)), report.axiom
+
+
 def test_closure_capacity_error(fig1, monkeypatch):
     from mixvote import cohesive_profiles, core
     from mixvote.errors import CapacityError
