@@ -32,7 +32,6 @@ from .core import (
 )
 from .errors import CapacityError, InvariantError, MixvoteError
 from .generate import ConstructionSpec, gen_construction, gen_random
-from .harmonic import DEFAULT_TOL
 from .oracle import (
     EnumerationConfig,
     oracle_discretized_opt,
@@ -60,6 +59,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+
+# each construction parameter's flag type; a construction takes exactly its
+# generator's parameters, and random's seed comes from --seed
+GEN_PARAMETERS = {
+    **dict.fromkeys(("t", "eps", "gamma", "delta", "beta_prime", "alpha", "cake_length"),
+                    parse_rational),
+    **dict.fromkeys(("n", "m", "cake_atoms", "beta", "q"), int),
+    "density": float,
+}
 
 
 def _load(path: str, parse):
@@ -173,9 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         })
         outputs["ledger"] = sidecar
     elif args.rule == "gpav":
-        solution = generalized_pav(
-            inst, force=args.force, tol=args.harmonic_tol, **_given(eps=args.eps)
-        )
+        solution = generalized_pav(inst, force=args.force, **_given(eps=args.eps))
         bundle = solution.allocation
         sidecar = base + ".solution.json"
         save_json(sidecar, {
@@ -241,9 +247,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    keys = ("t", "eps", "gamma", "delta", "alpha", "beta_prime", "cake_length",
-            "n", "m", "cake_atoms", "beta", "q", "density")
-    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    params = _given(**{name: getattr(args, name) for name in GEN_PARAMETERS})
     spec = ConstructionSpec(name=args.construction, parameters=params, seed=args.seed)
     inst, meta = gen_construction(spec)
     out = args.out or f"{args.construction}.json"
@@ -255,13 +259,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    misused = _inapplicable("check", args.check, (
+        ("--beta", args.beta is not None, ("no-ejr-beta",)),
+        ("--mode", args.mode is not None, ("no-ejr-beta",)),
+        ("--t", args.t is not None, ("min-max-avg",)),
+        ("--objective", args.objective is not None, ("opt",)),
+    ))
+    if misused:
+        print(misused, file=sys.stderr)
+        return EXIT_USAGE
     inst = _load(args.instance, instance_from_dict)
     cfg = EnumerationConfig(cake_grid=args.grid)
     if args.check == "no-ejr-beta":
         if args.beta is None:
             print("--beta is required for no-ejr-beta", file=sys.stderr)
             return EXIT_USAGE
-        value = oracle_no_ejr_beta(inst, args.beta, args.mode, cfg)
+        value = oracle_no_ejr_beta(inst, args.beta, cfg=cfg, **_given(mode=args.mode))
         _emit({"check": "no-ejr-beta", "impossible": value}, args.out)
     elif args.check == "min-max-avg":
         if args.t is None:
@@ -276,13 +289,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             args.out,
         )
     else:
-        bundle, score = oracle_discretized_opt(inst, args.objective, cfg)
+        bundle, score = oracle_discretized_opt(inst, cfg=cfg, **_given(objective=args.objective))
+        objective = "nash" if isinstance(score, tuple) else "gpav"
         if isinstance(score, tuple):  # nash: (agents with positive utility, product)
             score = {"positive_agents": score[0], "product": format_rational(score[1])}
         _emit(
             {
                 "check": "opt",
-                "objective": args.objective,
+                "objective": objective,
                 "allocation": allocation_to_dict(inst, bundle),
                 "score": format_rational(score) if isinstance(score, Fraction) else score,
             },
@@ -341,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mixvote",
         description="Collective choice over mixed divisible and indivisible goods",
     )
-    parser.add_argument("--harmonic-tol", type=float, default=DEFAULT_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an allocation rule")
@@ -374,20 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     p_gen.add_argument("--construction", required=True)
-    p_gen.add_argument("--t", type=parse_rational)
-    p_gen.add_argument("--eps", type=parse_rational)
-    p_gen.add_argument("--gamma", type=parse_rational)
-    p_gen.add_argument("--delta", type=parse_rational)
-    p_gen.add_argument("--beta-prime", dest="beta_prime", type=parse_rational)
-    p_gen.add_argument("--alpha", type=parse_rational)
-    p_gen.add_argument("--cake-length", dest="cake_length", type=parse_rational)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--cake-atoms", dest="cake_atoms", type=int)
-    p_gen.add_argument("--beta", type=int)
-    p_gen.add_argument("--q", type=int)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--density", type=float)
+    for name, kind in GEN_PARAMETERS.items():
+        p_gen.add_argument("--" + name.replace("_", "-"), type=kind)
+    p_gen.add_argument("--seed", type=int, help="random only")
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -395,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--check", required=True, choices=["no-ejr-beta", "min-max-avg", "opt"])
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--grid", type=int, default=EnumerationConfig().cake_grid)
-    p_oracle.add_argument("--beta", type=parse_rational)
-    p_oracle.add_argument("--mode", default="weak", choices=["strict", "weak"])
-    p_oracle.add_argument("--t", type=parse_rational)
-    p_oracle.add_argument("--objective", default="gpav", choices=["gpav", "nash"])
+    p_oracle.add_argument("--beta", type=parse_rational, help="no-ejr-beta only (required)")
+    p_oracle.add_argument("--mode", choices=["strict", "weak"], help="no-ejr-beta only (default weak)")
+    p_oracle.add_argument("--t", type=parse_rational, help="min-max-avg only (required)")
+    p_oracle.add_argument("--objective", choices=["gpav", "nash"], help="opt only (default gpav)")
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -323,7 +323,11 @@ class Instance:
             )
         good_index = {g: k for k, g in enumerate(self.goods)}
         for i, bundle in enumerate(agents):
-            if not bundle.goods <= good_index.keys():
+            try:
+                known = bundle.goods <= good_index.keys()
+            except TypeError:  # a list or a string, say
+                raise DomainError(f"agent {i}'s goods must be a set, got {bundle.goods!r}") from None
+            if not known:
                 raise InvalidAllocationError(f"agent {i} approves unknown goods")
             fault, canonical = _cake_fault(bundle.cake.intervals, c, c)
             if fault is not None:
@@ -376,7 +380,11 @@ class Instance:
         last = self._last_allocation
         if last is not None and last[0] is bundle and last[1] == extra_denominators:
             return last[2]
-        if not bundle.goods <= self.good_index.keys():
+        try:
+            known = bundle.goods <= self.good_index.keys()
+        except TypeError:  # a list or a string, say
+            raise InvalidAllocationError(f"allocation goods must be a set, got {bundle.goods!r}") from None
+        if not known:
             raise InvalidAllocationError("allocation contains unknown goods")
         fault, _ = _cake_fault(bundle.cake.intervals, self.cake_length, "c")
         if fault is not None:

@@ -10,6 +10,7 @@ inequality when the closing condition fails.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -17,9 +18,6 @@ from fractions import Fraction
 
 from .core import Bundle, Instance, as_count, as_rational, as_real, format_rational, normalize
 from .errors import ConstructionParameterError, DomainError, InvariantError
-
-CONSTRUCTION_NAMES = ("fig1", "prop1", "prop4", "thm4", "thm6", "appendix", "random")
-
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -307,8 +305,9 @@ def gen_appendix(
 
 def gen_random(
     n: int,
-    m: int,
-    cake_atoms: int,
+    m: int = 0,
+    cake_atoms: int = 0,
+    *,
     alpha: Fraction,
     density: float = 0.5,
     seed: int = 0,
@@ -354,44 +353,39 @@ def gen_random(
     return Instance(cake_length=c, goods=goods, agents=tuple(agents), alpha=alpha)
 
 
-class _Parameters(dict):
-    """Construction parameters; a missing required one is a parameter error."""
-
-    def __missing__(self, key: str):
-        raise ConstructionParameterError(f"missing construction parameter {key!r}")
+CONSTRUCTIONS = {
+    "fig1": gen_fig1,
+    "prop1": gen_prop1,
+    "prop4": gen_prop4,
+    "thm4": gen_thm4,
+    "thm6": gen_thm6,
+    "appendix": gen_appendix,
+    "random": gen_random,
+}
+CONSTRUCTION_NAMES = tuple(CONSTRUCTIONS)
 
 
 def gen_construction(spec: ConstructionSpec) -> tuple[Instance, dict]:
-    """Dispatch on the construction name; ``random`` returns empty metadata."""
-    p = _Parameters(spec.parameters)
-    if spec.name == "fig1":
-        return gen_fig1()
-    if spec.name == "prop1":
-        return gen_prop1(beta_prime=p.get("beta_prime", Fraction(1, 2)), n=p.get("n", 4))
-    if spec.name == "prop4":
-        return gen_prop4(beta=p.get("beta", 1))
-    if spec.name == "thm4":
-        return gen_thm4(
-            t=p["t"],
-            n=p["n"],
-            delta=p.get("delta", Fraction(1, 100)),
-            eps=p.get("eps", Fraction(1, 4)),
+    """Build the named construction from exactly its generator's parameters,
+    the generator's own defaults filling in the rest.  Only ``random`` takes
+    ``spec.seed``; it returns metadata naming the construction and the seed."""
+    build = CONSTRUCTIONS.get(spec.name)
+    if build is None:
+        raise ConstructionParameterError(
+            f"unknown construction {spec.name!r}; expected one of {CONSTRUCTION_NAMES}"
         )
-    if spec.name == "thm6":
-        return gen_thm6(t=p["t"], n=p["n"], eps=p["eps"])
-    if spec.name == "appendix":
-        return gen_appendix(t=p["t"], eps=p["eps"], gamma=p["gamma"], q=p["q"])
-    if spec.name == "random":
-        inst = gen_random(
-            n=p["n"],
-            m=p.get("m", 0),
-            cake_atoms=p.get("cake_atoms", 0),
-            alpha=p["alpha"],
-            density=float(p.get("density", 0.5)),
-            seed=int(spec.seed or 0),
-            cake_length=p.get("cake_length"),
+    if "seed" in spec.parameters or (spec.seed is not None and spec.name != "random"):
+        raise ConstructionParameterError(
+            f"construction {spec.name!r}: only random takes a seed, as the spec's seed (--seed)"
         )
-        return inst, {"construction": "random", "seed": spec.seed or 0}
-    raise ConstructionParameterError(
-        f"unknown construction {spec.name!r}; expected one of {CONSTRUCTION_NAMES}"
-    )
+    params = dict(spec.parameters)
+    if spec.seed is not None:
+        params["seed"] = spec.seed
+    try:
+        bound = inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise ConstructionParameterError(f"construction {spec.name!r}: {exc}") from None
+    if spec.name != "random":
+        return build(**params)
+    bound.apply_defaults()
+    return build(**params), {"construction": "random", "seed": bound.arguments["seed"]}

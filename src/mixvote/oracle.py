@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Bundle, Instance, IntervalSet, as_rational
+from .core import Bundle, Instance, IntervalSet, as_count, as_rational
 from .errors import CapacityError, DomainError, InvariantError
 from .harmonic import harmonic_sum
 from .verify import verify_ejr_beta
@@ -68,15 +68,13 @@ def _lattice(inst: Instance, cfg: EnumerationConfig | None):
     """The cells, their unit, the weight of each mask bit at the unit (cell j's
     length, then `unit` per good), and a walk over every feasible (bundle, mask)."""
     cfg = cfg or EnumerationConfig()
-    cells = _grid_cells(inst, cfg.cake_grid)
+    cap = as_count("max_candidates", cfg.max_candidates)
+    cells = _grid_cells(inst, as_count("cake_grid", cfg.cake_grid))
     max_goods = min(inst.m, math.floor(inst.alpha))
     good_subsets = sum(math.comb(inst.m, k) for k in range(max_goods + 1))
     candidates = good_subsets * (2 ** len(cells))
-    if candidates > cfg.max_candidates:
-        raise CapacityError(
-            f"enumeration would visit {candidates} candidates "
-            f"(cap {cfg.max_candidates})"
-        )
+    if candidates > cap:
+        raise CapacityError(f"enumeration would visit {candidates} candidates (cap {cap})")
     unit = math.lcm(*(p.denominator for cell in cells for p in cell))
     weights = [int((hi - lo) * unit) for lo, hi in cells] + [unit] * inst.m
 

@@ -58,8 +58,8 @@ _MAX_STEPS = 200
 _MAX_BACKTRACKS = 40
 
 # error bound of one agent's H term in a score, its share of the sum's
-# rounding included: tol on the series path, 2**-52 of H_u < 10 on the exact
-# integer path (u <= 10**4)
+# rounding included: DEFAULT_TOL on the series path, 2**-52 of H_u < 10 on
+# the exact integer path (u <= 10**4)
 _TERM_ERROR_FLOOR = 2.0**-48
 
 
@@ -258,7 +258,7 @@ class _CakeClasses:
         self.goods_inc = _incidence(inst.n, inst.index.good_approvers)
 
     def solve(
-        self, goods_mask: int, budget: Fraction, eps: float, tol: float
+        self, goods_mask: int, budget: Fraction, eps: float
     ) -> tuple[list[Fraction], HarmonicValue, float]:
         """Class lengths, score and certified gap for the goods in ``goods_mask``
         (bits in instance order, as in the index's approval masks)."""
@@ -276,7 +276,7 @@ class _CakeClasses:
         for i, c in enumerate(cake):
             if c:
                 utils[i] = Fraction(utils[i] * den + c, den)
-        return y_rat, harmonic_sum(utils, tol), gap
+        return y_rat, harmonic_sum(utils), gap
 
     def bound(self, goods_mask: int, budget: Fraction, relaxed: Sequence[int]) -> float:
         """Certified upper bound on the best score of the goods in ``goods_mask``
@@ -321,7 +321,6 @@ def concave_cake_opt(
     fixed_goods: frozenset[str] | set[str],
     budget: Fraction,
     eps: float = DEFAULT_EPS,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[dict[tuple[Fraction, Fraction], Fraction], HarmonicValue, float]:
     """Best cake lengths per atom given a fixed goods selection.
 
@@ -332,7 +331,7 @@ def concave_cake_opt(
     budget = as_rational("budget", budget)
     table = _CakeClasses(inst, atoms)
     goods_mask = sum(1 << k for k, g in enumerate(inst.goods) if g in fixed_goods)
-    y_rat, score, gap = table.solve(goods_mask, budget, eps, tol)
+    y_rat, score, gap = table.solve(goods_mask, budget, eps)
     return table.refill(y_rat), score, gap
 
 
@@ -340,7 +339,6 @@ def generalized_pav(
     inst: Instance,
     eps: float = DEFAULT_EPS,
     force: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> PavSolution:
     """Best goods subset of at most floor(alpha) goods, with its cake part.
 
@@ -362,7 +360,6 @@ def generalized_pav(
     lies below the winner's score.
     """
     _check_eps(eps)
-    as_real("tol", tol)
     if inst.m > DEFAULT_GOOD_CAP and not force:
         raise CapacityError(
             f"goods enumeration capped at {DEFAULT_GOOD_CAP} (instance has {inst.m}); "
@@ -372,7 +369,7 @@ def generalized_pav(
     approvers = inst.index.good_approvers
     most = min(inst.m, math.floor(inst.alpha))
     order = sorted(range(inst.m), key=lambda k: (-len(approvers[k]), k))
-    slack = inst.n * max(tol, _TERM_ERROR_FLOOR) + _CERT_SLACK
+    slack = inst.n * max(DEFAULT_TOL, _TERM_ERROR_FLOOR) + _CERT_SLACK
     best = None  # (score, rank, mask, class lengths, gap) of the incumbent
     best_upper = -math.inf
     solved = screened = 0
@@ -389,7 +386,7 @@ def generalized_pav(
             visit(depth + 1, mask | 1 << order[depth])
             visit(depth + 1, mask)
         else:
-            y_rat, score, gap = table.solve(mask, budget, eps, tol)
+            y_rat, score, gap = table.solve(mask, budget, eps)
             solved += 1
             best_upper = max(best_upper, score.value + score.abs_error_bound + gap)
             rank = (size, [k for k in range(inst.m) if mask >> k & 1])

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, file formats, exit codes, idempotency."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from mixvote.cli import (
     dispatch,
 )
 from mixvote.core import instance_to_dict, save_json
-from mixvote.generate import gen_fig1
+from mixvote.generate import CONSTRUCTIONS, gen_fig1
 
 
 def run_cli(capsys, *argv):
@@ -343,14 +344,20 @@ def test_margin_below_minus_one_is_usage_error(fig1_files, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--harmonic-tol", "nan", "run", "--rule", "gpav"],
+    # gpav's harmonic tolerance is fixed: the flag itself is gone
+    ["run", "--rule", "gpav", "--harmonic-tol", "nan"],
     ["run", "--rule", "gpav", "--eps", "nan"],
     ["run", "--rule", "gpav", "--eps", "0"],
 ])
 def test_uncertifiable_tolerance_is_usage_error(fig1_files, capsys, argv):
     inst, _ = fig1_files
-    code, _ = run_cli(capsys, *argv, "--instance", inst)
+    code = dispatch([*argv, "--instance", inst])
     assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    if "--harmonic-tol" in argv:
+        assert "unrecognized arguments: --harmonic-tol nan" in err
+    else:
+        assert "eps must be finite and positive" in err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -515,6 +522,110 @@ def test_missing_construction_parameter_is_usage_error(tmp_path, capsys):
     out = str(tmp_path / "thm6.json")
     code, _ = run_cli(capsys, "gen", "--construction", "thm6", "--n", "8", "--out", out)
     assert code == EXIT_USAGE
+
+
+def test_gen_flags_are_the_generators_parameters():
+    """Every flag names a parameter of some generator, and every generator
+    parameter but random's seed (which --seed gives) has a flag."""
+    taken = {p for build in CONSTRUCTIONS.values() for p in inspect.signature(build).parameters}
+    assert "seed" in inspect.signature(CONSTRUCTIONS["random"]).parameters
+    assert set(cli.GEN_PARAMETERS) == taken - {"seed"}
+
+
+# a valid flag set for each construction
+GEN_FLAGS = {
+    "fig1": {},
+    "prop1": {"beta_prime": "1/2", "n": "4"},
+    "prop4": {"beta": "1"},
+    "thm4": {"t": "2", "n": "32"},
+    "thm6": {"t": "5/2", "n": "20", "eps": "8/25"},
+    "appendix": {"t": "3/2", "eps": "1/4", "gamma": "1/4", "q": "4"},
+    "random": {"n": "6", "m": "4", "cake_atoms": "3", "alpha": "2"},
+}
+
+
+def _gen_misuse():
+    for name, flags in GEN_FLAGS.items():
+        signature = inspect.signature(CONSTRUCTIONS[name]).parameters
+        extra = next(p for p in cli.GEN_PARAMETERS if p not in signature)
+        yield pytest.param(
+            name, dict(flags, **{extra: "1"}), f"got an unexpected keyword argument '{extra}'",
+            id=f"{name}-{extra}-not-taken",
+        )
+        for p in signature.values():
+            if p.default is inspect.Parameter.empty:
+                rest = {k: v for k, v in flags.items() if k != p.name}
+                yield pytest.param(
+                    name, rest, f"missing a required argument: '{p.name}'", id=f"{name}-{p.name}-missing"
+                )
+        if name != "random":
+            yield pytest.param(
+                name, dict(flags, seed="3"), "only random takes a seed", id=f"{name}-seed"
+            )
+
+
+@pytest.mark.parametrize("name, flags, message", list(_gen_misuse()))
+def test_gen_flag_misuse_is_usage_error(tmp_path, capsys, name, flags, message):
+    # fig1 with --n 5 or --seed 3 wrote fig1 unchanged and exited 0
+    argv = ["gen", "--construction", name, "--out", str(tmp_path / "out.json")]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    code = dispatch(argv)
+    assert code == EXIT_USAGE
+    assert f"error: construction '{name}': {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", GEN_FLAGS)
+def test_gen_valid_flags_build(tmp_path, capsys, name):
+    argv = ["gen", "--construction", name, "--out", str(tmp_path / "out.json")]
+    for key, value in GEN_FLAGS[name].items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert dispatch(argv) == EXIT_OK
+    assert (tmp_path / "out.json").exists()
+
+
+ORACLE_REQUIRED = {"no-ejr-beta": ["--beta", "1"], "min-max-avg": ["--t", "1"], "opt": []}
+ORACLE_FLAGS = {  # flag, a value, and the one check it applies to
+    "--beta": ("1", "no-ejr-beta"),
+    "--mode": ("weak", "no-ejr-beta"),
+    "--t": ("1", "min-max-avg"),
+    "--objective": ("gpav", "opt"),
+}
+
+
+@pytest.mark.parametrize("flag, check", [
+    (flag, check) for flag, (_, applies) in ORACLE_FLAGS.items()
+    for check in ORACLE_REQUIRED if check != applies
+])
+def test_oracle_flag_that_does_not_apply_is_usage_error(fig1_files, tmp_path, capsys, flag, check):
+    # opt with --beta 1 --mode strict --t 3 exited 0, ignoring all three
+    inst, _ = fig1_files
+    value, applies = ORACLE_FLAGS[flag]
+    out = tmp_path / "report.json"
+    code = dispatch([
+        "oracle", "--check", check, "--grid", "1", "--instance", inst, "--out", str(out),
+        *ORACLE_REQUIRED[check], flag, value,
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == f"{flag} applies to --check {applies} only"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check, absent, explicit", [
+    ("no-ejr-beta", ["--beta", "1/2"], ["--beta", "1/2", "--mode", "weak"]),
+    ("opt", [], ["--objective", "gpav"]),
+])
+def test_absent_oracle_flag_takes_the_library_default(fig1_files, capsys, check, absent, explicit):
+    inst, _ = fig1_files
+    runs = [
+        run_cli(capsys, "oracle", "--check", check, "--grid", "2", "--instance", inst, *flags)
+        for flags in (absent, explicit)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK
+    if check == "opt":
+        assert json.loads(runs[0][1])["objective"] == "gpav"
 
 
 def test_zero_oracle_grid_is_usage_error(fig1_files, capsys):

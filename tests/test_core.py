@@ -524,6 +524,20 @@ class TestValidation:
         with pytest.raises(DomainError, match=f"^{entry} must be named by a string"):
             instance_from_dict(data)
 
+    @pytest.mark.parametrize("goods", [["g1"], "g1"])
+    def test_goods_not_a_set_rejected(self, fig1, goods):
+        # a bare TypeError from the subset test before
+        text = re.escape(repr(goods))
+        with pytest.raises(DomainError, match=rf"^agent 1's goods must be a set, got {text}$"):
+            Instance(
+                cake_length=F(0),
+                goods=("g1",),
+                agents=(Bundle(goods=frozenset({"g1"})), Bundle(goods=goods)),
+                alpha=F(1),
+            )
+        with pytest.raises(InvalidAllocationError, match=rf"^allocation goods must be a set, got {text}$"):
+            fig1.validate_allocation(Bundle(goods=goods))
+
     def test_unknown_good_rejected(self):
         with pytest.raises(InvalidAllocationError):
             Instance(

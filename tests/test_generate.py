@@ -1,12 +1,15 @@
 """Construction generators: structure checks and parameter validation."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
 from mixvote import ConstructionSpec, gen_construction, gen_random
 from mixvote.errors import ConstructionParameterError, DomainError
+from mixvote.core import instance_digest
 from mixvote.generate import (
+    CONSTRUCTIONS,
     gen_appendix,
     gen_fig1,
     gen_prop1,
@@ -240,3 +243,79 @@ def test_inexact_construction_parameter_rejected(name, field, value):
 def test_valid_construction_parameters_build(name):
     inst, _ = gen_construction(ConstructionSpec(name, VALID_PARAMETERS[name]))
     assert inst.n > 0
+
+
+# instance digests of VALID_PARAMETERS (fig1 with none), pinned before
+# gen_construction bound its parameters to the generators' own signatures
+PINNED_DIGESTS = {
+    "fig1": "50dafe1e3f8eef5667e1d165ecb8e72b366ab65812a2be018c3e1c820b1da66f",
+    "prop1": "be000a1a97c2068353cb3346a0b67a04fc7f55f158b1dc1e6e1c69bc8c995ede",
+    "prop4": "fbe6708f8fec4ef85171a01237153ec58b7576d696acf17c2f23c1c909484122",
+    "thm4": "a5d2467b1e3df263141d8b9ccaffd4fa9f47ae498d84ca3ecf192f472116ce16",
+    "thm6": "081abf00cb070b79643cfa6519d190a3ae06bc69ed8c46dd5a25a9ab5d07783c",
+    "appendix": "d4fabac2c6566388591803038135ac68b9a88cfdfb12fd75df721ae33b216d07",
+    "random": "b4b6ad717819b0431834e3ee4d07e5c054660ea759dbc7029a397dfa8ebe3e9f",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_construction_digest_pinned(name):
+    inst, _ = gen_construction(ConstructionSpec(name, VALID_PARAMETERS.get(name, {})))
+    assert instance_digest(inst) == PINNED_DIGESTS[name]
+
+
+def test_every_construction_is_dispatched_to_its_generator():
+    assert set(CONSTRUCTIONS) == set(PINNED_DIGESTS)
+    assert all(CONSTRUCTIONS[name] is build for name, build in GENERATORS.items())
+
+
+def _not_taken(name):
+    """A parameter of some other generator that ``name`` does not take."""
+    taken = inspect.signature(CONSTRUCTIONS[name]).parameters
+    return next(p for build in CONSTRUCTIONS.values()
+                for p in inspect.signature(build).parameters if p not in taken)
+
+
+def _required(name):
+    return [p.name for p in inspect.signature(CONSTRUCTIONS[name]).parameters.values()
+            if p.default is inspect.Parameter.empty]
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_parameter_the_generator_does_not_take_rejected(name):
+    # fig1 with n=5 built fig1 unchanged, and prop4 took a bogus key
+    parameters = dict(VALID_PARAMETERS.get(name, {}), **{_not_taken(name): 7})
+    with pytest.raises(
+        ConstructionParameterError,
+        match=f"^construction '{name}': got an unexpected keyword argument '{_not_taken(name)}'$",
+    ):
+        gen_construction(ConstructionSpec(name, parameters))
+
+
+@pytest.mark.parametrize("name, missing", [
+    (name, p) for name in PINNED_DIGESTS for p in _required(name)
+])
+def test_missing_required_parameter_rejected(name, missing):
+    parameters = {k: v for k, v in VALID_PARAMETERS[name].items() if k != missing}
+    with pytest.raises(
+        ConstructionParameterError,
+        match=f"^construction '{name}': missing a required argument: '{missing}'$",
+    ):
+        gen_construction(ConstructionSpec(name, parameters))
+
+
+@pytest.mark.parametrize("name", [name for name in PINNED_DIGESTS if name != "random"])
+def test_seed_goes_with_random_only(name):
+    with pytest.raises(ConstructionParameterError, match="only random takes a seed"):
+        gen_construction(ConstructionSpec(name, VALID_PARAMETERS.get(name, {}), seed=3))
+
+
+def test_random_takes_the_generators_defaults_and_the_spec_seed():
+    inst, meta = gen_construction(ConstructionSpec("random", {"n": 4, "m": 3, "alpha": F(2)}, seed=9))
+    assert inst == gen_random(4, 3, alpha=F(2), seed=9)
+    assert meta == {"construction": "random", "seed": 9}
+    _, meta = gen_construction(ConstructionSpec("random", {"n": 4, "m": 3, "alpha": F(2)}))
+    assert meta == {"construction": "random", "seed": 0}
+    # the seed is the spec's, never a parameter
+    with pytest.raises(ConstructionParameterError, match="only random takes a seed"):
+        gen_construction(ConstructionSpec("random", dict(VALID_PARAMETERS["random"], seed=3)))

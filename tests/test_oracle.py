@@ -298,3 +298,14 @@ def test_min_max_avg_rejects_an_inexact_t(t):
 def test_discretized_opt_rejects_an_unknown_objective(fig1, objective):
     with pytest.raises(DomainError, match=f"^unknown objective {objective!r}$"):
         oracle_discretized_opt(fig1, objective)
+
+
+@pytest.mark.parametrize("field", ["cake_grid", "max_candidates"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_enumeration_config_takes_ints_only(fig1, field, value):
+    # cake_grid=2.5 acted as 3 and True as 1; max_candidates=2.5 was a float cap
+    cfg = EnumerationConfig(**{field: value})
+    with pytest.raises(DomainError, match=f"^{field} must be an int, got {value!r}$"):
+        oracle_discretized_opt(fig1, cfg=cfg)
+    with pytest.raises(DomainError, match=f"^{field} must be an int, got {value!r}$"):
+        next(enumerate_allocations(fig1, cfg))

@@ -373,18 +373,18 @@ def test_first_order_bound_covers_the_solved_score(inst, data):
     for _ in range(3):
         completion = subset(relaxed, math.floor(budget))
         leaf = mask | sum(1 << k for k in completion)
-        _, score, _ = table.solve(leaf, budget - len(completion), pav.DEFAULT_EPS, pav.DEFAULT_TOL)
+        _, score, _ = table.solve(leaf, budget - len(completion), pav.DEFAULT_EPS)
         assert upper + slack >= score.value
 
 
 pav_harmonic_sum = pav.harmonic_sum
 
 
-def exact_harmonic_sum(xs, tol):
+def exact_harmonic_sum(xs):
     """A score with its error bound dropped, as if computed exactly: a leaf's
     score then meets, up to the last bits, a bound that is exact for it (a
     slack or zero budget)."""
-    return HarmonicValue(pav_harmonic_sum(xs, tol).value, 0.0)
+    return HarmonicValue(pav_harmonic_sum(xs).value, 0.0)
 
 
 @pytest.mark.parametrize("exact_scores", [False, True])
@@ -425,11 +425,22 @@ def test_eps_checked_before_solving(fig1, eps, with_cake):
         generalized_pav(inst, eps=eps)
 
 
-@pytest.mark.parametrize("name", ["eps", "tol"])
+@pytest.mark.parametrize("name", ["eps"])
 def test_bool_eps_or_tol_rejected(fig1, name):
     # eps=True ran at eps 1.0
     with pytest.raises(DomainError, match=rf"^{name} must be a number, got True$"):
         generalized_pav(fig1, **{name: True})
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst: generalized_pav(inst, tol=1e-9),
+    lambda inst: concave_cake_opt(inst, atomize(inst, inst.full_cake(), ()), frozenset(), F(1), tol=1e-9),
+], ids=["generalized_pav", "concave_cake_opt"])
+def test_tol_is_not_a_parameter(fig1, solve):
+    # tol only widened the screening slack above its default and raised
+    # below about 3e-14; the scores are certified to harmonic's DEFAULT_TOL
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        solve(fig1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,19 @@ class TestFig1Anchors:
         with pytest.raises(InvalidAllocationError, match=message):
             cohesive_profiles(fig1, bundle)
 
+    @pytest.mark.parametrize("check", [
+        verify_ejr_m,
+        verify_ejr_1,
+        lambda inst, bundle: verify_ejr_beta(inst, bundle, 1),
+        lambda inst, bundle: audit_degree(inst, bundle, "ejr-m"),
+        cohesive_profiles,
+    ], ids=["ejr-m", "ejr-1", "ejr-beta", "audit", "profiles"])
+    @pytest.mark.parametrize("goods", [["g1"], "g1"])
+    def test_goods_not_a_set_rejected(self, fig1, check, goods):
+        # a bare TypeError: '<=' not supported between 'list' and 'dict_keys'
+        with pytest.raises(InvalidAllocationError, match="^allocation goods must be a set, got"):
+            check(fig1, Bundle(goods=goods))
+
 
 class TestAgainstDefinitionalOracle:
     @pytest.mark.parametrize("seed", range(16))
