@@ -5,11 +5,16 @@ Exit codes: 0 success, 1 axiom verification FAIL (witness in the report),
 error (a failed invariant or any other unexpected exception).  Reports are
 JSON with exact rationals as strings; harmonic scores carry
 (value, error_bound) pairs.
+
+``run``, ``verify`` and ``oracle`` each map their choices to library
+functions: a flag applies to the choices whose function takes that
+parameter, and is required where that parameter has no default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -39,6 +44,8 @@ from .oracle import (
     oracle_no_ejr_beta,
 )
 from .rules import (
+    GreedyTrace,
+    PavSolution,
     ScriptedTieBreaker,
     generalized_mes,
     generalized_pav,
@@ -47,6 +54,7 @@ from .rules import (
 )
 from .rules.pav import DEFAULT_EPS
 from .verify import (
+    DEGREE_BOUNDS,
     audit_degree,
     verify_cake_ejr,
     verify_ejr_1,
@@ -92,18 +100,31 @@ def _sizes(text: str) -> list[tuple[int, int, int]]:
     return sizes
 
 
-def _inapplicable(kind: str, choice: str, flags) -> str | None:
-    """The usage message for the first given flag that does not apply to
-    ``--kind choice``; ``flags`` holds (flag, given, choices it applies to)."""
-    for flag, given, applies in flags:
-        if given and choice not in applies:
-            return f"{flag} applies to --{kind} {' and '.join(applies)} only"
-    return None
+class FlagError(MixvoteError):
+    """A flag misused with the chosen rule, axiom or check; its message is
+    printed as it is."""
 
 
-def _given(**flags) -> dict:
-    """The flags that were passed, so an absent one keeps the library default."""
-    return {name: value for name, value in flags.items() if value is not None}
+def _bind(args: argparse.Namespace, kind: str, flags: tuple[str, ...]) -> dict:
+    """The given ``flags`` (``None`` when absent, so the library default
+    holds) as keyword arguments of the function ``args.table`` maps the
+    chosen ``--kind`` to.  A flag applies to the choices whose function takes
+    its parameter and is required where that parameter has no default; the
+    first misused flag, in ``flags`` order, is named."""
+    choice = getattr(args, kind)
+    takes = {name: inspect.signature(f).parameters for name, f in args.table.items()}
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+    # --tie-breaker is given by its one non-default value
+    label = {name: "--tie-breaker script" if name == "tie_breaker" else "--" + name for name in flags}
+    for name in given:
+        if name not in takes[choice]:
+            applies = " and ".join(c for c in args.table if name in takes[c])
+            raise FlagError(f"{label[name]} applies to --{kind} {applies} only")
+    for name in flags:
+        param = takes[choice].get(name)
+        if name not in given and param is not None and param.default is param.empty:
+            raise FlagError(f"{label[name]} is required for {choice}")
+    return given
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -124,116 +145,43 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    misused = _inapplicable("rule", args.rule, (
-        ("--tie-breaker script", args.tie_breaker == "script", ("greedy-ejr-m",)),
-        ("--force", args.force, ("gpav", "mnw")),
-        ("--eps", args.eps is not None, ("gpav",)),
-    ))
-    if misused:
-        print(misused, file=sys.stderr)
-        return EXIT_USAGE
-    if args.tie_breaker == "script" and args.script is None:
-        print("--script is required for --tie-breaker script", file=sys.stderr)
-        return EXIT_USAGE
-    if args.script is not None and args.tie_breaker != "script":
-        print("--script requires --tie-breaker script", file=sys.stderr)
-        return EXIT_USAGE
+    if args.tie_breaker == "default":
+        args.tie_breaker = None
+    kwargs = _bind(args, "rule", ("tie_breaker", "force", "eps"))
+    if args.tie_breaker and args.script is None:
+        raise FlagError("--script is required for --tie-breaker script")
+    if args.script is not None and not args.tie_breaker:
+        raise FlagError("--script requires --tie-breaker script")
     inst = _load(args.instance, instance_from_dict)
     base = args.out or str(Path(args.instance).with_suffix("")) + f".{args.rule}"
-    alloc_path = base + ".alloc.json"
     started = time.perf_counter()
-    outputs = {"allocation": alloc_path}
-    if args.rule == "greedy-ejr-m":
-        policy = _load(args.script, _script) if args.script else None
-        bundle, trace = greedy_ejr_m(inst, tie_breaker=policy)
-        sidecar = base + ".trace.json"
-        save_json(sidecar, {
-            "rounds": [
-                {
-                    "t_star": format_rational(r.t_star),
-                    "group": sorted(r.group),
-                    "witness": allocation_to_dict(inst, r.witness),
-                }
-                for r in trace.rounds
-            ]
-        })
-        outputs["trace"] = sidecar
-    elif args.rule == "gmes":
-        bundle, ledger = generalized_mes(inst)
-        sidecar = base + ".ledger.json"
-        save_json(sidecar, {
-            "initial_budget": format_rational(ledger.initial_budget),
-            "iterations": ledger.iterations,
-            "purchases": [
-                {
-                    "item": p.item if isinstance(p.item, str)
-                    else [format_rational(p.item[0]), format_rational(p.item[1])],
-                    "cost": format_rational(p.cost),
-                    "rho": format_rational(p.rho),
-                    "x": None if p.x is None else format_rational(p.x),
-                    "payments": {str(i): format_rational(v) for i, v in p.payments.items()},
-                }
-                for p in ledger.purchases
-            ],
-            "final_budgets": {
-                str(i): format_rational(v) for i, v in ledger.final_budgets.items()
-            },
-        })
-        outputs["ledger"] = sidecar
-    elif args.rule == "gpav":
-        solution = generalized_pav(inst, force=args.force, **_given(eps=args.eps))
-        bundle = solution.allocation
-        sidecar = base + ".solution.json"
-        save_json(sidecar, {
-            "score": {
-                "value": solution.score.value,
-                "error_bound": solution.score.abs_error_bound,
-            },
-            "optimality_gap": solution.optimality_gap,
-            "atom_lengths": {
-                f"[{format_rational(lo)},{format_rational(hi)}]": format_rational(ln)
-                for (lo, hi), ln in solution.atom_lengths.items()
-            },
-        })
-        outputs["solution"] = sidecar
-    elif args.rule == "mnw":
-        bundles = mnw_indivisible(inst, force=args.force)
-        bundle = bundles[0]
-        sidecar = base + ".solution.json"
-        save_json(sidecar, {
-            "optimal_allocations": [allocation_to_dict(inst, b) for b in bundles],
-        })
-        outputs["solution"] = sidecar
-    else:  # pragma: no cover - argparse restricts choices
-        raise MixvoteError(f"unknown rule {args.rule}")
-    save_json(alloc_path, allocation_to_dict(inst, bundle))
+    if args.script is not None:
+        kwargs["tie_breaker"] = _load(args.script, _script)
+    result = args.table[args.rule](inst, **kwargs)
+    if isinstance(result, list):  # mnw: every Nash-optimal allocation
+        bundle, kind = result[0], "solution"
+        sidecar = {"optimal_allocations": [allocation_to_dict(inst, b) for b in result]}
+    elif isinstance(result, PavSolution):
+        bundle, kind, sidecar = result.allocation, "solution", result.to_dict()
+    else:
+        bundle, record = result
+        if isinstance(record, GreedyTrace):
+            kind, sidecar = "trace", record.to_dict(inst)
+        else:
+            kind, sidecar = "ledger", record.to_dict()
+    outputs = {"allocation": base + ".alloc.json", kind: f"{base}.{kind}.json"}
+    save_json(outputs[kind], sidecar)
+    save_json(outputs["allocation"], allocation_to_dict(inst, bundle))
     ms = (time.perf_counter() - started) * 1000
     _emit(_run_report(args, inst, outputs, ms), None)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    misused = _inapplicable("axiom", args.axiom, (
-        ("--margin", args.margin is not None, ("ejr-1",)),
-        ("--beta", args.beta is not None, ("ejr-beta",)),
-        ("--mode", args.mode is not None, ("ejr-beta",)),
-    ))
-    if misused:
-        print(misused, file=sys.stderr)
-        return EXIT_USAGE
+    kwargs = _bind(args, "axiom", ("margin", "beta", "mode"))
     inst = _load(args.instance, instance_from_dict)
     allocation = _load(args.allocation, allocation_from_dict)
-    if args.axiom == "ejr-m":
-        report = verify_ejr_m(inst, allocation)
-    elif args.axiom == "ejr-1":
-        report = verify_ejr_1(inst, allocation, **_given(margin=args.margin))
-    elif args.axiom == "ejr-beta":
-        if args.beta is None:
-            print("--beta is required for ejr-beta", file=sys.stderr)
-            return EXIT_USAGE
-        report = verify_ejr_beta(inst, allocation, args.beta, **_given(mode=args.mode))
-    else:
-        report = verify_cake_ejr(inst, allocation)
+    report = args.table[args.axiom](inst, allocation, **kwargs)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -247,7 +195,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = _given(**{name: getattr(args, name) for name in GEN_PARAMETERS})
+    params = {name: v for name in GEN_PARAMETERS if (v := getattr(args, name)) is not None}
     spec = ConstructionSpec(name=args.construction, parameters=params, seed=args.seed)
     inst, meta = gen_construction(spec)
     out = args.out or f"{args.construction}.json"
@@ -259,49 +207,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    misused = _inapplicable("check", args.check, (
-        ("--beta", args.beta is not None, ("no-ejr-beta",)),
-        ("--mode", args.mode is not None, ("no-ejr-beta",)),
-        ("--t", args.t is not None, ("min-max-avg",)),
-        ("--objective", args.objective is not None, ("opt",)),
-    ))
-    if misused:
-        print(misused, file=sys.stderr)
-        return EXIT_USAGE
+    kwargs = _bind(args, "check", ("beta", "mode", "t", "objective"))
     inst = _load(args.instance, instance_from_dict)
-    cfg = EnumerationConfig(cake_grid=args.grid)
-    if args.check == "no-ejr-beta":
-        if args.beta is None:
-            print("--beta is required for no-ejr-beta", file=sys.stderr)
-            return EXIT_USAGE
-        value = oracle_no_ejr_beta(inst, args.beta, cfg=cfg, **_given(mode=args.mode))
-        _emit({"check": "no-ejr-beta", "impossible": value}, args.out)
-    elif args.check == "min-max-avg":
-        if args.t is None:
-            print("--t is required for min-max-avg", file=sys.stderr)
-            return EXIT_USAGE
-        value = oracle_min_max_avg(inst, args.t, cfg)
-        _emit(
-            {
-                "check": "min-max-avg",
-                "value": "inf" if value is None else format_rational(value),
-            },
-            args.out,
-        )
-    else:
-        bundle, score = oracle_discretized_opt(inst, cfg=cfg, **_given(objective=args.objective))
-        objective = "nash" if isinstance(score, tuple) else "gpav"
+    value = args.table[args.check](inst, cfg=EnumerationConfig(cake_grid=args.grid), **kwargs)
+    if isinstance(value, bool):  # no-ejr-beta
+        report = {"impossible": value}
+    elif isinstance(value, tuple):  # opt: the best bundle and its score
+        bundle, score = value
         if isinstance(score, tuple):  # nash: (agents with positive utility, product)
             score = {"positive_agents": score[0], "product": format_rational(score[1])}
-        _emit(
-            {
-                "check": "opt",
-                "objective": objective,
-                "allocation": allocation_to_dict(inst, bundle),
-                "score": format_rational(score) if isinstance(score, Fraction) else score,
-            },
-            args.out,
-        )
+        report = {
+            "objective": "nash" if isinstance(score, dict) else "gpav",
+            "allocation": allocation_to_dict(inst, bundle),
+            "score": format_rational(score) if isinstance(score, Fraction) else score,
+        }
+    else:  # min-max-avg: None when no group is cohesive
+        report = {"value": "inf" if value is None else format_rational(value)}
+    _emit({"check": args.check, **report}, args.out)
     return EXIT_OK
 
 
@@ -357,28 +279,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command's table maps a choice to the library function it runs;
+    # built per parse, so it holds the module's current bindings
+    rules = {
+        "greedy-ejr-m": greedy_ejr_m,
+        "gmes": generalized_mes,
+        "gpav": generalized_pav,
+        "mnw": mnw_indivisible,
+    }
     p_run = sub.add_parser("run", help="run an allocation rule")
-    p_run.add_argument("--rule", required=True, choices=["greedy-ejr-m", "gmes", "gpav", "mnw"])
+    p_run.add_argument("--rule", required=True, choices=rules)
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--tie-breaker", default="default", choices=["default", "script"])
     p_run.add_argument("--script", help="tie-break script file (with --tie-breaker script)")
     p_run.add_argument("--eps", type=float, help=f"gpav's solver tolerance (default {DEFAULT_EPS})")
-    p_run.add_argument("--force", action="store_true", help="lift the goods cap of gpav and mnw")
+    p_run.add_argument("--force", action="store_true", default=None,
+                       help="lift the goods cap of gpav and mnw")
     p_run.add_argument("--out")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, table=rules)
 
+    axioms = {
+        "ejr-m": verify_ejr_m,
+        "ejr-1": verify_ejr_1,
+        "ejr-beta": verify_ejr_beta,
+        "cake-ejr": verify_cake_ejr,
+    }
     p_verify = sub.add_parser("verify", help="check an axiom")
-    p_verify.add_argument("--axiom", required=True, choices=["ejr-m", "ejr-1", "ejr-beta", "cake-ejr"])
+    p_verify.add_argument("--axiom", required=True, choices=axioms)
     p_verify.add_argument("--instance", required=True)
     p_verify.add_argument("--allocation", required=True)
     p_verify.add_argument("--beta", type=parse_rational, help="ejr-beta only (required)")
     p_verify.add_argument("--mode", choices=["strict", "weak"], help="ejr-beta only (default strict)")
     p_verify.add_argument("--margin", type=float, help="ejr-1 only (default 0)")
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, table=axioms)
 
     p_audit = sub.add_parser("audit", help="audit proportionality degree")
-    p_audit.add_argument("--bound", required=True, choices=["ejr-m", "ejr-1", "gpav", "mes-upper"])
+    p_audit.add_argument("--bound", required=True, choices=DEGREE_BOUNDS)
     p_audit.add_argument("--instance", required=True)
     p_audit.add_argument("--allocation", required=True)
     p_audit.add_argument("--t-min", type=parse_rational, default="1")
@@ -393,8 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
+    checks = {
+        "no-ejr-beta": oracle_no_ejr_beta,
+        "min-max-avg": oracle_min_max_avg,
+        "opt": oracle_discretized_opt,
+    }
     p_oracle = sub.add_parser("oracle", help="brute-force checks")
-    p_oracle.add_argument("--check", required=True, choices=["no-ejr-beta", "min-max-avg", "opt"])
+    p_oracle.add_argument("--check", required=True, choices=checks)
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--grid", type=int, default=EnumerationConfig().cake_grid)
     p_oracle.add_argument("--beta", type=parse_rational, help="no-ejr-beta only (required)")
@@ -402,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--t", type=parse_rational, help="min-max-avg only (required)")
     p_oracle.add_argument("--objective", choices=["gpav", "nash"], help="opt only (default gpav)")
     p_oracle.add_argument("--out")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle.set_defaults(func=cmd_oracle, table=checks)
 
     p_bench = sub.add_parser("bench", help="benchmark the budget rule")
     p_bench.add_argument("--sizes", type=_sizes, default="1000:100:100", help="comma list of n:m:atoms")
@@ -428,6 +370,9 @@ def dispatch(argv: list[str]) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except FlagError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (MixvoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

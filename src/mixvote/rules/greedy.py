@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..core import Bundle, EMPTY_BUNDLE, Instance, common_bundle
+from ..core import Bundle, EMPTY_BUNDLE, Instance, allocation_to_dict, common_bundle, format_rational
 from ..errors import InvariantError, ScriptError
 
 
@@ -28,6 +28,19 @@ class GreedyRound:
 @dataclass(frozen=True)
 class GreedyTrace:
     rounds: tuple[GreedyRound, ...]
+
+    def to_dict(self, inst: Instance) -> dict:
+        """Each round's t*, group and witness, as JSON."""
+        return {
+            "rounds": [
+                {
+                    "t_star": format_rational(r.t_star),
+                    "group": sorted(r.group),
+                    "witness": allocation_to_dict(inst, r.witness),
+                }
+                for r in self.rounds
+            ]
+        }
 
 
 def canonical_witness(inst: Instance, group: frozenset[int], t_star: Fraction) -> Bundle:

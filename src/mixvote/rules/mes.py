@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..core import Bundle, Instance, IntervalSet, as_rational
+from ..core import Bundle, Instance, IntervalSet, as_rational, format_rational
 from ..errors import DomainError, InvariantError
 
 _GOOD, _CAKE = 0, 1  # equal-price ties prefer goods, then leftmost cake
@@ -121,6 +121,24 @@ class PaymentLedger:
         if self._purchases is None:
             self._purchases = [self._purchase(r) for r in self._records]
         return self._purchases
+
+    def to_dict(self) -> dict:
+        """The budgets and purchases as JSON; the work counters are left out."""
+        return {
+            "initial_budget": format_rational(self.initial_budget),
+            "iterations": self.iterations,
+            "purchases": [
+                {
+                    "item": p.item if isinstance(p.item, str) else [format_rational(x) for x in p.item],
+                    "cost": format_rational(p.cost),
+                    "rho": format_rational(p.rho),
+                    "x": None if p.x is None else format_rational(p.x),
+                    "payments": {str(i): format_rational(v) for i, v in p.payments.items()},
+                }
+                for p in self.purchases
+            ],
+            "final_budgets": {str(i): format_rational(v) for i, v in self.final_budgets.items()},
+        }
 
     def _purchase(self, record: tuple) -> Purchase:
         k, rho, unit, payers, paid, start, end = record

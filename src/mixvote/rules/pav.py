@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..core import Atom, Bundle, Instance, as_rational, as_real, atomize, normalize
+from ..core import Atom, Bundle, Instance, as_rational, as_real, atomize, format_rational, normalize
 from ..errors import CapacityError, DomainError
 from ..harmonic import (
     DEFAULT_TOL,
@@ -73,6 +73,17 @@ class PavSolution:
     # dismissed by the first-order bound without a solve
     subsets_solved: int = 0
     screened: int = 0
+
+    def to_dict(self) -> dict:
+        """The score, its gap and the cake lengths per atom, as JSON."""
+        return {
+            "score": {"value": self.score.value, "error_bound": self.score.abs_error_bound},
+            "optimality_gap": self.optimality_gap,
+            "atom_lengths": {
+                f"[{format_rational(lo)},{format_rational(hi)}]": format_rational(length)
+                for (lo, hi), length in self.atom_lengths.items()
+            },
+        }
 
 
 def _linmax_gap(g: np.ndarray, y: np.ndarray, lengths: np.ndarray, budget: float) -> float:

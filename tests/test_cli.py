@@ -19,8 +19,15 @@ from mixvote.cli import (
     EXIT_USAGE,
     dispatch,
 )
-from mixvote.core import instance_to_dict, save_json
-from mixvote.generate import CONSTRUCTIONS, gen_fig1
+from mixvote.core import allocation_from_dict, allocation_to_dict, instance_to_dict, save_json
+from mixvote.generate import CONSTRUCTIONS, gen_fig1, gen_random, gen_thm6
+from mixvote.rules import (
+    ScriptedTieBreaker,
+    generalized_mes,
+    generalized_pav,
+    greedy_ejr_m,
+    mnw_indivisible,
+)
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +106,55 @@ def test_greedy_and_pav_sidecars(tmp_path, capsys):
     assert code == EXIT_OK
     solution = json.loads((tmp_path / "fig1.gpav.solution.json").read_text())
     assert solution["optimality_gap"] <= 1e-9
+
+
+def _library_json(inst, rule, policy):
+    """What the library gives as JSON for the sidecar of ``run --rule``."""
+    if rule == "greedy-ejr-m":
+        return greedy_ejr_m(inst, tie_breaker=policy)[1].to_dict(inst)
+    if rule == "gmes":
+        return generalized_mes(inst)[1].to_dict()
+    if rule == "gpav":
+        return generalized_pav(inst).to_dict()
+    return {"optimal_allocations": [allocation_to_dict(inst, b) for b in mnw_indivisible(inst)]}
+
+
+SIDECAR_INSTANCES = {
+    "fig1": lambda: gen_fig1()[0],
+    "mixed": lambda: gen_random(n=6, m=4, cake_atoms=3, alpha=F(2), seed=7),
+    "goods": lambda: gen_random(n=5, m=4, alpha=F(2), seed=3),  # mnw takes no cake
+}
+
+
+@pytest.mark.parametrize("name, rule", [
+    *((name, rule) for name in ("fig1", "mixed") for rule in ("greedy-ejr-m", "gmes", "gpav")),
+    ("goods", "mnw"),
+])
+def test_sidecar_is_the_library_json(tmp_path, capsys, name, rule):
+    inst = SIDECAR_INSTANCES[name]()
+    path = tmp_path / f"{name}.json"
+    save_json(str(path), instance_to_dict(inst))
+    code, out = run_cli(capsys, "run", "--rule", rule, "--instance", str(path))
+    assert code == EXIT_OK
+    (sidecar,) = (p for kind, p in json.loads(out)["outputs"].items() if kind != "allocation")
+    expected = json.loads(json.dumps(_library_json(inst, rule, None)))
+    assert json.loads(Path(sidecar).read_text()) == expected
+
+
+def test_scripted_trace_is_the_library_json(tmp_path, capsys):
+    inst, meta = gen_thm6(F(5, 2), 20, F(8, 25))
+    path, script = tmp_path / "t6.json", tmp_path / "script.json"
+    save_json(str(path), instance_to_dict(inst))
+    script.write_text(json.dumps(meta["script"]))
+    code, _ = run_cli(
+        capsys, "run", "--rule", "greedy-ejr-m", "--instance", str(path),
+        "--tie-breaker", "script", "--script", str(script),
+    )
+    assert code == EXIT_OK
+    policy = ScriptedTieBreaker([(e["group"], allocation_from_dict(e["witness"])) for e in meta["script"]])
+    expected = json.loads(json.dumps(_library_json(inst, "greedy-ejr-m", policy)))
+    assert json.loads((tmp_path / "t6.greedy-ejr-m.trace.json").read_text()) == expected
+    assert expected != json.loads(json.dumps(_library_json(inst, "greedy-ejr-m", None)))
 
 
 def test_scripted_tie_breaker_flow(tmp_path, capsys):
@@ -626,6 +682,18 @@ def test_absent_oracle_flag_takes_the_library_default(fig1_files, capsys, check,
     assert runs[0][0] == EXIT_OK
     if check == "opt":
         assert json.loads(runs[0][1])["objective"] == "gpav"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--axiom", "ejr-beta", "--allocation", "missing.json"], "--beta is required for ejr-beta"),
+    (["oracle", "--check", "no-ejr-beta"], "--beta is required for no-ejr-beta"),
+    (["oracle", "--check", "min-max-avg"], "--t is required for min-max-avg"),
+])
+def test_missing_required_flag_is_named_before_any_file_is_read(tmp_path, capsys, argv, message):
+    # the unreadable instance file was reported first, and the flag not at all
+    code = dispatch([*argv, "--instance", str(tmp_path / "missing.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_zero_oracle_grid_is_usage_error(fig1_files, capsys):

@@ -1,6 +1,7 @@
 """Construction generators: structure checks and parameter validation."""
 
 import inspect
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -188,6 +189,13 @@ class TestRandom:
         kwargs = {"alpha": F(1, 10), "cake_length": F(3, 10), field: value}
         with pytest.raises(DomainError, match=f"{field} must be an int or a Fraction, got {value!r}"):
             gen_random(n=3, m=2, cake_atoms=cake_atoms, seed=0, **kwargs)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, None, [1]], ids=["bool", "float", "none", "list"])
+    def test_seed_not_an_int_rejected(self, seed):
+        # True built seed 1's instance, 2.5 another than 2's, None seeded from
+        # the operating system and [1] raised a bare TypeError
+        with pytest.raises(DomainError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+            gen_random(n=4, m=3, alpha=F(1), seed=seed)
 
 
 def test_dispatcher_names():
