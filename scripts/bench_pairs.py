@@ -14,9 +14,10 @@ on each metric, and the output digests.  Per spec, ``digests_equal`` says
 whether both sides gave the same output digests, and per metric
 ``meets_gain_rule`` whether a gain there would hold as a claim: the change
 won at least 9 in 10 pairs, and its median beats the base median, in the
-metric's better direction, by more than the base's quartile spread.  A
-run that fails ends the script with its spec, side, exit code and the end
-of its stderr.
+metric's better direction, by more than the base's quartile spread.
+``src_lines`` gives the lines of ``src/**/*.py`` in the base tree and in
+the working tree.  A run that fails ends the script with its spec, side,
+exit code and the end of its stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         raise RunFailed(f"exit code {proc.returncode}; end of its stderr:\n{tail}")
     report, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(report), json.loads(result)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python sources under ``tree/src``."""
+    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
 
 
 def summary(values: list[float]) -> dict:
@@ -105,9 +111,10 @@ def main(argv=None) -> int:
         with tarfile.open(archive) as tar:
             tar.extractall(Path(tmp, "tree"), filter="data")
         results = [compare(spec, Path(tmp, "tree"), seconds, metrics) for spec in args.specs]
+        lines = {"base": src_lines(Path(tmp, "tree")), "change": src_lines(ROOT)}
     Path(args.out).write_text(json.dumps({
         "base": base_rev, "seconds": seconds, "environment": results[0][1],
-        "workloads": [r for r, _ in results],
+        "src_lines": lines, "workloads": [r for r, _ in results],
     }, indent=1) + "\n")
     return 0
 

@@ -31,7 +31,6 @@ from .rules import (
     GreedyTrace,
     PavSolution,
     PaymentLedger,
-    ScriptedTieBreaker,
     achievable_exact_size,
     concave_cake_opt,
     generalized_mes,
@@ -82,7 +81,6 @@ __all__ = [
     "GreedyTrace",
     "PavSolution",
     "PaymentLedger",
-    "ScriptedTieBreaker",
     "achievable_exact_size",
     "concave_cake_opt",
     "generalized_mes",

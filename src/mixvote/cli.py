@@ -8,7 +8,9 @@ JSON with exact rationals as strings; harmonic scores carry
 
 ``run``, ``verify`` and ``oracle`` each map their choices to library
 functions: a flag applies to the choices whose function takes that
-parameter, and is required where that parameter has no default.
+parameter, and is required where that parameter has no default.  So
+``run --script FILE`` goes with greedy-ejr-m alone; the file's steps become
+its ``script`` argument.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import (
+    Bundle,
     Instance,
     allocation_from_dict,
     allocation_to_dict,
@@ -46,7 +49,6 @@ from .oracle import (
 from .rules import (
     GreedyTrace,
     PavSolution,
-    ScriptedTieBreaker,
     generalized_mes,
     generalized_pav,
     greedy_ejr_m,
@@ -87,8 +89,9 @@ def _load(path: str, parse):
         raise MixvoteError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _script(data: list) -> ScriptedTieBreaker:
-    return ScriptedTieBreaker([(e["group"], allocation_from_dict(e["witness"])) for e in data])
+def _script(data: list) -> list[tuple[tuple, Bundle]]:
+    """A tie-break script file's (group, witness) steps."""
+    return [(tuple(e["group"]), allocation_from_dict(e["witness"])) for e in data]
 
 
 def _sizes(text: str) -> list[tuple[int, int, int]]:
@@ -114,16 +117,14 @@ def _bind(args: argparse.Namespace, kind: str, flags: tuple[str, ...]) -> dict:
     choice = getattr(args, kind)
     takes = {name: inspect.signature(f).parameters for name, f in args.table.items()}
     given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
-    # --tie-breaker is given by its one non-default value
-    label = {name: "--tie-breaker script" if name == "tie_breaker" else "--" + name for name in flags}
     for name in given:
         if name not in takes[choice]:
             applies = " and ".join(c for c in args.table if name in takes[c])
-            raise FlagError(f"{label[name]} applies to --{kind} {applies} only")
+            raise FlagError(f"--{name} applies to --{kind} {applies} only")
     for name in flags:
         param = takes[choice].get(name)
         if name not in given and param is not None and param.default is param.empty:
-            raise FlagError(f"{label[name]} is required for {choice}")
+            raise FlagError(f"--{name} is required for {choice}")
     return given
 
 
@@ -145,18 +146,12 @@ def _run_report(args: argparse.Namespace, inst: Instance, outputs: dict, ms: flo
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.tie_breaker == "default":
-        args.tie_breaker = None
-    kwargs = _bind(args, "rule", ("tie_breaker", "force", "eps"))
-    if args.tie_breaker and args.script is None:
-        raise FlagError("--script is required for --tie-breaker script")
-    if args.script is not None and not args.tie_breaker:
-        raise FlagError("--script requires --tie-breaker script")
+    kwargs = _bind(args, "rule", ("script", "force", "eps"))
     inst = _load(args.instance, instance_from_dict)
     base = args.out or str(Path(args.instance).with_suffix("")) + f".{args.rule}"
     started = time.perf_counter()
     if args.script is not None:
-        kwargs["tie_breaker"] = _load(args.script, _script)
+        kwargs["script"] = _load(args.script, _script)
     result = args.table[args.rule](inst, **kwargs)
     if isinstance(result, list):  # mnw: every Nash-optimal allocation
         bundle, kind = result[0], "solution"
@@ -290,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an allocation rule")
     p_run.add_argument("--rule", required=True, choices=rules)
     p_run.add_argument("--instance", required=True)
-    p_run.add_argument("--tie-breaker", default="default", choices=["default", "script"])
-    p_run.add_argument("--script", help="tie-break script file (with --tie-breaker script)")
+    p_run.add_argument("--script", help="greedy-ejr-m's tie-break script file")
     p_run.add_argument("--eps", type=float, help=f"gpav's solver tolerance (default {DEFAULT_EPS})")
     p_run.add_argument("--force", action="store_true", default=None,
                        help="lift the goods cap of gpav and mnw")

@@ -326,7 +326,10 @@ def gen_random(
         raise DomainError(f"density must lie in [0, 1], got {density}")
     alpha = as_rational("alpha", alpha)
     c = Fraction(cake_atoms, 2) if cake_length is None else as_rational("cake_length", cake_length)
-    rng = random.Random(as_count("seed", seed))
+    # random.Random seeds from abs(seed), so -5 would build seed 5's instance
+    if as_count("seed", seed) < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     if cake_atoms > 0:
         if c <= 0:
             raise DomainError("cake length must be positive when atoms are requested")

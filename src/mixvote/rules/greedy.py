@@ -5,6 +5,11 @@ t*-cohesive and commonly approves a sub-bundle of size exactly t*, removes
 one such group, and adds its witness bundle to the allocation.  A round is
 one scan of the instance's exact tier table, built once from the approval
 closure, so the closure cap (``CapacityError``) bounds every round.
+
+Ties go to the lexicographically smallest inclusion-maximal group with its
+canonical witness, unless a script of (group, witness) steps steers the
+round: theorems about worst-case executions quantify over all admissible
+tie-breaks, so reproducing them requires steering specific rounds.
 """
 
 from __future__ import annotations
@@ -53,77 +58,56 @@ def canonical_witness(inst: Instance, group: frozenset[int], t_star: Fraction) -
     return Bundle(cake=common.cake.prefix(cake_needed), goods=frozenset(goods_sorted[:j]))
 
 
-class DefaultTieBreaker:
-    """Picks the lexicographically smallest inclusion-maximal group
-    achieving t*, with the canonical witness."""
-
-    def choose(
-        self,
-        inst: Instance,
-        remaining: frozenset[int],
-        t_star: Fraction,
-        achieving_groups: Sequence[frozenset[int]],
-    ) -> tuple[frozenset[int], Bundle]:
-        maximal = [
-            g for g in achieving_groups
-            if not any(g < h for h in achieving_groups)
-        ]
-        group = min(maximal, key=lambda g: tuple(sorted(g)))
-        return group, canonical_witness(inst, group, t_star)
+def _default_choice(
+    inst: Instance, t_star: Fraction, groups: Sequence[frozenset[int]]
+) -> tuple[frozenset[int], Bundle]:
+    """The lexicographically smallest inclusion-maximal group achieving t*,
+    with the canonical witness."""
+    maximal = [g for g in groups if not any(g < h for h in groups)]
+    group = min(maximal, key=lambda g: tuple(sorted(g)))
+    return group, canonical_witness(inst, group, t_star)
 
 
-class ScriptedTieBreaker:
-    """Replays a fixed list of (group, witness) rounds, validating each
-    against the computed t*; falls back to the default policy afterwards.
-
-    Theorems about worst-case executions quantify over all admissible
-    tie-breaks, so reproducing them requires steering specific rounds.
-    """
-
-    def __init__(self, steps: Sequence[tuple[Sequence[int], Bundle]]):
-        self._steps = [(tuple(g), w) for g, w in steps]
-        self._cursor = 0
-        self._fallback = DefaultTieBreaker()
-
-    def choose(
-        self,
-        inst: Instance,
-        remaining: frozenset[int],
-        t_star: Fraction,
-        achieving_groups: Sequence[frozenset[int]],
-    ) -> tuple[frozenset[int], Bundle]:
-        if self._cursor >= len(self._steps):
-            return self._fallback.choose(inst, remaining, t_star, achieving_groups)
-        members, witness = self._steps[self._cursor]
-        self._cursor += 1
-        for i in members:
-            # a bool or a float would pass for the int it equals
-            if type(i) is not int or not 0 <= i < inst.n:
-                raise ScriptError(
-                    f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}"
-                )
-        group = frozenset(members)
-        if not group <= remaining:
-            raise ScriptError("scripted group contains already-removed agents")
-        if len(group) * inst.alpha < t_star * inst.n:
+def _scripted_choice(
+    inst: Instance,
+    remaining: frozenset[int],
+    t_star: Fraction,
+    step: tuple[Sequence[int], Bundle],
+) -> tuple[frozenset[int], Bundle]:
+    """A script step's (group, witness), checked against the round's t*."""
+    members, witness = step
+    for i in members:
+        # a bool or a float would pass for the int it equals
+        if type(i) is not int or not 0 <= i < inst.n:
             raise ScriptError(
-                f"scripted group of size {len(group)} is not {t_star}-cohesive"
+                f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}"
             )
-        if witness.size() != t_star:
-            raise ScriptError(
-                f"scripted witness has size {witness.size()}, round requires {t_star}"
-            )
-        if not common_bundle(inst, group).contains(witness):
-            raise ScriptError("scripted witness is not commonly approved")
-        return group, witness
+    group = frozenset(members)
+    if not group <= remaining:
+        raise ScriptError("scripted group contains already-removed agents")
+    if len(group) * inst.alpha < t_star * inst.n:
+        raise ScriptError(
+            f"scripted group of size {len(group)} is not {t_star}-cohesive"
+        )
+    if witness.size() != t_star:
+        raise ScriptError(
+            f"scripted witness has size {witness.size()}, round requires {t_star}"
+        )
+    if not common_bundle(inst, group).contains(witness):
+        raise ScriptError("scripted witness is not commonly approved")
+    return group, witness
 
 
 def greedy_ejr_m(
     inst: Instance,
-    tie_breaker: DefaultTieBreaker | ScriptedTieBreaker | None = None,
+    script: Sequence[tuple[Sequence[int], Bundle]] | None = None,
 ) -> tuple[Bundle, GreedyTrace]:
-    """Run the greedy rule; returns the allocation and its round trace."""
-    policy = tie_breaker or DefaultTieBreaker()
+    """Run the greedy rule; returns the allocation and its round trace.
+
+    ``script`` steers the first rounds, one (group, witness) step each,
+    checked against the round's t* (``ScriptError`` if it does not fit);
+    the default choice takes the rounds after the last step."""
+    steps = script or ()
     index = inst.index
     unit = index.denominator
     # rows of size 0 reach only t = 0, so the exact tier table has every row
@@ -163,7 +147,10 @@ def greedy_ejr_m(
             frozenset(i for i in range(inst.n) if group >> i & 1)
             for group in sorted(achieving, key=lambda g: achieving[g][1])
         ]
-        group, witness = policy.choose(inst, remaining, t_star, groups)
+        if len(rounds) < len(steps):
+            group, witness = _scripted_choice(inst, remaining, t_star, steps[len(rounds)])
+        else:
+            group, witness = _default_choice(inst, t_star, groups)
         if prev_t is not None and t_star > prev_t:
             raise InvariantError(f"round size {t_star} exceeds the previous round's {prev_t}")
         prev_t = t_star

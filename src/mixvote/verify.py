@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, as_real, format_rational
 from .errors import DomainError, UnsupportedInstanceError
@@ -117,48 +117,18 @@ _ONE = Fraction(1)
 
 
 def _profile_tiers(
-    table: list[tuple[ClosureRow, tuple[int, ...]]],
+    table: Iterable[tuple[ClosureRow, tuple[int, ...]]],
     u: Sequence[int],
-    scale: int = 1,
-    off: int | None = None,
-    bar: list[int] | None = None,
 ) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
     """Yield ((row, thresholds), approvers sorted by utility) for every
     entry of a tier table (``InstanceIndex.tiers``).
 
     The sort is stable and ``row.approvers`` ascends by index, so agents
     come worst-utility-first with ties in index order; the k-th prefix is
-    the hardest group of size k for that bundle, and its threshold at the
-    utilities' unit is ``thresholds[k - 1] * scale``.
-
-    With ``off``, a row that cannot matter is skipped unsorted.  A tier's
-    gap is its best-served member's utility minus its threshold, and the
-    tier fails when its gap is at most -off.  Thresholds are nondecreasing
-    in k, so no gap of a row is below least - top: its least-served
-    approver's utility minus its top threshold.  ``bar`` is a one-element
-    list, [-off] unless given, that the caller lowers to the worst gap
-    found so far.  A row is skipped when
-
-    - least - top > bar[0] (the bar test): before any failure, no tier of
-      the row fails; after one, every tier of the row is strictly less
-      violated than the worst found, so none can be the witness.  A row
-      that ties may hold a smaller t or group, so the test is strict;
-    - top < min(u) - bar[0] (the floor test): no agent's utility is below
-      min(u), so the bar test would hold; this one is checked first, as
-      it needs no min over the row's approvers.
+    the hardest group of size k for that bundle.
     """
-    if off is not None:
-        bar = [-off] if bar is None else bar
-        lowest = min(u)
     for tier in table:
-        row, thresholds = tier
-        if off is not None:
-            top = thresholds[-1] * scale
-            if top < lowest - bar[0]:
-                continue
-            if min(map(u.__getitem__, row.approvers)) - top > bar[0]:
-                continue
-        yield tier, sorted(row.approvers, key=u.__getitem__)
+        yield tier, sorted(tier[0].approvers, key=u.__getitem__)
 
 
 def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[CohesiveProfile]:
@@ -208,9 +178,20 @@ def _scan(
     scale = unit // index.denominator
     # ((-violation, t), group, agent with the group's max utility); smallest wins
     worst: tuple | None = None
-    bar = [-off]  # the worst gap u - t found so far, or -off before any
-    table = index.tiers(exact)
-    for (_, thresholds), members in _profile_tiers(table, u, scale, off, bar):
+    # A row is skipped unsorted (see the module docstring) by the floor
+    # test, its top threshold under min(u) - bar, checked first as it reads
+    # no approver, or by the bar test, its least-served approver's gap above
+    # bar.  A tier's gap is its best-served member's utility minus its
+    # threshold; ``bar`` is the worst gap found so far, or -off before any,
+    # and the filter reads it as the loop below lowers it.
+    bar = -off
+    lowest = min(u)
+    rows = (
+        tier for tier in index.tiers(exact)
+        if (top := tier[1][-1] * scale) >= lowest - bar
+        and min(map(u.__getitem__, tier[0].approvers)) - top <= bar
+    )
+    for (_, thresholds), members in _profile_tiers(rows, u):
         for k, (i, t) in enumerate(zip(members, thresholds), 1):
             t *= scale
             if t <= 0 or u[i] > t - off:
@@ -221,7 +202,7 @@ def _scan(
             candidate = (head, tuple(sorted(members[:k])), i)
             if worst is None or candidate < worst:
                 worst = candidate
-                bar[0] = head[0]
+                bar = head[0]
     witness = None
     if worst is not None:
         (_, t), group, i = worst

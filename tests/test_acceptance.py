@@ -41,7 +41,6 @@ from mixvote.generate import (
     gen_thm6,
 )
 from mixvote.oracle import EnumerationConfig
-from mixvote.rules import ScriptedTieBreaker
 from mixvote.verify import audit_degree
 
 
@@ -49,7 +48,7 @@ def _announce(cid: str, message: str) -> None:
     print(f"\nACCEPTANCE {cid}: PASS — {message}")
 
 
-def _script_from_meta(meta: dict) -> ScriptedTieBreaker:
+def _script_from_meta(meta: dict) -> list[tuple[list[int], Bundle]]:
     steps = []
     for entry in meta["script"]:
         witness = Bundle(
@@ -57,7 +56,7 @@ def _script_from_meta(meta: dict) -> ScriptedTieBreaker:
             goods=frozenset(entry["witness"]["goods"]),
         )
         steps.append((entry["group"], witness))
-    return ScriptedTieBreaker(steps)
+    return steps
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +273,7 @@ def test_criterion_08_thm4_tightness():
 def test_criterion_09_thm6_scripted_execution():
     t, eps = F(5, 2), F(8, 25)
     inst, meta = gen_thm6(t, 20, eps)
-    alloc, trace = greedy_ejr_m(inst, tie_breaker=_script_from_meta(meta))
+    alloc, trace = greedy_ejr_m(inst, script=_script_from_meta(meta))
     positive = [r.t_star for r in trace.rounds if r.t_star > 0]
     assert positive == [F(2), F(1)]
     target = meta["target_group"]

@@ -2,6 +2,7 @@
 benchmark process stubbed out."""
 
 import importlib.util
+import json
 import subprocess
 import tarfile
 import tempfile
@@ -144,3 +145,32 @@ def test_a_failed_run_removes_the_base_tree(monkeypatch, tmp_path):
         bench_pairs.main(["mes-scale:1:1", "--out", str(tmp_path / "out.json")])
     assert str(exc.value.code).startswith("mes-scale:1:1 base run failed with exit code 3")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_counts_src_lines_on_each_side(monkeypatch, tmp_path):
+    """The base tree holds 3 lines of src/**/*.py, the working tree 5; other
+    files do not count."""
+    base = tmp_path / "base"
+    (base / "src" / "pkg").mkdir(parents=True)
+    (base / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\n")
+    (base / "src" / "b.py").write_text("c = 3\n")
+    (base / "src" / "notes.txt").write_text("not\ncode\n")
+    change = tmp_path / "change"
+    (change / "src").mkdir(parents=True)
+    (change / "src" / "a.py").write_text("".join(f"x{i} = {i}\n" for i in range(5)))
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
+
+    def run(cmd, **kwargs):
+        if cmd[:2] == ["git", "rev-parse"]:
+            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
+        with tarfile.open(cmd[cmd.index("-o") + 1], "w") as tar:
+            tar.add(base / "src", arcname="src")
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    stub_runs(monkeypatch, [(10.0, 5.0, "d", True), (10.0, 5.0, "d", True)])
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["mes-scale:1:1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 5}

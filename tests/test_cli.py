@@ -22,7 +22,6 @@ from mixvote.cli import (
 from mixvote.core import allocation_from_dict, allocation_to_dict, instance_to_dict, save_json
 from mixvote.generate import CONSTRUCTIONS, gen_fig1, gen_random, gen_thm6
 from mixvote.rules import (
-    ScriptedTieBreaker,
     generalized_mes,
     generalized_pav,
     greedy_ejr_m,
@@ -108,10 +107,10 @@ def test_greedy_and_pav_sidecars(tmp_path, capsys):
     assert solution["optimality_gap"] <= 1e-9
 
 
-def _library_json(inst, rule, policy):
+def _library_json(inst, rule, script):
     """What the library gives as JSON for the sidecar of ``run --rule``."""
     if rule == "greedy-ejr-m":
-        return greedy_ejr_m(inst, tie_breaker=policy)[1].to_dict(inst)
+        return greedy_ejr_m(inst, script=script)[1].to_dict(inst)
     if rule == "gmes":
         return generalized_mes(inst)[1].to_dict()
     if rule == "gpav":
@@ -148,11 +147,11 @@ def test_scripted_trace_is_the_library_json(tmp_path, capsys):
     script.write_text(json.dumps(meta["script"]))
     code, _ = run_cli(
         capsys, "run", "--rule", "greedy-ejr-m", "--instance", str(path),
-        "--tie-breaker", "script", "--script", str(script),
+        "--script", str(script),
     )
     assert code == EXIT_OK
-    policy = ScriptedTieBreaker([(e["group"], allocation_from_dict(e["witness"])) for e in meta["script"]])
-    expected = json.loads(json.dumps(_library_json(inst, "greedy-ejr-m", policy)))
+    steps = [(e["group"], allocation_from_dict(e["witness"])) for e in meta["script"]]
+    expected = json.loads(json.dumps(_library_json(inst, "greedy-ejr-m", steps)))
     assert json.loads((tmp_path / "t6.greedy-ejr-m.trace.json").read_text()) == expected
     assert expected != json.loads(json.dumps(_library_json(inst, "greedy-ejr-m", None)))
 
@@ -169,7 +168,7 @@ def test_scripted_tie_breaker_flow(tmp_path, capsys):
     script.write_text(json.dumps(meta["script"]))
     code, out = run_cli(
         capsys, "run", "--rule", "greedy-ejr-m", "--instance", str(inst),
-        "--tie-breaker", "script", "--script", str(script),
+        "--script", str(script),
     )
     assert code == EXIT_OK
     trace = json.loads((tmp_path / "t6.greedy-ejr-m.trace.json").read_text())
@@ -416,25 +415,13 @@ def test_uncertifiable_tolerance_is_usage_error(fig1_files, capsys, argv):
         assert "eps must be finite and positive" in err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--tie-breaker", "script"], "--script is required for --tie-breaker script"),
-    (["--script", "script.json"], "--script requires --tie-breaker script"),
-])
-def test_tie_breaker_and_script_go_together(fig1_files, capsys, flags, message):
-    inst, _ = fig1_files
-    code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", inst, *flags])
-    assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("member", [0.0, True, "0", 7, -1])
 def test_script_member_not_an_agent_is_usage_error(fig1_files, tmp_path, capsys, member):
     inst, _ = fig1_files
     path = tmp_path / "script.json"
     path.write_text(json.dumps([{"group": [member], "witness": {"goods": ["g2"], "cake": []}}]))
     code = dispatch([
-        "run", "--rule", "greedy-ejr-m", "--instance", inst,
-        "--tie-breaker", "script", "--script", str(path),
+        "run", "--rule", "greedy-ejr-m", "--instance", inst, "--script", str(path),
     ])
     assert code == EXIT_USAGE
     assert f"scripted group member {member!r} is not an agent index in 0..1" in capsys.readouterr().err
@@ -446,12 +433,9 @@ def test_script_tie_breaker_is_greedy_only(fig1_files, tmp_path, capsys, rule, s
     inst, _ = fig1_files
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
-    code = dispatch([
-        "run", "--rule", rule, "--instance", inst,
-        "--tie-breaker", "script", "--script", str(path),
-    ])
+    code = dispatch(["run", "--rule", rule, "--instance", inst, "--script", str(path)])
     assert code == EXIT_USAGE
-    assert "--tie-breaker script applies to --rule greedy-ejr-m only" in capsys.readouterr().err
+    assert "--script applies to --rule greedy-ejr-m only" in capsys.readouterr().err
     assert not (tmp_path / f"fig1.{rule}.alloc.json").exists()
 
 

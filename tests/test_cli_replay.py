@@ -6,7 +6,8 @@ code, stderr, stdout without its timing fields and the echoed command, and
 the name and sha256 of every file the command wrote.  The digests were
 computed before the run, verify and oracle flags were bound to the library
 signatures, so any change to what the CLI prints or writes shows here by
-command.
+command; a row whose output a later change altered on purpose is re-pinned
+with that change, and CHANGES.md gives its old and new digest.
 """
 
 import hashlib
@@ -105,6 +106,8 @@ REPLAY = {
         "a8dcd5623e66b66652bc3844565a286bf087379ae04212b64df201adce8f32fb",
     "gen --construction nope":
         "a4b5bab0046e21b849b65ceb9e6862c63a82bbb6504307e160377d86aa69eac0",
+    "gen --construction random --n 4 --m 3 --alpha 1 --seed -5":
+        "3a18144d1b86a3a846a14fe8bb9017bd2b56b4a2279dddc5c3d4d3deaea4c347",
     "run --rule greedy-ejr-m --instance fig1.json":
         "eb3b236fe018785cda41a22d3001572a604901420f64423e4509d465be22594f",
     "run --rule greedy-ejr-m --instance mixed.json":
@@ -113,10 +116,8 @@ REPLAY = {
         "6e475976639dfc016ec6a4067e71319994c05a6d3ec0fd62d4a3423cd0d30674",
     "run --rule greedy-ejr-m --instance cake.json --out g":
         "31a775182a3a1dec456a028cdd32006f86e0001cefad7085f718f4971c661a5d",
-    "run --rule greedy-ejr-m --instance thm6.json --tie-breaker script --script script.json":
+    "run --rule greedy-ejr-m --instance thm6.json --script script.json":
         "145084b706e9e44555e9144050af751dfb377d6abe540f968cecd7ed22c7c138",
-    "run --rule greedy-ejr-m --instance thm6.json --tie-breaker default":
-        "7c4e268121ec3a5c5420b8034bdf008d904c6e48101078e10d444e0c14b1c76a",
     "run --rule gmes --instance fig1.json":
         "a518bbbb152bb6102dcb98b53d5bc547d479c245b84b5b8e6d0b0dfe3572992c",
     "run --rule gmes --instance mixed.json":
@@ -141,12 +142,12 @@ REPLAY = {
         "3a96d9cda9c4ab1210d2011a7fc489123d0e4b2566704e8c802ddb3d989dcd7d",
     "run --rule gmes --instance missing.json":
         "c942c8fec119bb974501dcc41a0b9e6ca591b2dc1f59ce3c7a558e977ca2d603",
-    "run --rule gmes --instance fig1.json --tie-breaker script --script script.json":
-        "bc09b707e868dc8d33a8ea3b2cc7c9fade84f43b7a3caf80b3b7f18a10a0020e",
-    "run --rule gpav --instance fig1.json --tie-breaker script --script script.json":
-        "bc09b707e868dc8d33a8ea3b2cc7c9fade84f43b7a3caf80b3b7f18a10a0020e",
-    "run --rule mnw --instance goods.json --tie-breaker script":
-        "bc09b707e868dc8d33a8ea3b2cc7c9fade84f43b7a3caf80b3b7f18a10a0020e",
+    "run --rule gmes --instance fig1.json --script script.json":
+        "27133b0a7b845aff7dcf82ec6e2838d9d75a7a97c459785f21e46d1479121e8b",
+    "run --rule gpav --instance fig1.json --script script.json":
+        "27133b0a7b845aff7dcf82ec6e2838d9d75a7a97c459785f21e46d1479121e8b",
+    "run --rule mnw --instance goods.json --script script.json":
+        "27133b0a7b845aff7dcf82ec6e2838d9d75a7a97c459785f21e46d1479121e8b",
     "run --rule greedy-ejr-m --instance fig1.json --force --eps -5":
         "8a405d8179dcbc39b4a456e131df90888b640b5cad8c7f582cbf30987969a62d",
     "run --rule greedy-ejr-m --instance fig1.json --force":
@@ -160,23 +161,19 @@ REPLAY = {
     "run --rule mnw --instance goods.json --eps 1e-9":
         "d4cf14ebe1f04875b1f313c10d15b32bfebc24fb02f83df6213cbcd423ecd0bb",
     "run --rule greedy-ejr-m --instance fig1.json --tie-breaker script":
-        "b144a4b571ec491a7acba4e0d447f432c67a21ca802db16c2f8c8644c6434edf",
-    "run --rule greedy-ejr-m --instance fig1.json --script script.json":
-        "58c312ac10141445f2fa33422f214d8ec550273608c2af8430be14458c2cb435",
-    "run --rule gmes --instance fig1.json --script script.json":
-        "58c312ac10141445f2fa33422f214d8ec550273608c2af8430be14458c2cb435",
-    "run --rule greedy-ejr-m --instance fig1.json --tie-breaker script --script missing.json":
+        "59e01800a5136d9de550b4fa052377b8dd8d48712d983b4e3c0de087d4e191f1",
+    "run --rule greedy-ejr-m --instance fig1.json --script missing.json":
         "c942c8fec119bb974501dcc41a0b9e6ca591b2dc1f59ce3c7a558e977ca2d603",
-    "run --rule greedy-ejr-m --instance fig1.json --tie-breaker script --script script.json":
+    "run --rule greedy-ejr-m --instance fig1.json --script script.json":
         "388c015f612d73c8e2f7a3de901048fffceb6b452daddbb8767df1eef4350841",
     "run --rule gpav --instance fig1.json --eps nan":
         "dd8d7884733b6ae1f7bd0f9ff9afa67b5cd803af2d3cb96ca25dd816985c945f",
     "run --rule gpav --instance fig1.json --eps 0":
         "ef8ebc5d78036971272331348a0be5a394a0475f38996d198eadcae9bb03778e",
     "run --rule nonsense --instance fig1.json":
-        "7a60c7ac53798569566d1b82fd127cf014dc4db98bc606c9f43078273f092474",
+        "4ec91a3ea1723d50f15b98316f1de56695bcc483ef9b37f942372b9f82ebd0d3",
     "run --instance fig1.json":
-        "7926aa91957e5272f4fb1f52a6212fc5dcf9aa602c684b1bcb42096f24f4dc50",
+        "bb4fdad6d2c8404bdf01447b3c851b2189539a7a52666932820106c380cad67a",
     "verify --axiom ejr-m --instance fig1.json --allocation fig1-gmes.a.json":
         "26a011988c7fd62ca2f98281c01c9e1501f7a6d1a22650add7af21777e6b01d2",
     "verify --axiom ejr-m --instance fig1.json --allocation fig1-greedy.a.json --out r.json":
@@ -299,8 +296,10 @@ REPLAY = {
         "6344ebc7ad272b12ae9f13ff07ce4de21a9f258ce037c1096e2625a8fb915ec2",
     "bench --sizes 3:-1:1":
         "ea29226e1113dfb80836b0b5e322ef1436a079bee3a15cdcf723ef3eade9360b",
+    "bench --sizes 3:1:1 --seed -5":
+        "3a18144d1b86a3a846a14fe8bb9017bd2b56b4a2279dddc5c3d4d3deaea4c347",
     "run --help":
-        "a995af73c3c65c311d5479da2175814f4c27d06e4fa94a8c9ebd362e691b455c",
+        "4414396e47e7c275430c6fbb5afdb3f22ae807c17e7d0c158c8617ad88138174",
     "verify --help":
         "e727cbdcdf6a171308ae3f7dc51b5f2149cd60818e24a2e1529f48441dbf36af",
     "audit --help":

@@ -197,6 +197,11 @@ class TestRandom:
         with pytest.raises(DomainError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
             gen_random(n=4, m=3, alpha=F(1), seed=seed)
 
+    def test_negative_seed_rejected(self):
+        # -5 built seed 5's instance, as random.Random seeds from abs(seed)
+        with pytest.raises(DomainError, match=r"^seed must be nonnegative, got -5$"):
+            gen_random(n=4, m=3, alpha=F(1), seed=-5)
+
 
 def test_dispatcher_names():
     inst, meta = gen_construction(ConstructionSpec("prop4", {"beta": 1}))

@@ -367,18 +367,12 @@ def test_index_does_not_depend_on_shared_endpoints(seed):
 @given(instances(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_profile_tiers_order_members_by_utility_then_index(inst, data):
-    """Utilities from {0, 1, 2} make ties common; each kept row's members
-    come worst-served first, ties by index, and a row is skipped only when
-    its least-served approver is above its top threshold minus the offset."""
+    """Utilities from {0, 1, 2} make ties common; each row's members come
+    worst-served first, ties by index."""
     u = data.draw(st.lists(st.integers(0, 2), min_size=inst.n, max_size=inst.n))
-    off = data.draw(st.none() | st.integers(-3, 12))
     table = inst.index.tiers(data.draw(st.booleans()))
-    kept = [
-        (tier, sorted(tier[0].approvers, key=lambda i: (u[i], i)))
-        for tier in table
-        if off is None or min(u[i] for i in tier[0].approvers) <= tier[1][-1] - off
-    ]
-    assert list(_profile_tiers(table, u, 1, off)) == kept
+    expected = [(tier, sorted(tier[0].approvers, key=lambda i: (u[i], i))) for tier in table]
+    assert list(_profile_tiers(table, u)) == expected
 
 
 @given(instances())
@@ -509,15 +503,6 @@ def test_gpav_certified_bound_covers_grid_oracle(inst):
         assert abs(sol.score.value - float(opt)) <= 1e-9
 
 
-class RecordingTieBreaker(greedy.DefaultTieBreaker):
-    def __init__(self):
-        self.calls = []
-
-    def choose(self, inst, remaining, t_star, achieving_groups):
-        self.calls.append((remaining, t_star, achieving_groups))
-        return super().choose(inst, remaining, t_star, achieving_groups)
-
-
 def naive_round(inst, remaining):
     """Best t and its achieving groups, in the remaining pool's closure order."""
     best, groups = F(0), []
@@ -551,10 +536,20 @@ ORDER_CASE = instance_from_dict({
 @example(ORDER_CASE)
 @settings(max_examples=60, deadline=None)
 def test_greedy_rounds_match_pool_closure(inst):
-    policy = RecordingTieBreaker()
-    greedy_ejr_m(inst, tie_breaker=policy)
-    for remaining, t_star, groups in policy.calls:
+    calls = []
+    default_choice = greedy._default_choice
+
+    def recording_choice(inst, t_star, groups):
+        choice = default_choice(inst, t_star, groups)
+        calls.append((t_star, groups, choice[0]))
+        return choice
+
+    with patch.object(greedy, "_default_choice", recording_choice):
+        greedy_ejr_m(inst)
+    remaining = frozenset(range(inst.n))
+    for t_star, groups, chosen in calls:
         assert (t_star, groups) == naive_round(inst, remaining)
+        remaining -= chosen
 
 
 @given(instances())
@@ -811,10 +806,10 @@ from mixvote.rules import greedy
 
 assert False, "this script must run under python -O"
 
-def over_budget(self, inst, remaining, t_star, groups):
+def over_budget(inst, t_star, groups):
     return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
 
-greedy.DefaultTieBreaker.choose = over_budget
+greedy._default_choice = over_budget
 try:
     greedy.greedy_ejr_m(gen_fig1()[0])
 except InvariantError as exc:
@@ -822,7 +817,7 @@ except InvariantError as exc:
 """
 
 
-def over_budget(self, inst, remaining, t_star, groups):
+def over_budget(inst, t_star, groups):
     return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
 
 
@@ -839,7 +834,7 @@ def test_budget_invariant_survives_optimize_flag():
 def test_invariant_error_maps_to_internal_exit_code(tmp_path, fig1, monkeypatch):
     path = tmp_path / "fig1.json"
     save_json(str(path), instance_to_dict(fig1))
-    monkeypatch.setattr(greedy.DefaultTieBreaker, "choose", over_budget)
+    monkeypatch.setattr(greedy, "_default_choice", over_budget)
     with pytest.raises(InvariantError):
         greedy_ejr_m(fig1)
     code = dispatch(["run", "--rule", "greedy-ejr-m", "--instance", str(path)])

@@ -21,7 +21,7 @@ from mixvote import (
 )
 from mixvote.core import allocation_to_dict
 from mixvote.errors import ScriptError
-from mixvote.rules import ScriptedTieBreaker, achievable_exact_size
+from mixvote.rules import achievable_exact_size
 
 from conftest import brute_max_round_t, make_mixed
 
@@ -167,33 +167,33 @@ def test_mes_scale_rounds_pinned():
 
 class TestScriptedPolicy:
     def test_wrong_witness_size_rejected(self, fig1):
-        script = ScriptedTieBreaker([([0], Bundle(goods=frozenset({"g1", "g2"})))])
+        script = [([0], Bundle(goods=frozenset({"g1", "g2"})))]
         with pytest.raises(ScriptError):
-            greedy_ejr_m(fig1, tie_breaker=script)
+            greedy_ejr_m(fig1, script=script)
 
     def test_unapproved_witness_rejected(self, fig1):
-        script = ScriptedTieBreaker([([0], Bundle(goods=frozenset({"g2"})))])
+        script = [([0], Bundle(goods=frozenset({"g2"})))]
         with pytest.raises(ScriptError):
-            greedy_ejr_m(fig1, tie_breaker=script)
+            greedy_ejr_m(fig1, script=script)
 
     @pytest.mark.parametrize("member", [0.0, True, "0", 7, -1])
     def test_group_member_must_be_an_agent_index(self, fig1, member):
         # 0.0 failed with a TypeError, True ran as agent 1, and "0", 7 and -1
         # were reported as already removed
-        script = ScriptedTieBreaker([([member], Bundle(goods=frozenset({"g2"})))])
+        script = [([member], Bundle(goods=frozenset({"g2"})))]
         message = rf"^scripted group member {re.escape(repr(member))} is not an agent index in 0\.\.1$"
         with pytest.raises(ScriptError, match=message):
-            greedy_ejr_m(fig1, tie_breaker=script)
+            greedy_ejr_m(fig1, script=script)
 
     def test_removed_agent_rejected(self, fig1):
         step = ([0], Bundle(goods=frozenset({"g1"})))
-        script = ScriptedTieBreaker([step, step])
+        script = [step, step]
         with pytest.raises(ScriptError, match="^scripted group contains already-removed agents$"):
-            greedy_ejr_m(fig1, tie_breaker=script)
+            greedy_ejr_m(fig1, script=script)
 
     def test_valid_script_steers_the_round(self, fig1):
         # pick agent 2's good first, then fall back to the default policy
-        script = ScriptedTieBreaker([([1], Bundle(goods=frozenset({"g2"})))])
-        alloc, trace = greedy_ejr_m(fig1, tie_breaker=script)
+        script = [([1], Bundle(goods=frozenset({"g2"})))]
+        alloc, trace = greedy_ejr_m(fig1, script=script)
         assert alloc.goods == frozenset({"g1", "g2"})
         assert set(trace.rounds[0].group) == {1}
