@@ -105,8 +105,9 @@ def greedy_ejr_m(
     """Run the greedy rule; returns the allocation and its round trace.
 
     ``script`` steers the first rounds, one (group, witness) step each,
-    checked against the round's t* (``ScriptError`` if it does not fit);
-    the default choice takes the rounds after the last step."""
+    checked against the round's t* (``ScriptError`` if it does not fit, or
+    if steps are left after the last positive round); the default choice
+    takes the rounds after the last step."""
     steps = script or ()
     index = inst.index
     unit = index.denominator
@@ -157,6 +158,9 @@ def greedy_ejr_m(
         allocation = allocation.union(witness)
         rounds.append(GreedyRound(t_star, group, witness))
         remaining = remaining - group
+    left = len(steps) - sum(r.t_star > 0 for r in rounds)
+    if left > 0:
+        raise ScriptError(f"script has {left} step(s) left after the last round")
     if allocation.size() > inst.alpha:
         raise InvariantError(
             f"greedy allocation size {allocation.size()} exceeds alpha {inst.alpha}"

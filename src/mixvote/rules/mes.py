@@ -17,9 +17,10 @@ run rescales at most log2(final U / initial U) times.
 
 The ledger keeps each purchase as an int record over the U in force when
 it was made: the payers with their amounts (a good) or their common share
-(a cell), and the cell's left end before and after.  ``validate`` checks
-money on those ints; the ``Purchase``s, with their ``Fraction`` payments,
-are built only when ``PaymentLedger.purchases`` is first read.
+(a cell), and the cell's left end before and after.  The records are the
+ledger's only state: ``validate`` checks money on their ints, and each read
+of ``PaymentLedger.purchases`` builds the ``Purchase``s, with their
+``Fraction`` payments, from them.
 
 A heap entry is ``(float rho, Fraction rho, kind, k)``: the exact price
 behind a float of it, computed from ints (``num / (den * U)`` for a good,
@@ -92,9 +93,9 @@ class PaymentLedger:
     """The purchases of one gmes run and the budgets left after them.
 
     A run records each purchase in ints over the unit in force when it was
-    made (see ``generalized_mes``); ``purchases`` builds the ``Purchase``
-    list from those records on first read and keeps it, so edits to the
-    list stick.  A ledger built by hand starts with an empty list.
+    made (see ``generalized_mes``); ``purchases`` builds a tuple of
+    ``Purchase``s from those records on each read.  A ledger built by hand
+    has no purchases.
 
     ``pops`` counts heap pops, ``stale`` the pops whose entry was out of
     date (re-pushed at its new price, or dropped once unaffordable), so
@@ -111,16 +112,13 @@ class PaymentLedger:
     # a record is (k, rho, unit, payers, paid, start, end): candidate k, its
     # price, and over 1/unit the goods payers' amounts (start None) or the
     # cake share each payer paid for the cell's cake from start to end
-    _records: list[tuple] = field(default_factory=list, init=False, repr=False, compare=False)
-    _goods: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
-    _purchases: list[Purchase] | None = field(default=None, init=False, repr=False, compare=False)
+    _records: list[tuple] = field(default_factory=list, init=False, repr=False)
+    _goods: tuple[str, ...] = field(default=(), init=False, repr=False)
 
     @property
-    def purchases(self) -> list[Purchase]:
-        """Every purchase in order, built from the records on first read."""
-        if self._purchases is None:
-            self._purchases = [self._purchase(r) for r in self._records]
-        return self._purchases
+    def purchases(self) -> tuple[Purchase, ...]:
+        """Every purchase in order, built from the run's records on each read."""
+        return tuple(map(self._purchase, self._records))
 
     def to_dict(self) -> dict:
         """The budgets and purchases as JSON; the work counters are left out."""
@@ -150,36 +148,24 @@ class PaymentLedger:
         payments = dict.fromkeys(payers, Fraction(paid, unit))
         return Purchase((Fraction(start, unit), x), Fraction(end - start, unit), rho, x, payments)
 
-    def _at(self, t: int) -> Purchase:
-        """Purchase t, without building the list."""
-        return self._purchase(self._records[t]) if self._purchases is None else self._purchases[t]
-
-    def _in_ints(self, n: int) -> list[tuple[int, int, int]]:
-        """Each purchase as ``(paid, cost, den)``, its payments' sum and its
-        cost over 1/den, once every payment is checked to be positive and
-        made by an agent: from the records while the list is unbuilt."""
-        if self._purchases is not None:
-            return [_purchase_in_ints(p, n) for p in self._purchases]
-        rows = []
-        for k, rho, unit, payers, paid, start, end in self._records:
-            if start is None:
-                bad = payers and min(paid) <= 0
-                rows.append((sum(paid), unit, unit))
-            else:
-                bad = paid <= 0
-                rows.append((paid * len(payers), end - start, unit))
-            if bad or payers and (min(payers) < 0 or max(payers) >= n):
-                _purchase_in_ints(self._at(len(rows) - 1), n)  # raises, naming the payment
-        return rows
-
     def validate(self, inst: Instance, allocation: Bundle) -> None:
         """Raise InvariantError unless every payment is positive and made by
         an agent, the final budgets name exactly the agents, and the ledger
         conserves money.  Sums are taken in ints at the lcm of the ledger's
-        denominators, from the records while ``purchases`` is unread."""
+        denominators, from the run's records."""
         n = inst.n
         size = allocation.size()
-        rows = self._in_ints(n)
+        rows = []  # each record's (paid, cost, den): its payments' sum and cost over 1/den
+        for record in self._records:
+            _, _, den, payers, paid, start, end = record
+            if start is None:
+                bad = payers and min(paid) <= 0
+                rows.append((sum(paid), den, den))
+            else:
+                bad = paid <= 0
+                rows.append((paid * len(payers), end - start, den))
+            if bad or payers and (min(payers) < 0 or max(payers) >= n):
+                _check_payments(self._purchase(record), n)  # raises, naming the payment
         finals = [b.as_integer_ratio() for b in self.final_budgets.values()]
         denominators = {self.initial_budget.denominator, size.denominator}
         denominators.update(den for *_, den in rows)
@@ -197,7 +183,7 @@ class PaymentLedger:
             )
         for t, (paid, cost, _) in enumerate(rows):
             if paid != cost:
-                p = self._at(t)
+                p = self._purchase(self._records[t])
                 raise InvariantError(f"payments for {p.item} differ from its cost {p.cost}")
         if self.final_budgets.keys() != set(range(n)):
             raise InvariantError(f"final budgets must name exactly the agents 0..{n - 1}")
@@ -210,20 +196,14 @@ class PaymentLedger:
             raise InvariantError("budgets spent differ from the payments")
 
 
-def _purchase_in_ints(p: Purchase, n: int) -> tuple[int, int, int]:
-    """``p`` as ``(paid, cost, den)`` over 1/den; InvariantError at its first
-    payment that is not positive or not made by an agent."""
-    sums: dict[int, int] = {}  # payment numerators, summed by denominator
+def _check_payments(p: Purchase, n: int) -> None:
+    """InvariantError at ``p``'s first payment that is not positive or not
+    made by an agent."""
     for i, v in p.payments.items():
-        num, den = v.as_integer_ratio()
         if not 0 <= i < n:
             raise InvariantError(f"payer {i} of {p.item} is not an agent")
-        if num <= 0:
+        if v <= 0:
             raise InvariantError(f"payment {v} by agent {i} for {p.item} is not positive")
-        sums[den] = sums.get(den, 0) + num
-    den = math.lcm(p.cost.denominator, *sums)
-    paid = sum(num * (den // d) for d, num in sums.items())
-    return paid, p.cost.numerator * (den // p.cost.denominator), den
 
 
 def generalized_mes(inst: Instance) -> tuple[Bundle, PaymentLedger]:

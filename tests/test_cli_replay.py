@@ -25,7 +25,7 @@ VOLATILE = re.compile(r'^ *"(timing_ms|command|wall_ms)": .*\n', re.M)
 
 
 def _write_inputs(root):
-    """The instances, allocations and tie-break script the commands read."""
+    """The instances, allocations and tie-break scripts the commands read."""
     specs = {
         "fig1": ConstructionSpec("fig1"),
         "prop1": ConstructionSpec("prop1"),
@@ -34,6 +34,12 @@ def _write_inputs(root):
     }
     instances = {name: gen_construction(spec) for name, spec in specs.items()}
     save_json(str(root / "script.json"), instances["thm6"][1]["script"])
+    # fig1 has two positive rounds, so the third step is left over
+    steps = [([1], ["g2"]), ([0], ["g1"]), ([0], ["g1"])]
+    save_json(
+        str(root / "leftover.json"),
+        [{"group": group, "witness": {"goods": goods, "cake": []}} for group, goods in steps],
+    )
     instances = {name: inst for name, (inst, _) in instances.items()}
     instances["mixed"] = gen_random(n=6, m=4, cake_atoms=3, alpha=F(2), seed=7)
     instances["goods"] = gen_random(n=5, m=4, alpha=F(2), seed=3)
@@ -166,6 +172,8 @@ REPLAY = {
         "c942c8fec119bb974501dcc41a0b9e6ca591b2dc1f59ce3c7a558e977ca2d603",
     "run --rule greedy-ejr-m --instance fig1.json --script script.json":
         "388c015f612d73c8e2f7a3de901048fffceb6b452daddbb8767df1eef4350841",
+    "run --rule greedy-ejr-m --instance fig1.json --script leftover.json":
+        "02a9bfde0c02e2f6cfb9e8509ee6d082cb341b42ef5276248cd7a1b2d386d548",
     "run --rule gpav --instance fig1.json --eps nan":
         "dd8d7884733b6ae1f7bd0f9ff9afa67b5cd803af2d3cb96ca25dd816985c945f",
     "run --rule gpav --instance fig1.json --eps 0":

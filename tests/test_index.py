@@ -2,6 +2,7 @@
 differential tests against naive Fraction references, index lifetime,
 capacity semantics, and the invariants that must hold under ``python -O``."""
 
+import ast
 import gc
 import itertools
 import math
@@ -956,3 +957,14 @@ def test_allocation_checks_survive_optimize_flag(tmp_path, fig1):
         )
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert f"error: {message}" in proc.stderr
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips asserts, so an invariant written as one is not enforced
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(Path(SRC).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

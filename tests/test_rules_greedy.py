@@ -191,6 +191,18 @@ class TestScriptedPolicy:
         with pytest.raises(ScriptError, match="^scripted group contains already-removed agents$"):
             greedy_ejr_m(fig1, script=script)
 
+    def test_steps_left_after_the_last_round_rejected(self, fig1):
+        # fig1 has two positive rounds; the third step is never reached
+        script = [
+            ([1], Bundle(goods=frozenset({"g2"}))),
+            ([0], Bundle(goods=frozenset({"g1"}))),
+            ([0], Bundle(goods=frozenset({"g1"}))),
+        ]
+        with pytest.raises(ScriptError, match=r"^script has 1 step\(s\) left after the last round$"):
+            greedy_ejr_m(fig1, script=script)
+        alloc, trace = greedy_ejr_m(fig1, script=script[:2])
+        assert [set(r.group) for r in trace.rounds] == [{1}, {0}]
+
     def test_valid_script_steers_the_round(self, fig1):
         # pick agent 2's good first, then fall back to the default policy
         script = [([1], Bundle(goods=frozenset({"g2"})))]
