@@ -314,8 +314,9 @@ def gen_random(
     cake_length: Fraction | None = None,
 ) -> Instance:
     """Seeded random instance: ``cake_atoms`` base intervals with random
-    rational breakpoints; each agent approves each good and each base atom
-    independently with the given probability."""
+    rational breakpoints over a cake of ``cake_length`` (``cake_atoms / 2``
+    unless given, and 0 without atoms); each agent approves each good and
+    each base atom independently with the given probability."""
     if as_count("n", n) < 1:
         raise DomainError("need at least one agent")
     if as_count("m", m) < 0 or as_count("cake_atoms", cake_atoms) < 0:
@@ -337,8 +338,9 @@ def gen_random(
         ticks = sorted(rng.sample(range(1, denom), cake_atoms - 1)) if cake_atoms > 1 else []
         points = [Fraction(0)] + [Fraction(p, denom) * c for p in ticks] + [c]
         base_atoms = list(zip(points, points[1:]))
+    elif c != 0:
+        raise DomainError(f"cake_length must be 0 when no cake atoms are requested, got {c}")
     else:
-        c = Fraction(0)
         base_atoms = []
     if not (0 < alpha <= m + c):
         raise DomainError(f"alpha must lie in (0, {m + c}], got {alpha}")

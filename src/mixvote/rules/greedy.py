@@ -4,22 +4,25 @@ Each round finds the largest t* such that some remaining group is
 t*-cohesive and commonly approves a sub-bundle of size exactly t*, removes
 one such group, and adds its witness bundle to the allocation.  A round is
 one scan of the instance's exact tier table, built once from the approval
-closure, so the closure cap (``CapacityError``) bounds every round.
+closure, so the closure cap (``CapacityError``) bounds every round; the scan
+yields t* and the set of groups achieving it, as agent bitmasks.
 
-Ties go to the lexicographically smallest inclusion-maximal group with its
-canonical witness, unless a script of (group, witness) steps steers the
-round: theorems about worst-case executions quantify over all admissible
-tie-breaks, so reproducing them requires steering specific rounds.
+Ties go to the lexicographically smallest inclusion-maximal group of that
+set with its canonical witness, unless a script of (group, witness) steps
+steers the round: theorems about worst-case executions quantify over all
+admissible tie-breaks, so reproducing them requires steering specific rounds.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from ..core import Bundle, EMPTY_BUNDLE, Instance, allocation_to_dict, common_bundle, format_rational
+from ..core import _bits
 from ..errors import InvariantError, ScriptError
 
 
@@ -58,41 +61,32 @@ def canonical_witness(inst: Instance, group: frozenset[int], t_star: Fraction) -
     return Bundle(cake=common.cake.prefix(cake_needed), goods=frozenset(goods_sorted[:j]))
 
 
-def _default_choice(
-    inst: Instance, t_star: Fraction, groups: Sequence[frozenset[int]]
-) -> tuple[frozenset[int], Bundle]:
-    """The lexicographically smallest inclusion-maximal group achieving t*,
-    with the canonical witness."""
-    maximal = [g for g in groups if not any(g < h for h in groups)]
-    group = min(maximal, key=lambda g: tuple(sorted(g)))
+def _default_choice(inst: Instance, t_star: Fraction, groups: set[int]) -> tuple[frozenset[int], Bundle]:
+    """The lexicographically smallest inclusion-maximal group of the set
+    ``groups`` (agent bitmasks) achieving t*, with the canonical witness."""
+    maximal = [g for g in groups if not any(g != h and g & h == g for h in groups)]
+    group = frozenset(min(map(_bits, maximal)))
     return group, canonical_witness(inst, group, t_star)
 
 
 def _scripted_choice(
-    inst: Instance,
-    remaining: frozenset[int],
-    t_star: Fraction,
-    step: tuple[Sequence[int], Bundle],
+    inst: Instance, remaining: frozenset[int], t_star: Fraction, k: int, step: tuple
 ) -> tuple[frozenset[int], Bundle]:
-    """A script step's (group, witness), checked against the round's t*."""
-    members, witness = step
+    """Script step ``k``'s (group, witness), checked against the round's t*."""
+    members, witness = step if isinstance(step, (tuple, list)) and len(step) == 2 else (None, None)
+    if not (isinstance(members, Collection) and isinstance(witness, Bundle)):
+        raise ScriptError(f"script step {k} is not a (group, Bundle) pair: {step!r}")
     for i in members:
         # a bool or a float would pass for the int it equals
         if type(i) is not int or not 0 <= i < inst.n:
-            raise ScriptError(
-                f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}"
-            )
+            raise ScriptError(f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}")
     group = frozenset(members)
     if not group <= remaining:
         raise ScriptError("scripted group contains already-removed agents")
     if len(group) * inst.alpha < t_star * inst.n:
-        raise ScriptError(
-            f"scripted group of size {len(group)} is not {t_star}-cohesive"
-        )
+        raise ScriptError(f"scripted group of size {len(group)} is not {t_star}-cohesive")
     if witness.size() != t_star:
-        raise ScriptError(
-            f"scripted witness has size {witness.size()}, round requires {t_star}"
-        )
+        raise ScriptError(f"scripted witness has size {witness.size()}, round requires {t_star}")
     if not common_bundle(inst, group).contains(witness):
         raise ScriptError("scripted witness is not commonly approved")
     return group, witness
@@ -109,52 +103,43 @@ def greedy_ejr_m(
     if steps are left after the last positive round); the default choice
     takes the rounds after the last step."""
     steps = script or ()
-    index = inst.index
-    unit = index.denominator
+    unit = inst.index.denominator
     # rows of size 0 reach only t = 0, so the exact tier table has every row
     # that can achieve a round
-    tiers = index.tiers(exact=True)
+    tiers = inst.index.tiers(exact=True)
     remaining = frozenset(range(inst.n))
     allocation = EMPTY_BUNDLE
     rounds: list[GreedyRound] = []
-    prev_t: Fraction | None = None
     while remaining:
         # The closure of the remaining pool is the full closure filtered by
         # approvers & remaining: each pool group's common bundle is the
         # largest row with that filtered approver set, and smaller rows with
-        # the same set reach no larger t.  Groups are ordered by the
-        # position of that largest row, as in the pool closure's key order.
+        # the same set reach no larger t.
         pool = sum(1 << i for i in remaining)
         best_t = 0
-        achieving: dict[int, tuple[int, int]] = {}  # group mask -> (size_d, row position)
-        for pos, (row, thresholds) in enumerate(tiers):
+        achieving: set[int] = set()  # group masks reaching best_t
+        for row, thresholds in tiers:
             group = row.agents & pool
             if not group:
                 continue
             t = thresholds[group.bit_count() - 1]
             if t > best_t:
                 best_t = t
-                achieving = {group: (row.size_d, pos)}
+                achieving = {group}
             elif t == best_t and t > 0:
-                prior = achieving.get(group)
-                if prior is None or prior[0] < row.size_d:
-                    achieving[group] = (row.size_d, pos)
+                achieving.add(group)
         if best_t == 0:
             # every leftover group is only 0-cohesive; nothing more to add
             rounds.append(GreedyRound(Fraction(0), remaining, EMPTY_BUNDLE))
             break
         t_star = Fraction(best_t, unit)
-        groups = [
-            frozenset(i for i in range(inst.n) if group >> i & 1)
-            for group in sorted(achieving, key=lambda g: achieving[g][1])
-        ]
-        if len(rounds) < len(steps):
-            group, witness = _scripted_choice(inst, remaining, t_star, steps[len(rounds)])
+        k = len(rounds)
+        if k < len(steps):
+            group, witness = _scripted_choice(inst, remaining, t_star, k, steps[k])
         else:
-            group, witness = _default_choice(inst, t_star, groups)
-        if prev_t is not None and t_star > prev_t:
-            raise InvariantError(f"round size {t_star} exceeds the previous round's {prev_t}")
-        prev_t = t_star
+            group, witness = _default_choice(inst, t_star, achieving)
+        if rounds and t_star > rounds[-1].t_star:
+            raise InvariantError(f"round size {t_star} exceeds the previous round's {rounds[-1].t_star}")
         allocation = allocation.union(witness)
         rounds.append(GreedyRound(t_star, group, witness))
         remaining = remaining - group
@@ -162,7 +147,5 @@ def greedy_ejr_m(
     if left > 0:
         raise ScriptError(f"script has {left} step(s) left after the last round")
     if allocation.size() > inst.alpha:
-        raise InvariantError(
-            f"greedy allocation size {allocation.size()} exceeds alpha {inst.alpha}"
-        )
+        raise InvariantError(f"greedy allocation size {allocation.size()} exceeds alpha {inst.alpha}")
     return allocation, GreedyTrace(tuple(rounds))

@@ -150,9 +150,10 @@ class PaymentLedger:
 
     def validate(self, inst: Instance, allocation: Bundle) -> None:
         """Raise InvariantError unless every payment is positive and made by
-        an agent, the final budgets name exactly the agents, and the ledger
-        conserves money.  Sums are taken in ints at the lcm of the ledger's
-        denominators, from the run's records."""
+        an agent, no agent pays more than once for an item, the final budgets
+        name exactly the agents, and the ledger conserves money.  Sums are
+        taken in ints at the lcm of the ledger's denominators, from the run's
+        records."""
         n = inst.n
         size = allocation.size()
         rows = []  # each record's (paid, cost, den): its payments' sum and cost over 1/den
@@ -166,6 +167,9 @@ class PaymentLedger:
                 rows.append((paid * len(payers), end - start, den))
             if bad or payers and (min(payers) < 0 or max(payers) >= n):
                 _check_payments(self._purchase(record), n)  # raises, naming the payment
+            if len(set(payers)) < len(payers):
+                i = next(i for k, i in enumerate(payers) if i in payers[:k])
+                raise InvariantError(f"agent {i} pays more than once for {self._purchase(record).item}")
         finals = [b.as_integer_ratio() for b in self.final_budgets.values()]
         denominators = {self.initial_budget.denominator, size.denominator}
         denominators.update(den for *_, den in rows)

@@ -114,6 +114,8 @@ REPLAY = {
         "a4b5bab0046e21b849b65ceb9e6862c63a82bbb6504307e160377d86aa69eac0",
     "gen --construction random --n 4 --m 3 --alpha 1 --seed -5":
         "3a18144d1b86a3a846a14fe8bb9017bd2b56b4a2279dddc5c3d4d3deaea4c347",
+    "gen --construction random --n 3 --m 2 --alpha 1 --cake-length 5":
+        "57d94e05f408afbfb08808f4b58f9ee8b7e8d1d724a07a68765594a3dc6306fd",
     "run --rule greedy-ejr-m --instance fig1.json":
         "eb3b236fe018785cda41a22d3001572a604901420f64423e4509d465be22594f",
     "run --rule greedy-ejr-m --instance mixed.json":

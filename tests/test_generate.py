@@ -202,6 +202,14 @@ class TestRandom:
         with pytest.raises(DomainError, match=r"^seed must be nonnegative, got -5$"):
             gen_random(n=4, m=3, alpha=F(1), seed=-5)
 
+    @pytest.mark.parametrize("cake_length", [F(5), F(-1, 2)])
+    def test_cake_length_without_cake_atoms_rejected(self, cake_length):
+        # a cake of length 0 was built whatever length was given
+        message = rf"^cake_length must be 0 when no cake atoms are requested, got {cake_length}$"
+        with pytest.raises(DomainError, match=message):
+            gen_random(n=3, m=2, alpha=F(1), cake_length=cake_length)
+        assert gen_random(n=3, m=2, alpha=F(1), cake_length=F(0)).cake_length == 0
+
 
 def test_dispatcher_names():
     inst, meta = gen_construction(ConstructionSpec("prop4", {"beta": 1}))

@@ -505,20 +505,21 @@ def test_gpav_certified_bound_covers_grid_oracle(inst):
 
 
 def naive_round(inst, remaining):
-    """Best t and its achieving groups, in the remaining pool's closure order."""
-    best, groups = F(0), []
+    """Best t and the set of groups achieving it, from the remaining pool's closure."""
+    best, groups = F(0), set()
     for bundle, approvers in naive_closure(inst, remaining):
         cap = F(len(approvers)) * inst.alpha / inst.n
         t = exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap)
         if t > best:
-            best, groups = t, [approvers]
+            best, groups = t, {approvers}
         elif t == best and t > 0:
-            groups.append(approvers)
+            groups.add(approvers)
     return best, groups
 
 
 # In its second round, groups {1} and {2} first appear in the full closure
-# in the opposite order to their bundles in the remaining pool's closure.
+# in the opposite order to their bundles in the remaining pool's closure;
+# the round's set of achieving groups must not depend on that order.
 ORDER_CASE = instance_from_dict({
     "cake_length": "2",
     "goods": ["g1", "g2", "g3"],
@@ -549,7 +550,7 @@ def test_greedy_rounds_match_pool_closure(inst):
         greedy_ejr_m(inst)
     remaining = frozenset(range(inst.n))
     for t_star, groups, chosen in calls:
-        assert (t_star, groups) == naive_round(inst, remaining)
+        assert (t_star, {frozenset(core._bits(g)) for g in groups}) == naive_round(inst, remaining)
         remaining -= chosen
 
 
@@ -800,7 +801,7 @@ def test_cap_is_at_least_the_distinct_approvals():
 
 
 OVER_BUDGET = """
-from mixvote.core import Bundle
+from mixvote.core import Bundle, _bits
 from mixvote.errors import InvariantError
 from mixvote.generate import gen_fig1
 from mixvote.rules import greedy
@@ -808,7 +809,7 @@ from mixvote.rules import greedy
 assert False, "this script must run under python -O"
 
 def over_budget(inst, t_star, groups):
-    return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
+    return frozenset(_bits(min(groups))), Bundle(inst.full_cake(), frozenset(inst.goods))
 
 greedy._default_choice = over_budget
 try:
@@ -819,7 +820,7 @@ except InvariantError as exc:
 
 
 def over_budget(inst, t_star, groups):
-    return groups[0], Bundle(inst.full_cake(), frozenset(inst.goods))
+    return frozenset(core._bits(min(groups))), Bundle(inst.full_cake(), frozenset(inst.goods))
 
 
 def test_budget_invariant_survives_optimize_flag():

@@ -145,8 +145,17 @@ def test_no_agent_cap():
         greedy_ejr_m(inst, force=True)
 
 
-# sha256 of the rounds (t*, sorted group, witness) at n=300, m=30, 30 atoms,
-# pinned from the rule as it ran under force=True before the agent cap went
+def rounds_digest(inst, trace) -> tuple[int, str]:
+    """The number of rounds and the sha256 of their (t*, sorted group, witness)."""
+    rounds = [
+        [str(r.t_star), sorted(r.group), allocation_to_dict(inst, r.witness)]
+        for r in trace.rounds
+    ]
+    return len(rounds), hashlib.sha256(json.dumps(rounds, sort_keys=True).encode()).hexdigest()
+
+
+# the rounds' digest at n=300, m=30, 30 atoms, pinned from the rule as it
+# ran under force=True before the agent cap went
 GOLDEN_GREEDY_300 = "5489be003c4d6a1cb9e267007d0dec0bbcf743ad906a1a7a280de373c6633a1f"
 
 
@@ -155,14 +164,20 @@ def test_mes_scale_rounds_pinned():
     started = time.perf_counter()
     alloc, trace = greedy_ejr_m(inst)
     elapsed = time.perf_counter() - started
-    rounds = [
-        [str(r.t_star), sorted(r.group), allocation_to_dict(inst, r.witness)]
-        for r in trace.rounds
-    ]
-    digest = hashlib.sha256(json.dumps(rounds, sort_keys=True).encode()).hexdigest()
-    assert (len(rounds), digest) == (31, GOLDEN_GREEDY_300)
+    assert rounds_digest(inst, trace) == (31, GOLDEN_GREEDY_300)
     assert verify_ejr_m(inst, alloc).passed
     assert elapsed < 1.0
+
+
+# the rounds' digest at mes-scale's n=1000 row (m=100, 100 atoms), pinned
+# from the rule as it ran when each round still ordered its groups by row
+GOLDEN_GREEDY_1000 = "99e7e4cc21a07ab01463314bce0f7b34f761177cd5b6909e2c5648e156f1866f"
+
+
+def test_mes_scale_rounds_pinned_at_n1000():
+    inst = gen_random(n=1000, m=100, cake_atoms=100, alpha=F(75, 2), density=0.05, seed=7)
+    _, trace = greedy_ejr_m(inst)
+    assert rounds_digest(inst, trace) == (69, GOLDEN_GREEDY_1000)
 
 
 class TestScriptedPolicy:
@@ -182,6 +197,18 @@ class TestScriptedPolicy:
         # were reported as already removed
         script = [([member], Bundle(goods=frozenset({"g2"})))]
         message = rf"^scripted group member {re.escape(repr(member))} is not an agent index in 0\.\.1$"
+        with pytest.raises(ScriptError, match=message):
+            greedy_ejr_m(fig1, script=script)
+
+    @pytest.mark.parametrize("script, k", [
+        ([([1], {"g2"})], 0),  # an AttributeError before
+        ([([1],)], 0),  # a ValueError before
+        ([5], 0),  # a TypeError before
+        ([(1, Bundle(goods=frozenset({"g2"})))], 0),
+        ([([1], Bundle(goods=frozenset({"g2"}))), [[0], {"g1"}, None]], 1),
+    ])
+    def test_step_that_is_not_a_group_bundle_pair_rejected(self, fig1, script, k):
+        message = rf"^script step {k} is not a \(group, Bundle\) pair: {re.escape(repr(script[k]))}$"
         with pytest.raises(ScriptError, match=message):
             greedy_ejr_m(fig1, script=script)
 

@@ -375,6 +375,14 @@ TAMPERED_RECORDS = {
         four_approvers, 4, lambda r: [r[2] // 2, r[2] // 2, r[2] // 4, -r[2] // 4],
         "payment -1/4 by agent 3 for g1 is not positive",
     ),
+    "fig1's cake paid twice by agent 0": (
+        lambda: gen_fig1()[0], 3, lambda r: [0, 0],
+        f"agent 0 pays more than once for {(F(0), F(9, 10))}",
+    ),
+    "good paid twice by agent 0": (
+        four_approvers, 3, lambda r: [0, 0, 2, 3],
+        "agent 0 pays more than once for g1",
+    ),
 }
 
 
