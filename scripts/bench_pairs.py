@@ -16,7 +16,11 @@ whether both sides gave the same output digests, and per metric
 won at least 9 in 10 pairs, and its median beats the base median, in the
 metric's better direction, by more than the base's quartile spread.
 ``src_lines`` gives the lines of ``src/**/*.py`` in the base tree and in
-the working tree.  A run that fails ends the script with its spec, side,
+the working tree.  ``bytecode_cache`` is false when this script runs with
+``sys.flags.dont_write_bytecode`` set (``python -B`` or
+``PYTHONDONTWRITEBYTECODE``): the runs then write no ``__pycache__``, so
+each one compiles ``src/`` on import, and that compile falls inside its
+``setup_s``.  A run that fails ends the script with its spec, side,
 exit code and the end of its stderr.
 """
 
@@ -114,7 +118,8 @@ def main(argv=None) -> int:
         lines = {"base": src_lines(Path(tmp, "tree")), "change": src_lines(ROOT)}
     Path(args.out).write_text(json.dumps({
         "base": base_rev, "seconds": seconds, "environment": results[0][1],
-        "src_lines": lines, "workloads": [r for r, _ in results],
+        "src_lines": lines, "bytecode_cache": not sys.flags.dont_write_bytecode,
+        "workloads": [r for r, _ in results],
     }, indent=1) + "\n")
     return 0
 

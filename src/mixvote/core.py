@@ -602,7 +602,8 @@ class InstanceIndex:
         self.good_approvers = [frozenset(a) for a in good_approvers]
         self.cells = [frozenset(a) for a in cells]
         self._closure: list[ClosureRow] | None = None
-        self._tiers: dict[bool, list[tuple[ClosureRow, tuple[int, ...]]]] = {}
+        # per mode: (the tier table, the same entries by top threshold)
+        self._tiers: dict[bool, tuple[list, list]] = {}
 
     def closure(self, pool: Iterable[int] | None = None) -> list[ClosureRow]:
         """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
@@ -628,12 +629,14 @@ class InstanceIndex:
         A tier's cap is k*alpha/n.  Its cohesive threshold is
         min(cap, size); its exact threshold (``exact``) is ``exact_size``
         of the row's goods count and cake length at that cap.  Both depend
-        on the instance only, and both are nondecreasing in k.  Each mode
-        is built from ``closure()`` on first request and kept; later
-        requests return it, and a failed closure build keeps no table.
+        on the instance only, and both are nondecreasing in k, so a row's
+        top threshold ``thresholds[-1]`` bounds all of its tiers.  Each mode
+        is built from ``closure()`` on first request and kept, together
+        with ``tiers_by_top(exact)``; later requests return it, and a failed
+        closure build keeps no table.
         """
-        table = self._tiers.get(exact)
-        if table is None:
+        entry = self._tiers.get(exact)
+        if entry is None:
             share, D = self.share_d, self.denominator
             table = []
             for row in self.closure():
@@ -649,30 +652,48 @@ class InstanceIndex:
                     full = min(size // share, n)
                     thresholds = (*range(share, full * share + 1, share), *(size,) * (n - full))
                 table.append((row, thresholds))
-            self._tiers[exact] = table
-        return table
+            by_top = sorted(table, key=lambda tier: tier[1][-1], reverse=True)
+            entry = self._tiers[exact] = (table, by_top)
+        return entry[0]
+
+    def tiers_by_top(self, exact: bool) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+        """The entries of ``tiers(exact)`` ordered by top threshold
+        ``thresholds[-1]``, highest first, ties in closure order (a stable
+        sort); built in the same step as the table and kept with it."""
+        self.tiers(exact)
+        return self._tiers[exact][1]
 
     def _build(self, pool: Iterable[int]) -> list[ClosureRow]:
         """One pass over the pool's distinct approvals.  Invariant: after
         each approval, ``rows`` maps every AND of a nonempty set of the
-        approvals so far to the agents whose approval contains it.  It only
-        grows, so it exceeds the cap (``DEFAULT_CLOSURE_CAP``, or the
-        number of distinct approvals if larger) exactly when the closure does."""
+        approvals so far to the agents whose approval contains it, except
+        the empty bundle: every agent approves it, so its row is set to the
+        whole pool once, at the end, and ``empty`` records that it exists
+        (an empty approval, or two disjoint ones).  ``rows`` only grows, so
+        with that row counted it exceeds the cap (``DEFAULT_CLOSURE_CAP``,
+        or the number of distinct approvals if larger) exactly when the
+        closure does."""
         groups: dict[int, int] = {}  # distinct approval -> its agents
         for i in pool:
             groups[self.masks[i]] = groups.get(self.masks[i], 0) | 1 << i
         cap = max(DEFAULT_CLOSURE_CAP, len(groups))
         rows: dict[int, int] = {}
+        empty = False
         for a, agents in groups.items():
             # a & x is approved by a's agents and by those of every x giving it
-            cuts = {a: agents}
+            cuts = {a: agents} if a else {}
+            empty = empty or not a
             for x, approvers in rows.items():
-                cut = a & x
-                cuts[cut] = cuts.get(cut, agents) | approvers
+                if cut := a & x:
+                    cuts[cut] = cuts.get(cut, agents) | approvers
+                else:
+                    empty = True
             for cut, approvers in cuts.items():
                 rows[cut] = rows.get(cut, 0) | approvers
-            if len(rows) > cap:
+            if len(rows) + empty > cap:
                 raise CapacityError(f"approval closure exceeds {DEFAULT_CLOSURE_CAP} bundles")
+        if empty:
+            rows[0] = sum(groups.values())  # the groups partition the pool
         m, D, pts = len(self.goods), self.denominator, self.points_d
         keyed = []
         for mask, agents in rows.items():

@@ -40,27 +40,32 @@ scale = unit // D.  That is exact: ``exact_size`` is homogeneous in
 (ell, cap, unit), since scaling all three by s scales the upper bound
 ub by s and leaves floor(ub / unit) as it is, so the threshold at the
 unit is the D-threshold times scale; the cohesive minimum scales the
-same way.  Every reader (``_scan``, ``audit_degree``,
-``cohesive_profiles``) goes through the one tier iterator
-``_profile_tiers``.
+same way.  ``audit_degree`` and ``cohesive_profiles`` read the table in
+closure order through the tier iterator ``_profile_tiers``; ``_scan``
+reads the same entries ordered by top threshold, highest first
+(``InstanceIndex.tiers_by_top``, built with the table).
 
-Thresholds are nondecreasing in k in both modes (min(k*share, size) and
-``exact_size`` are monotone in the cap).  A member fails a tier when its
-utility is at most the threshold minus an offset, so no tier of a row is
-more violated than the row's top threshold minus its least-served
-approver's utility.  The scan skips a row, without sorting its
-approvers, when that bound cannot fail, or, once a failing tier is
-found, when it is strictly below the worst violation so far: every tier
-of the row is then strictly less violated, so none can win the "smaller
-t, then smaller group" tie-break, while a tie is still visited.  The
-least utility of any agent bounds every row's least-served approver
-from below, so a row whose top threshold lies under that floor plus the
-offset (raised as violations are found) is skipped before the min over
-its approvers is taken.  The witness is the minimum over all failing
-tiers, so it does not depend on which rows are visited; ``audit_degree``
-and ``cohesive_profiles`` walk every row in closure order.
-Comparisons are on ints; ints at a common denominator are still exact
-rationals, and witnesses are converted back to ``Fraction``.
+Thresholds are nondecreasing in k in both modes (min(k*alpha/n, size)
+and ``exact_size`` are monotone in the cap).  A member fails a tier when
+its utility is at most the threshold minus an offset, so no tier of a row
+is more violated than the row's top threshold minus its least-served
+approver's utility, and the least utility of any agent bounds that
+approver from below.  This is the early stop of the threshold algorithm
+(Fagin, Lotem and Naor, PODS 2001): the scan visits rows by that sorted
+upper bound and stops at the first row whose top threshold lies under
+the floor, which is min(u) plus the offset before a failing tier is
+found and min(u) plus the worst violation (threshold minus utility)
+after.  The floor only rises, so every later row lies under it too; a
+row exactly at the floor is still visited, since a tie on violation at
+a smaller t wins.  For each row it visits, the scan sorts the approvers'
+utility ints, and skips the row when the least of them cannot fail or,
+once a failing tier is found, leaves every tier strictly less violated
+than the worst so far.  Members are sorted by utility only for a row
+with a tier that becomes a candidate witness.  The witness is the
+minimum over all failing tiers ("smaller t, then smaller group" on
+ties), so it does not depend on which rows are visited.  Comparisons
+are on ints; ints at a common denominator are still exact rationals,
+and witnesses are converted back to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -170,44 +175,54 @@ def _scan(
     the tier holds when its best-off member gets more than (``strict``) or
     at least t - beta.  The reported witness is the most violated tier
     (ties: smaller t, then lexicographically smaller group).
+
+    Rows come from ``tiers_by_top``, highest top threshold first.  The
+    scan stops at the first row whose top lies under the floor min(u) -
+    bar (the floor test), and skips a row whose least-served approver's
+    gap lies above bar (the bar test), read from one sort of the row's
+    utility ints; see the module docstring.
     """
     unit, _, u = inst.validate_allocation(allocation, beta.denominator)
-    index = inst.index
+    beta_units = beta.numerator * (unit // beta.denominator)
     # a member fails a tier when its utility is at most t - off
-    off = beta.numerator * (unit // beta.denominator) + (0 if strict else 1)
-    scale = unit // index.denominator
-    # ((-violation, t), group, agent with the group's max utility); smallest wins
+    off = beta_units + (0 if strict else 1)
+    scale = unit // inst.index.denominator
+    # ((gap, t), group) of the worst failing tier; smallest wins
     worst: tuple | None = None
-    # A row is skipped unsorted (see the module docstring) by the floor
-    # test, its top threshold under min(u) - bar, checked first as it reads
-    # no approver, or by the bar test, its least-served approver's gap above
-    # bar.  A tier's gap is its best-served member's utility minus its
-    # threshold; ``bar`` is the worst gap found so far, or -off before any,
-    # and the filter reads it as the loop below lowers it.
+    # A tier's gap is its best-served member's utility minus its threshold;
+    # ``bar`` is the worst gap found so far, or -off before any.
     bar = -off
     lowest = min(u)
-    rows = (
-        tier for tier in index.tiers(exact)
-        if (top := tier[1][-1] * scale) >= lowest - bar
-        and min(map(u.__getitem__, tier[0].approvers)) - top <= bar
-    )
-    for (_, thresholds), members in _profile_tiers(rows, u):
-        for k, (i, t) in enumerate(zip(members, thresholds), 1):
+    for row, thresholds in inst.index.tiers_by_top(exact):
+        top = thresholds[-1] * scale
+        if top < lowest - bar:
+            break
+        utils = sorted(map(u.__getitem__, row.approvers))
+        if utils[0] - top > bar:
+            continue
+        members = None
+        for k, (v, t) in enumerate(zip(utils, thresholds), 1):
             t *= scale
-            if t <= 0 or u[i] > t - off:
+            if t <= 0 or v > t - off:
                 continue
-            head = (u[i] - t, t)
+            head = (v - t, t)
             if worst is not None and head > worst[0]:
                 continue
-            candidate = (head, tuple(sorted(members[:k])), i)
+            if members is None:
+                members = sorted(row.approvers, key=u.__getitem__)
+            candidate = (head, tuple(sorted(members[:k])))
             if worst is None or candidate < worst:
                 worst = candidate
                 bar = head[0]
     witness = None
     if worst is not None:
-        (_, t), group, i = worst
-        t = Fraction(t, unit)
-        witness = Witness(group=group, t=t, threshold=t - beta, max_utility=Fraction(u[i], unit))
+        (gap, t), group = worst
+        witness = Witness(
+            group=group,
+            t=Fraction(t, unit),
+            threshold=Fraction(t - beta_units, unit),
+            max_utility=Fraction(gap + t, unit),
+        )
     return AxiomReport(axiom=axiom, passed=witness is None, witness=witness)
 
 

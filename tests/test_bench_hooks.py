@@ -44,14 +44,14 @@ def test_hook_modules_load_with_the_package():
 
 
 def test_tier_counter_unpacks_the_tier_iterator(monkeypatch):
-    """A traced run counts tiers by unpacking each yield of the verifiers'
+    """A traced run counts tiers by unpacking each yield of the audit's
     tier iterator as (…, members); a changed yield shape would crash it."""
-    from mixvote import Bundle, verify, verify_ejr_m
+    from mixvote import Bundle, audit_degree, verify
     from mixvote.generate import gen_fig1
 
     tracer = spans.Tracer()
     rec = tracer.new_recording()
     monkeypatch.setattr(verify, "_profile_tiers", tracer._tier_counter(verify._profile_tiers))
     inst = gen_fig1()[0]
-    assert not verify_ejr_m(inst, Bundle(cake=inst.full_cake())).passed
+    assert audit_degree(inst, Bundle(cake=inst.full_cake()), "ejr-1").entries
     assert rec.counts["verify.tiers"] > 0

@@ -7,6 +7,7 @@ import subprocess
 import tarfile
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,3 +175,30 @@ def test_output_counts_src_lines_on_each_side(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     assert bench_pairs.main(["mes-scale:1:1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 5}
+
+
+@pytest.mark.parametrize("dont_write_bytecode", [True, False])
+def test_output_says_whether_runs_keep_a_bytecode_cache(
+    monkeypatch, tmp_path, dont_write_bytecode
+):
+    """Without a bytecode cache (``python -B`` or PYTHONDONTWRITEBYTECODE)
+    each run compiles ``src/`` inside its set-up, and the file says so."""
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
+
+    def run(cmd, **kwargs):
+        if cmd[:2] == ["git", "rev-parse"]:
+            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
+        tarfile.open(cmd[cmd.index("-o") + 1], "w").close()
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    flags = SimpleNamespace(dont_write_bytecode=dont_write_bytecode)
+    monkeypatch.setattr(bench_pairs.sys, "flags", flags)
+    stub_runs(monkeypatch, [(10.0, 5.0, "d", True), (10.0, 5.0, "d", True)])
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["mes-scale:1:1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bytecode_cache"] is not dont_write_bytecode

@@ -50,6 +50,7 @@ from mixvote.errors import CapacityError, InvalidAllocationError, InvariantError
 from mixvote.generate import gen_random
 from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_discretized_opt
 from mixvote.rules import greedy
+from mixvote import verify as verify_module
 from mixvote.verify import DEGREE_BOUNDS, AxiomReport, Witness, _profile_tiers
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -394,6 +395,56 @@ def test_skipping_scan_reports_as_the_full_scan_on_larger_closures(seed):
     for alloc in allocations(inst):
         for report, reference in scan_cases(inst, alloc):
             assert report.to_dict() == reference.to_dict()
+
+
+# (exact, beta, strict) of EJR-M, EJR-1 at margins 0 and 1e-6, and
+# EJR-beta at 1/3 (weak) and 0 (strict)
+SCAN_MODES = (
+    (True, F(0), False),
+    (False, F(1), True),
+    (False, 1 + F(1e-6), True),
+    (False, F(1, 3), False),
+    (False, F(0), True),
+)
+
+
+def assert_scan_reads_a_prefix_by_top(inst, alloc):
+    """``_scan`` reads the utilities of the rows in descending top-threshold
+    order, ties in table order, and stops at the first row whose top lies
+    under min(u) - bar, bar being the final witness's gap (utility minus
+    t), or -off when nothing fails.  Rows are counted by a shadowed ``map``."""
+    for exact, beta, strict in SCAN_MODES:
+        read = []
+
+        def recording(fn, approvers):
+            read.append(approvers)
+            return map(fn, approvers)
+
+        with patch.object(verify_module, "map", recording, create=True):
+            report = verify_module._scan(inst, alloc, "scan", exact, beta, strict)
+        unit, _, u = inst.validate_allocation(alloc, beta.denominator)
+        scale = unit // inst.index.denominator
+        w = report.witness
+        bar = -(beta * unit + (0 if strict else 1)) if w is None else (w.max_utility - w.t) * unit
+        order = sorted(inst.index.tiers(exact), key=lambda tier: -tier[1][-1])
+        stop = next(
+            (j for j, (_, ts) in enumerate(order) if ts[-1] * scale < min(u) - bar), len(order)
+        )
+        assert read == [row.approvers for row, _ in order[:stop]]
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_scan_reads_a_prefix_of_the_rows_by_top(inst):
+    for alloc in allocations(inst):
+        assert_scan_reads_a_prefix_by_top(inst, alloc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_reads_a_prefix_of_the_rows_by_top_on_larger_closures(seed):
+    inst = gen_random(n=10 + seed, m=3, cake_atoms=3, alpha=F(5, 2), density=0.45, seed=seed)
+    for alloc in allocations(inst):
+        assert_scan_reads_a_prefix_by_top(inst, alloc)
 
 
 @given(instances(max_agents=4))
@@ -784,6 +835,61 @@ def test_capacity_error_exactly_when_closure_exceeds_cap(inst, cap, data):
                     approval_closure(inst, agents)
             else:
                 assert len(approval_closure(inst, agents)) == size
+
+
+@st.composite
+def disjoint_instances(draw):
+    """Each agent approves part of one of a few disjoint blocks (a unit of
+    cake and one good), or nothing, so most pairs of approvals are
+    disjoint and the empty bundle is a closure row."""
+    blocks = draw(st.integers(2, 4))
+    goods = tuple(f"g{b}" for b in range(blocks))
+    agents = []
+    for _ in range(draw(st.integers(1, 7))):
+        b = draw(st.integers(-1, blocks - 1))
+        if b < 0:
+            agents.append(Bundle())
+            continue
+        ends = st.sets(st.sampled_from([F(k, 4) for k in range(5)]), min_size=2, max_size=2)
+        lo, hi = sorted(draw(ends))
+        picked = frozenset({goods[b]}) if draw(st.booleans()) else frozenset()
+        agents.append(Bundle(normalize([(b + lo, b + hi)]), picked))
+    return Instance(F(blocks), goods, tuple(agents), F(1))
+
+
+def fold_every_cut(masks, pool):
+    """The closure fold that also ORs approvers into the empty cut: mask ->
+    approver mask."""
+    rows = {}
+    for a in dict.fromkeys(masks[i] for i in pool):
+        agents = sum(1 << i for i in pool if masks[i] == a)
+        cuts = {a: agents}
+        for x, approvers in rows.items():
+            cuts[a & x] = cuts.get(a & x, agents) | approvers
+        for cut, approvers in cuts.items():
+            rows[cut] = rows.get(cut, 0) | approvers
+    return rows
+
+
+@given(disjoint_instances(), st.integers(1, 12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_closure_rows_are_the_same_with_disjoint_approvals(inst, cap, data):
+    """Skipping the empty cuts leaves every row, and the empty bundle's row
+    holds the whole pool; the cap counts that row as before."""
+    pool = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+    masks = inst.index.masks
+    for agents in (range(inst.n), frozenset(pool)):
+        expected = fold_every_cut(masks, sorted(agents))
+        rows = InstanceIndex(inst).closure(agents)
+        assert {row.mask: row.agents for row in rows} == expected
+        assert approval_closure(inst, frozenset(agents)) == naive_closure(inst, agents)
+        distinct = len({masks[i] for i in agents})
+        with patch.object(core, "DEFAULT_CLOSURE_CAP", cap):
+            if len(expected) > max(cap, distinct):
+                with pytest.raises(CapacityError):
+                    InstanceIndex(inst).closure(agents)
+            else:
+                assert InstanceIndex(inst).closure(agents) == rows
 
 
 def test_cap_is_at_least_the_distinct_approvals():

@@ -440,6 +440,34 @@ def test_violation_tie_goes_to_the_smaller_t():
         assert (w.group, w.t, w.max_utility) == ((1,), F(1, 8), F(0)), report.axiom
 
 
+def test_a_row_at_the_floor_is_scanned():
+    """Rows come by top threshold: [0, 1] (top 1/2), then [3/4, 1] (top
+    1/4).  Agent 0 gets 3/8 and fails t = 1/2 by 1/8, so the floor
+    becomes min(u) + 1/8 = 1/8 + 1/8, the second row's top.  That row is
+    not under the floor: agent 1 gets 1/8 and fails t = 1/4 by 1/8 too,
+    and the tie goes to its smaller t."""
+    inst = Instance(F(1), (), (
+        Bundle(cake=normalize([(F(0), F(1))])),
+        Bundle(cake=normalize([(F(3, 4), F(1))])),
+    ), F(1))
+    alloc = Bundle(cake=normalize([(F(1, 2), F(7, 8))]))
+    assert utilities(inst, alloc) == [F(3, 8), F(1, 8)]
+    D = inst.index.denominator
+    for exact in (True, False):
+        by_top = inst.index.tiers_by_top(exact)
+        assert [row.approvers for row, _ in by_top] == [(0,), (0, 1)]
+        assert [F(thresholds[-1], D) for _, thresholds in by_top] == [F(1, 2), F(1, 4)]
+    reports = [
+        verify_ejr_m(inst, alloc),
+        verify_cake_ejr(inst, alloc),
+        verify_ejr_1(inst, alloc, margin=-1),
+        verify_ejr_beta(inst, alloc, F(0), "weak"),
+    ]
+    for report in reports:
+        w = report.witness
+        assert (w.group, w.t, w.threshold, w.max_utility) == ((1,), F(1, 4), F(1, 4), F(1, 8))
+
+
 def test_closure_capacity_error(fig1, monkeypatch):
     from mixvote import cohesive_profiles, core
     from mixvote.errors import CapacityError
