@@ -551,9 +551,11 @@ class InstanceIndex:
     so ``cells[j]`` holds cell j's approvers.  Lengths are kept as ints at
     one common denominator ``D``, the lcm of the denominators of ``c``, of
     every breakpoint and of ``alpha/n``; an int at a common denominator is
-    still an exact rational.  The approval closure and each mode's tier
-    table are built on first request and kept; a build that fails is not
-    kept.
+    still an exact rational.  One full-pool approval closure is kept with
+    the support floor it was built at (its rows with at least that many
+    approvers), together with each mode's tier table built from it; a
+    request at a lower floor rebuilds the closure and drops the tables,
+    and a build that fails leaves what was kept.
 
     The build keys each distinct endpoint object (``_endpoint_objects``)
     by value once, and looks every approval end up by its ``id``.  Equal
@@ -602,7 +604,8 @@ class InstanceIndex:
         self.good_approvers = [frozenset(a) for a in good_approvers]
         self.cells = [frozenset(a) for a in cells]
         self._closure: list[ClosureRow] | None = None
-        # per mode: (the tier table, the same entries by top threshold)
+        self._floor: float = math.inf  # the kept closure's support floor; none kept yet
+        # per mode, from the kept closure: (the tier table, its entries by top threshold)
         self._tiers: dict[bool, tuple[list, list]] = {}
 
     def closure(self, pool: Iterable[int] | None = None) -> list[ClosureRow]:
@@ -610,19 +613,26 @@ class InstanceIndex:
         order.  Raises InvalidGroupError for a pool agent outside
         ``0..n-1``, and CapacityError when the closure has more than
         ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``
-        bundles; the full-pool closure is built once and kept."""
+        bundles; the full-pool closure is kept (``_kept``)."""
         if pool is not None:
             pool = set(pool)
             if not pool.issubset(range(len(self.masks))):
                 raise InvalidGroupError("agent index out of range")
             return self._build(pool)
-        if self._closure is None:
-            self._closure = self._build(range(len(self.masks)))
+        return self._kept(1)
+
+    def _kept(self, floor: int) -> list[ClosureRow]:
+        """The kept full-pool closure, first rebuilt at ``floor`` (and the
+        tier tables dropped) if it was built at a higher floor or not yet."""
+        if floor < self._floor:
+            rows = self._build(range(len(self.masks)), floor)
+            self._closure, self._floor, self._tiers = rows, floor, {}
         return self._closure
 
-    def tiers(self, exact: bool) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+    def tiers(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
         """The tier table of one mode: ``(row, thresholds)`` for every
-        full-pool closure row of positive size, in closure order, where
+        full-pool closure row of positive size with at least ``floor``
+        approvers (the kept table may hold more), in closure order, where
         ``thresholds[k - 1]`` is the threshold of the tier (row, k) at D
         for k = 1..len(row.approvers).
 
@@ -630,16 +640,17 @@ class InstanceIndex:
         min(cap, size); its exact threshold (``exact``) is ``exact_size``
         of the row's goods count and cake length at that cap.  Both depend
         on the instance only, and both are nondecreasing in k, so a row's
-        top threshold ``thresholds[-1]`` bounds all of its tiers.  Each mode
-        is built from ``closure()`` on first request and kept, together
-        with ``tiers_by_top(exact)``; later requests return it, and a failed
+        top threshold ``thresholds[-1]`` bounds all of its tiers; it is at
+        most len(row.approvers)*alpha/n.  Each mode is built from
+        ``_kept(floor)`` on first request and kept, together with
+        ``tiers_by_top(exact)``, until the closure is rebuilt; a failed
         closure build keeps no table.
         """
         entry = self._tiers.get(exact)
-        if entry is None:
+        if entry is None or floor < self._floor:
             share, D = self.share_d, self.denominator
             table = []
-            for row in self.closure():
+            for row in self._kept(floor):
                 size, n = row.size_d, len(row.approvers)
                 if size <= 0:
                     continue
@@ -656,50 +667,76 @@ class InstanceIndex:
             entry = self._tiers[exact] = (table, by_top)
         return entry[0]
 
-    def tiers_by_top(self, exact: bool) -> list[tuple[ClosureRow, tuple[int, ...]]]:
-        """The entries of ``tiers(exact)`` ordered by top threshold
+    def tiers_by_top(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+        """The entries of ``tiers(exact, floor)`` ordered by top threshold
         ``thresholds[-1]``, highest first, ties in closure order (a stable
         sort); built in the same step as the table and kept with it."""
-        self.tiers(exact)
-        return self._tiers[exact][1]
+        entry = self._tiers.get(exact)
+        if entry is None or floor < self._floor:
+            self.tiers(exact, floor)
+            entry = self._tiers[exact]
+        return entry[1]
 
-    def _build(self, pool: Iterable[int]) -> list[ClosureRow]:
-        """One pass over the pool's distinct approvals.  Invariant: after
-        each approval, ``rows`` maps every AND of a nonempty set of the
-        approvals so far to the agents whose approval contains it, except
-        the empty bundle: every agent approves it, so its row is set to the
-        whole pool once, at the end, and ``empty`` records that it exists
-        (an empty approval, or two disjoint ones).  ``rows`` only grows, so
-        with that row counted it exceeds the cap (``DEFAULT_CLOSURE_CAP``,
-        or the number of distinct approvals if larger) exactly when the
-        closure does."""
-        groups: dict[int, int] = {}  # distinct approval -> its agents
+    def _build(self, pool: Iterable[int], floor: int = 1) -> list[ClosureRow]:
+        """The pool's closure rows with at least ``floor`` approvers, by
+        Close-by-One (Kuznetsov, 1993) on the context pool agents x atoms.
+        A row is a concept: its ``agents`` (the extent) are the pool agents
+        whose approval holds its ``mask`` (the intent), which is the AND of
+        their approvals.  From the whole pool's concept down, a concept
+        reached at atom y yields, for each atom j >= y that the intent
+        lacks and some member approves, the extent ``extent & cols[j]``,
+        kept only if its intent adds no atom below j (the canonicity
+        test), so each concept is produced once.  Extents only shrink on
+        the way down, so one under ``floor`` agents is cut with all below
+        it (an iceberg lattice: Stumme et al., 2002), and CapacityError is
+        raised exactly when the rows at the floor exceed the cap
+        (``DEFAULT_CLOSURE_CAP``, or the pool's distinct approvals if more)."""
+        masks = self.masks
+        cols = [0] * (len(self.goods) + len(self.cells))  # atom -> its approvers in the pool
+        top = join = 0
+        meet = -1
         for i in pool:
-            groups[self.masks[i]] = groups.get(self.masks[i], 0) | 1 << i
-        cap = max(DEFAULT_CLOSURE_CAP, len(groups))
-        rows: dict[int, int] = {}
-        empty = False
-        for a, agents in groups.items():
-            # a & x is approved by a's agents and by those of every x giving it
-            cuts = {a: agents} if a else {}
-            empty = empty or not a
-            for x, approvers in rows.items():
-                if cut := a & x:
-                    cuts[cut] = cuts.get(cut, agents) | approvers
-                else:
-                    empty = True
-            for cut, approvers in cuts.items():
-                rows[cut] = rows.get(cut, 0) | approvers
-            if len(rows) + empty > cap:
+            a, bit = masks[i], 1 << i
+            top |= bit
+            meet &= a
+            join |= a
+            while a:
+                low = a & -a
+                cols[low.bit_length() - 1] |= bit
+                a ^= low
+        cap = max(DEFAULT_CLOSURE_CAP, len({masks[i] for i in pool}))
+        found: list[tuple[int, int]] = []  # (intent, extent)
+        # (extent, intent, atoms its extent approves, first atom to add)
+        stack = [(top, meet, join, 0)] if top.bit_count() >= floor else []
+        while stack:
+            extent, intent, join, y = stack.pop()
+            found.append((intent, extent))
+            if len(found) > cap:
                 raise CapacityError(f"approval closure exceeds {DEFAULT_CLOSURE_CAP} bundles")
-        if empty:
-            rows[0] = sum(groups.values())  # the groups partition the pool
-        m, D, pts = len(self.goods), self.denominator, self.points_d
+            free = (join & ~intent) >> y << y
+            while free:
+                bit = free & -free
+                free ^= bit
+                sub = extent & cols[bit.bit_length() - 1]
+                if sub.bit_count() < floor:
+                    continue
+                meet, join, rest = -1, 0, sub
+                while rest:
+                    low = rest & -rest
+                    a = masks[low.bit_length() - 1]
+                    meet &= a
+                    join |= a
+                    rest ^= low
+                if (meet ^ intent) & (bit - 1) == 0:
+                    stack.append((sub, meet, join, bit.bit_length()))
+        m, D, pts, names = len(self.goods), self.denominator, self.points_d, self.goods
+        goods_mask = (1 << m) - 1
         keyed = []
-        for mask, agents in rows.items():
-            goods = tuple(self.goods[k] for k in _bits(mask & ((1 << m) - 1)))
-            runs = tuple(_runs(mask >> m))
-            m_star, ell_d = len(goods), sum(pts[b] - pts[a] for a, b in runs)
+        for mask, agents in found:
+            # most rows are small: no calls for an empty part, list comprehensions
+            goods = tuple([names[k] for k in _bits(mask & goods_mask)]) if mask & goods_mask else ()
+            runs = tuple(_runs(mask >> m)) if mask >> m else ()
+            m_star, ell_d = len(goods), sum([pts[b] - pts[a] for a, b in runs]) if runs else 0
             row = ClosureRow(mask, agents, tuple(_bits(agents)), m_star, ell_d, m_star * D + ell_d)
             keyed.append(((goods, runs), row))
         keyed.sort()
@@ -764,8 +801,8 @@ def approval_closure(
     agent outside ``0..n-1``, and CapacityError if the closure has more
     than ``max(DEFAULT_CLOSURE_CAP, distinct approvals)`` bundles.  The
     bundles are read from the instance index (``InstanceIndex.closure``),
-    which builds the closure in one pass over the distinct approval
-    bitmasks, carrying each bundle's approvers; each call returns a fresh list.
+    which builds the closure by Close-by-One over the approval bitmasks,
+    carrying each bundle's approvers; each call returns a fresh list.
     """
     index = inst.index
     return [(index.bundle(row), frozenset(row.approvers)) for row in index.closure(agents)]

@@ -66,6 +66,15 @@ minimum over all failing tiers ("smaller t, then smaller group" on
 ties), so it does not depend on which rows are visited.  Comparisons
 are on ints; ints at a common denominator are still exact rationals,
 and witnesses are converted back to ``Fraction``.
+
+The same bound decides which rows are built.  A row's top threshold is
+at most len(row.approvers)*alpha/n, so ``_scan`` asks the index
+(``InstanceIndex._build``) only for rows with at least
+ceil((min(u) + offset)*n/alpha) approvers, the rest lying under the
+first floor; ``audit_degree`` asks for ceil(t_min*n/alpha) and sorts no
+row whose top lies under t_min.  Greedy, ``cohesive_profiles`` and
+``approval_closure`` read every row.  A call whose rows at its floor fit
+under the closure cap finishes where the full closure would not.
 """
 
 from __future__ import annotations
@@ -180,20 +189,24 @@ def _scan(
     scan stops at the first row whose top lies under the floor min(u) -
     bar (the floor test), and skips a row whose least-served approver's
     gap lies above bar (the bar test), read from one sort of the row's
-    utility ints; see the module docstring.
+    utility ints; see the module docstring.  The index builds only the
+    rows with enough approvers to reach the first floor.
     """
     unit, _, u = inst.validate_allocation(allocation, beta.denominator)
     beta_units = beta.numerator * (unit // beta.denominator)
     # a member fails a tier when its utility is at most t - off
     off = beta_units + (0 if strict else 1)
-    scale = unit // inst.index.denominator
+    index = inst.index
+    scale = unit // index.denominator
     # ((gap, t), group) of the worst failing tier; smallest wins
     worst: tuple | None = None
     # A tier's gap is its best-served member's utility minus its threshold;
     # ``bar`` is the worst gap found so far, or -off before any.
     bar = -off
     lowest = min(u)
-    for row, thresholds in inst.index.tiers_by_top(exact):
+    # a row with fewer approvers has top < lowest + off, under the floor test
+    floor = max(1, -(-(lowest + off) // (index.share_d * scale)))
+    for row, thresholds in index.tiers_by_top(exact, floor):
         top = thresholds[-1] * scale
         if top < lowest - bar:
             break
@@ -361,7 +374,9 @@ def audit_degree(
     Scans every cohesive tier with threshold at least ``t_min``; the group
     minimizing average - f(t) is exact because, per bundle and size, the
     lowest-utility approvers minimize the average while only enlarging the
-    common bundle.
+    common bundle.  Only rows with at least t_min*n/alpha approvers can
+    hold such a tier, so only those are built, and a row whose top
+    threshold lies under ``t_min`` is not sorted.
     """
     if isinstance(bound, str):
         if bound not in DEGREE_BOUNDS:
@@ -376,7 +391,9 @@ def audit_degree(
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
-    table = index.tiers(exact=False)
+    floor = max(1, math.ceil(t_min * inst.n / inst.alpha))
+    lo = t_min * D
+    table = [tier for tier in index.tiers(False, floor) if tier[1][-1] >= lo]
     for (_, thresholds), members in _profile_tiers(table, u):
         running_sum = 0
         for k, (i, t) in enumerate(zip(members, thresholds), 1):
