@@ -553,9 +553,10 @@ class InstanceIndex:
     every breakpoint and of ``alpha/n``; an int at a common denominator is
     still an exact rational.  One full-pool approval closure is kept with
     the support floor it was built at (its rows with at least that many
-    approvers), together with each mode's tier table built from it; a
-    request at a lower floor rebuilds the closure and drops the tables,
-    and a build that fails leaves what was kept.
+    approvers, ``rows``), together with each mode's tier table built from
+    it and ordered by top threshold (``tiers``); a request at a lower
+    floor rebuilds the closure and drops the tables, and a build that
+    fails leaves what was kept.
 
     The build keys each distinct endpoint object (``_endpoint_objects``)
     by value once, and looks every approval end up by its ``id``.  Equal
@@ -605,25 +606,26 @@ class InstanceIndex:
         self.cells = [frozenset(a) for a in cells]
         self._closure: list[ClosureRow] | None = None
         self._floor: float = math.inf  # the kept closure's support floor; none kept yet
-        # per mode, from the kept closure: (the tier table, its entries by top threshold)
-        self._tiers: dict[bool, tuple[list, list]] = {}
+        # per mode, the tier table built from the kept closure
+        self._tiers: dict[bool, list] = {}
 
     def closure(self, pool: Iterable[int] | None = None) -> list[ClosureRow]:
         """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
         order.  Raises InvalidGroupError for a pool agent outside
         ``0..n-1``, and CapacityError when the closure has more than
         ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``
-        bundles; the full-pool closure is kept (``_kept``)."""
+        bundles; the full-pool closure is kept (``rows``)."""
         if pool is not None:
             pool = set(pool)
             if not pool.issubset(range(len(self.masks))):
                 raise InvalidGroupError("agent index out of range")
             return self._build(pool)
-        return self._kept(1)
+        return self.rows(1)
 
-    def _kept(self, floor: int) -> list[ClosureRow]:
-        """The kept full-pool closure, first rebuilt at ``floor`` (and the
-        tier tables dropped) if it was built at a higher floor or not yet."""
+    def rows(self, floor: int) -> list[ClosureRow]:
+        """The kept full-pool closure (every row with at least ``floor``
+        approvers, maybe more), first rebuilt at ``floor`` (and the tier
+        tables dropped) if it was built at a higher floor or not yet."""
         if floor < self._floor:
             rows = self._build(range(len(self.masks)), floor)
             self._closure, self._floor, self._tiers = rows, floor, {}
@@ -632,9 +634,10 @@ class InstanceIndex:
     def tiers(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
         """The tier table of one mode: ``(row, thresholds)`` for every
         full-pool closure row of positive size with at least ``floor``
-        approvers (the kept table may hold more), in closure order, where
-        ``thresholds[k - 1]`` is the threshold of the tier (row, k) at D
-        for k = 1..len(row.approvers).
+        approvers (the kept table may hold more), ordered by top threshold
+        ``thresholds[-1]``, highest first, ties in closure order (a stable
+        sort), where ``thresholds[k - 1]`` is the threshold of the tier
+        (row, k) at D for k = 1..len(row.approvers).
 
         A tier's cap is k*alpha/n.  Its cohesive threshold is
         min(cap, size); its exact threshold (``exact``) is ``exact_size``
@@ -642,15 +645,14 @@ class InstanceIndex:
         on the instance only, and both are nondecreasing in k, so a row's
         top threshold ``thresholds[-1]`` bounds all of its tiers; it is at
         most len(row.approvers)*alpha/n.  Each mode is built from
-        ``_kept(floor)`` on first request and kept, together with
-        ``tiers_by_top(exact)``, until the closure is rebuilt; a failed
-        closure build keeps no table.
+        ``rows(floor)`` on first request and kept until the closure is
+        rebuilt; a failed closure build keeps no table.
         """
-        entry = self._tiers.get(exact)
-        if entry is None or floor < self._floor:
+        table = self._tiers.get(exact)
+        if table is None or floor < self._floor:
             share, D = self.share_d, self.denominator
             table = []
-            for row in self._kept(floor):
+            for row in self.rows(floor):
                 size, n = row.size_d, len(row.approvers)
                 if size <= 0:
                     continue
@@ -663,19 +665,9 @@ class InstanceIndex:
                     full = min(size // share, n)
                     thresholds = (*range(share, full * share + 1, share), *(size,) * (n - full))
                 table.append((row, thresholds))
-            by_top = sorted(table, key=lambda tier: tier[1][-1], reverse=True)
-            entry = self._tiers[exact] = (table, by_top)
-        return entry[0]
-
-    def tiers_by_top(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
-        """The entries of ``tiers(exact, floor)`` ordered by top threshold
-        ``thresholds[-1]``, highest first, ties in closure order (a stable
-        sort); built in the same step as the table and kept with it."""
-        entry = self._tiers.get(exact)
-        if entry is None or floor < self._floor:
-            self.tiers(exact, floor)
-            entry = self._tiers[exact]
-        return entry[1]
+            table.sort(key=lambda tier: tier[1][-1], reverse=True)
+            self._tiers[exact] = table
+        return table
 
     def _build(self, pool: Iterable[int], floor: int = 1) -> list[ClosureRow]:
         """The pool's closure rows with at least ``floor`` approvers, by

@@ -5,7 +5,9 @@ t*-cohesive and commonly approves a sub-bundle of size exactly t*, removes
 one such group, and adds its witness bundle to the allocation.  A round is
 one scan of the instance's exact tier table, built once from the approval
 closure, so the closure cap (``CapacityError``) bounds every round; the scan
-yields t* and the set of groups achieving it, as agent bitmasks.
+yields t* and the set of groups achieving it, as agent bitmasks.  The table
+is ordered by top threshold, and no pool gets a t above a row's top, so the
+scan stops at the first row whose top lies under the best t; ties still count.
 
 Ties go to the lexicographically smallest inclusion-maximal group of that
 set with its canonical witness, unless a script of (group, witness) steps
@@ -119,6 +121,8 @@ def greedy_ejr_m(
         best_t = 0
         achieving: set[int] = set()  # group masks reaching best_t
         for row, thresholds in tiers:
+            if thresholds[-1] < best_t:
+                break
             group = row.agents & pool
             if not group:
                 continue

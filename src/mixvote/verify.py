@@ -35,15 +35,16 @@ A tier's threshold depends on the instance only, so the index keeps a
 tier table (``InstanceIndex.tiers``), built once per mode on first use:
 the cohesive supremum min(k*alpha/n, size) or the exact-witness size
 ``exact_size`` at that cap, for each row of positive size and each k, as
-ints at D.  A call reads it at its own unit by multiplying by
-scale = unit // D.  That is exact: ``exact_size`` is homogeneous in
-(ell, cap, unit), since scaling all three by s scales the upper bound
-ub by s and leaves floor(ub / unit) as it is, so the threshold at the
-unit is the D-threshold times scale; the cohesive minimum scales the
-same way.  ``audit_degree`` and ``cohesive_profiles`` read the table in
-closure order through the tier iterator ``_profile_tiers``; ``_scan``
-reads the same entries ordered by top threshold, highest first
-(``InstanceIndex.tiers_by_top``, built with the table).
+ints at D, rows ordered by top threshold, highest first.  A call reads
+it at its own unit by multiplying by scale = unit // D.  That is exact:
+``exact_size`` is homogeneous in (ell, cap, unit), since scaling all
+three by s scales the upper bound ub by s and leaves floor(ub / unit)
+as it is, so the threshold at the unit is the D-threshold times scale;
+the cohesive minimum scales the same way.  ``_scan`` and greedy read
+the table.  ``audit_degree`` and ``cohesive_profiles`` list tiers in
+closure order, so they read the closure rows (``InstanceIndex.rows``)
+through the tier iterator ``_profile_tiers`` and compute each tier's
+threshold as they go.
 
 Thresholds are nondecreasing in k in both modes (min(k*alpha/n, size)
 and ``exact_size`` are monotone in the cap).  A member fails a tier when
@@ -73,7 +74,7 @@ at most len(row.approvers)*alpha/n, so ``_scan`` asks the index
 ceil((min(u) + offset)*n/alpha) approvers, the rest lying under the
 first floor; ``audit_degree`` asks for ceil(t_min*n/alpha) and sorts no
 row whose top lies under t_min.  Greedy, ``cohesive_profiles`` and
-``approval_closure`` read every row.  A call whose rows at its floor fit
+``approval_closure`` build every row.  A call whose rows at its floor fit
 under the closure cap finishes where the full closure would not.
 """
 
@@ -85,6 +86,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, as_real, format_rational
+from .core import exact_size
 from .errors import DomainError, UnsupportedInstanceError
 
 
@@ -131,18 +133,17 @@ _ONE = Fraction(1)
 
 
 def _profile_tiers(
-    table: Iterable[tuple[ClosureRow, tuple[int, ...]]],
+    rows: Iterable[ClosureRow],
     u: Sequence[int],
-) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
-    """Yield ((row, thresholds), approvers sorted by utility) for every
-    entry of a tier table (``InstanceIndex.tiers``).
+) -> Iterator[tuple[ClosureRow, list[int]]]:
+    """Yield (row, approvers sorted by utility) for every closure row.
 
     The sort is stable and ``row.approvers`` ascends by index, so agents
     come worst-utility-first with ties in index order; the k-th prefix is
     the hardest group of size k for that bundle.
     """
-    for tier in table:
-        yield tier, sorted(tier[0].approvers, key=u.__getitem__)
+    for row in rows:
+        yield row, sorted(row.approvers, key=u.__getitem__)
 
 
 def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[CohesiveProfile]:
@@ -150,19 +151,17 @@ def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[
     ranked by the utilities of a valid ``allocation`` (none: all zero)."""
     index = inst.index
     unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
-    D = index.denominator
-    cohesive = index.tiers(exact=False)
-    exact = index.tiers(exact=True)
+    share, D = index.share_d, index.denominator
+    rows = [row for row in index.rows(1) if row.size_d > 0]
     profiles = []
-    # both tables hold the same rows in the same order
-    for ((_, caps), members), (_, sizes) in zip(_profile_tiers(cohesive, u), exact):
+    for row, members in _profile_tiers(rows, u):
         utils = [Fraction(u[i], unit) for i in members]  # ascending, as members are
         for k in range(1, len(members) + 1):
             profiles.append(
                 CohesiveProfile(
                     group=tuple(sorted(members[:k])),
-                    t_cohesive_sup=Fraction(caps[k - 1], D),
-                    t_exact_max=Fraction(sizes[k - 1], D),
+                    t_cohesive_sup=Fraction(min(k * share, row.size_d), D),
+                    t_exact_max=Fraction(exact_size(row.m_star, row.ell_d, k * share, D), D),
                     group_utilities=tuple(utils[:k]),
                 )
             )
@@ -185,7 +184,7 @@ def _scan(
     at least t - beta.  The reported witness is the most violated tier
     (ties: smaller t, then lexicographically smaller group).
 
-    Rows come from ``tiers_by_top``, highest top threshold first.  The
+    Rows come from ``tiers``, highest top threshold first.  The
     scan stops at the first row whose top lies under the floor min(u) -
     bar (the floor test), and skips a row whose least-served approver's
     gap lies above bar (the bar test), read from one sort of the row's
@@ -206,7 +205,7 @@ def _scan(
     lowest = min(u)
     # a row with fewer approvers has top < lowest + off, under the floor test
     floor = max(1, -(-(lowest + off) // (index.share_d * scale)))
-    for row, thresholds in index.tiers_by_top(exact, floor):
+    for row, thresholds in index.tiers(exact, floor):
         top = thresholds[-1] * scale
         if top < lowest - bar:
             break
@@ -387,17 +386,20 @@ def audit_degree(
     t_min = as_rational("t_min", t_min)
     unit, _, u = inst.validate_allocation(allocation)
     index = inst.index
-    D = index.denominator
+    share, D = index.share_d, index.denominator
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
     floor = max(1, math.ceil(t_min * inst.n / inst.alpha))
-    lo = t_min * D
-    table = [tier for tier in index.tiers(False, floor) if tier[1][-1] >= lo]
-    for (_, thresholds), members in _profile_tiers(table, u):
+    # a row's top threshold min(approvers*share, size) is an int at D, and at
+    # least 1 unless the row has size 0 and so no tier
+    lo = max(t_min * D, 1)
+    rows = [row for row in index.rows(floor) if min(len(row.approvers) * share, row.size_d) >= lo]
+    for row, members in _profile_tiers(rows, u):
         running_sum = 0
-        for k, (i, t) in enumerate(zip(members, thresholds), 1):
+        for k, i in enumerate(members, 1):
             running_sum += u[i]
+            t = min(k * share, row.size_d)
             if t not in bounds:
                 t_frac = Fraction(t, D)
                 bounds[t] = None if t_frac < t_min else (t_frac, f(t_frac))

@@ -140,8 +140,9 @@ def test_floors_give_the_reports_of_the_full_closure(inst, rnd):
 @given(instances(), st.sampled_from([F(1), F(5, 2), F(1, 3), F(0), F(-1)]))
 @settings(max_examples=60, deadline=None)
 def test_audit_sorts_no_row_under_t_min(inst, t_min):
-    """The audit sorts the approvers of exactly the rows whose top threshold
-    reaches ``t_min``, in closure order."""
+    """The audit sorts the approvers of exactly the closure rows of positive
+    size whose top cohesive threshold min(approvers*alpha/n, size) reaches
+    ``t_min``, in closure order."""
     for alloc in allocations(inst):
         sorted_rows = []
 
@@ -152,9 +153,12 @@ def test_audit_sorts_no_row_under_t_min(inst, t_min):
 
         with patch.object(verify_module, "sorted", counting, create=True):
             audit_degree(inst, alloc, "ejr-1", t_min)
-        D = inst.index.denominator
+        index = inst.index
+        share, D = index.share_d, index.denominator
         assert sorted_rows == [
-            row.approvers for row, ts in inst.index.tiers(False) if F(ts[-1], D) >= t_min
+            row.approvers
+            for row in index.rows(1)
+            if row.size_d > 0 and F(min(len(row.approvers) * share, row.size_d), D) >= t_min
         ]
 
 

@@ -372,9 +372,9 @@ def test_profile_tiers_order_members_by_utility_then_index(inst, data):
     """Utilities from {0, 1, 2} make ties common; each row's members come
     worst-served first, ties by index."""
     u = data.draw(st.lists(st.integers(0, 2), min_size=inst.n, max_size=inst.n))
-    table = inst.index.tiers(data.draw(st.booleans()))
-    expected = [(tier, sorted(tier[0].approvers, key=lambda i: (u[i], i))) for tier in table]
-    assert list(_profile_tiers(table, u)) == expected
+    rows = inst.index.rows(1)
+    expected = [(row, sorted(row.approvers, key=lambda i: (u[i], i))) for row in rows]
+    assert list(_profile_tiers(rows, u)) == expected
 
 
 @given(instances())
@@ -605,25 +605,86 @@ def test_greedy_rounds_match_pool_closure(inst):
         remaining -= chosen
 
 
+class ReadRow:
+    """A closure row that records each read of its ``agents`` in the
+    current round's list, the last of ``reads``."""
+
+    def __init__(self, row, reads):
+        self.row, self.reads = row, reads
+
+    @property
+    def agents(self):
+        self.reads[-1].append(self.row)
+        return self.row.agents
+
+
+def assert_greedy_reads_a_prefix_by_top(inst):
+    """Each greedy round reads the rows of the exact tier table in
+    descending top-threshold order, ties in closure order, up to the first
+    row whose top lies under the round's t*, and every row in the t* = 0
+    round.  A row is read when its ``agents`` are; a round ends at its
+    ``_default_choice``."""
+    table = inst.index.tiers(True)
+    reads = [[]]
+    spied = [(ReadRow(row, reads), ts) for row, ts in table]
+    default_choice = greedy._default_choice
+
+    def closing_choice(*args):
+        reads.append([])
+        return default_choice(*args)
+
+    with patch.object(inst.index, "tiers", lambda exact, floor=1: spied), \
+            patch.object(greedy, "_default_choice", closing_choice):
+        _, trace = greedy_ejr_m(inst)
+    by_top = sorted(table, key=lambda tier: -tier[1][-1])
+    D = inst.index.denominator
+    for r, read in zip(trace.rounds, reads):
+        stop = next(
+            (j for j, (_, ts) in enumerate(by_top) if F(ts[-1], D) < r.t_star), len(by_top)
+        )
+        assert read == [row for row, _ in by_top[:stop]]
+    # a last round with t* > 0 empties the pool and leaves no scan after it
+    assert reads[len(trace.rounds):] == ([[]] if trace.rounds[-1].t_star > 0 else [])
+
+
+@given(instances())
+@example(ORDER_CASE)
+@settings(max_examples=60, deadline=None)
+def test_greedy_reads_a_prefix_of_the_rows_by_top(inst):
+    assert_greedy_reads_a_prefix_by_top(inst)
+
+
+def test_greedy_reads_a_prefix_of_the_rows_by_top_at_n300():
+    """The mes-scale shape at n=300: 31 rounds over 542 rows."""
+    assert_greedy_reads_a_prefix_by_top(
+        gen_random(n=300, m=30, cake_atoms=30, alpha=F(45, 4), density=0.05, seed=7)
+    )
+
+
 @given(instances())
 @settings(max_examples=80, deadline=None)
 def test_tier_tables_match_fraction_thresholds(inst):
+    """Each table holds every closure bundle of positive size with its
+    Fraction thresholds, ordered by top threshold, highest first, ties in
+    closure order."""
     index = inst.index
     positive = [(b, approvers) for b, approvers in naive_closure(inst) if b.size() > 0]
     for exact in (False, True):
-        table = index.tiers(exact)
-        assert [(index.bundle(row), frozenset(row.approvers)) for row, _ in table] == positive
-        for row, thresholds in table:
-            bundle = index.bundle(row)
-            caps = [F(k) * inst.alpha / inst.n for k in range(1, len(row.approvers) + 1)]
+        expected = []
+        for bundle, approvers in positive:
+            caps = [F(k) * inst.alpha / inst.n for k in range(1, len(approvers) + 1)]
             if exact:
-                expected = [
-                    exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap) for cap in caps
-                ]
+                ts = [exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap) for cap in caps]
             else:
-                expected = [min(cap, bundle.size()) for cap in caps]
-            assert [F(t, index.denominator) for t in thresholds] == expected
-            assert list(thresholds) == sorted(thresholds)
+                ts = [min(cap, bundle.size()) for cap in caps]
+            expected.append(((bundle, approvers), ts))
+        expected.sort(key=lambda entry: -entry[1][-1])  # stable: ties keep closure order
+        table = index.tiers(exact)
+        assert [
+            ((index.bundle(row), frozenset(row.approvers)), [F(t, index.denominator) for t in ts])
+            for row, ts in table
+        ] == expected
+        assert all(list(ts) == sorted(ts) for _, ts in table)
         assert index.tiers(exact) is table
 
 
@@ -816,7 +877,7 @@ def test_tier_tables_are_built_per_mode_and_not_on_failure(fig1):
         with pytest.raises(CapacityError):
             index.tiers(True)
     assert index._tiers == {}
-    audit_degree(fig1, Bundle(), "ejr-1")
+    verify_ejr_1(fig1, Bundle())
     assert set(index._tiers) == {False}
     verify_ejr_m(fig1, Bundle())
     assert set(index._tiers) == {False, True}

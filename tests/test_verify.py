@@ -397,7 +397,7 @@ def test_ejr_1_margin_errors(fig1, margin, message):
 @pytest.mark.parametrize("seed", range(5))
 def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     """A scan whose rows are all skipped sorts nothing; a scan that keeps
-    its rows sorts each row's approvers by utility once, in table order."""
+    its rows sorts each row's approvers by utility once, in closure order."""
     keyed = []
 
     def counting(iterable, **kwargs):
@@ -414,7 +414,7 @@ def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     assert verify_ejr_1(big, everything).passed
     assert keyed == []
     assert cohesive_profiles(inst)
-    assert keyed == [row.approvers for row, _ in inst.index.tiers(exact=False)]
+    assert keyed == [row.approvers for row in inst.index.rows(1) if row.size_d > 0]
 
 
 def test_violation_tie_goes_to_the_smaller_t():
@@ -454,7 +454,7 @@ def test_a_row_at_the_floor_is_scanned():
     assert utilities(inst, alloc) == [F(3, 8), F(1, 8)]
     D = inst.index.denominator
     for exact in (True, False):
-        by_top = inst.index.tiers_by_top(exact)
+        by_top = inst.index.tiers(exact)
         assert [row.approvers for row, _ in by_top] == [(0,), (0, 1)]
         assert [F(thresholds[-1], D) for _, thresholds in by_top] == [F(1, 2), F(1, 4)]
     reports = [
