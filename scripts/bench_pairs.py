@@ -16,7 +16,9 @@ whether both sides gave the same output digests, and per metric
 won at least 9 in 10 pairs, and its median beats the base median, in the
 metric's better direction, by more than the base's quartile spread.
 ``src_lines`` gives the lines of ``src/**/*.py`` in the base tree and in
-the working tree.  ``bytecode_cache`` is false when this script runs with
+the working tree, and ``src_code_lines`` those of them that hold code:
+not blank, not comment-only and not part of a docstring.
+``bytecode_cache`` is false when this script runs with
 ``sys.flags.dont_write_bytecode`` set (``python -B`` or
 ``PYTHONDONTWRITEBYTECODE``): the runs then write no ``__pycache__``, so
 each one compiles ``src/`` on import, and that compile falls inside its
@@ -27,6 +29,8 @@ exit code and the end of its stderr.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import signal
 import statistics
@@ -34,10 +38,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STDERR_LINES = 20  # of a failed run, shown
+# tokens that do not make a line one of code
+SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                  tokenize.DEDENT, tokenize.ENDMARKER}
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)  # may hold a docstring
 
 
 class RunFailed(Exception):
@@ -60,6 +69,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 def src_lines(tree: Path) -> int:
     """Lines of the Python sources under ``tree/src``."""
     return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+
+
+def src_code_lines(tree: Path) -> int:
+    """Lines of the Python sources under ``tree/src`` that hold a token
+    other than a comment and are not part of a docstring."""
+    total = 0
+    for path in (tree / "src").rglob("*.py"):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in SKIPPED_TOKENS:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docs)
+    return total
 
 
 def summary(values: list[float]) -> dict:
@@ -116,9 +143,11 @@ def main(argv=None) -> int:
             tar.extractall(Path(tmp, "tree"), filter="data")
         results = [compare(spec, Path(tmp, "tree"), seconds, metrics) for spec in args.specs]
         lines = {"base": src_lines(Path(tmp, "tree")), "change": src_lines(ROOT)}
+        code_lines = {"base": src_code_lines(Path(tmp, "tree")), "change": src_code_lines(ROOT)}
     Path(args.out).write_text(json.dumps({
         "base": base_rev, "seconds": seconds, "environment": results[0][1],
-        "src_lines": lines, "bytecode_cache": not sys.flags.dont_write_bytecode,
+        "src_lines": lines, "src_code_lines": code_lines,
+        "bytecode_cache": not sys.flags.dont_write_bytecode,
         "workloads": [r for r, _ in results],
     }, indent=1) + "\n")
     return 0

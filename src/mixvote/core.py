@@ -338,7 +338,7 @@ class Instance:
         object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "good_index", good_index)
         object.__setattr__(self, "_index", None)
-        # (bundle, extra denominators, pass) of the last valid allocation
+        # (bundle, pass) of the last valid allocation
         object.__setattr__(self, "_last_allocation", None)
 
     @property
@@ -364,22 +364,20 @@ class Instance:
     def sorted_goods(self, goods: Iterable[str]) -> list[str]:
         return sorted(goods, key=self.good_index.__getitem__)
 
-    def validate_allocation(
-        self, bundle: Bundle, *extra_denominators: int
-    ) -> tuple[int, int, tuple[int, ...]]:
+    def validate_allocation(self, bundle: Bundle) -> tuple[int, int, tuple[int, ...]]:
         """Raise InvalidAllocationError unless the bundle holds only the
         instance's goods, its cake pairs are rational, ordered and in
         [0, c], and its size is at most alpha; return its pass
-        ``allocation_units(self, bundle, *extra_denominators)``.
+        ``allocation_units(self, bundle)``.
 
         The last valid result is kept with a strong reference to its bundle
-        and returned again for the same bundle object (``is``) and equal
-        extra denominators.  Only bundles whose pairs sit in tuples and
-        whose goods are a frozenset are kept, since nothing can change
-        those between calls; a failed validation is never kept."""
+        and returned again for the same bundle object (``is``).  Only
+        bundles whose pairs sit in tuples and whose goods are a frozenset
+        are kept, since nothing can change those between calls; a failed
+        validation is never kept."""
         last = self._last_allocation
-        if last is not None and last[0] is bundle and last[1] == extra_denominators:
-            return last[2]
+        if last is not None and last[0] is bundle:
+            return last[1]
         try:
             known = bundle.goods <= self.good_index.keys()
         except TypeError:  # a list or a string, say
@@ -389,7 +387,7 @@ class Instance:
         fault, _ = _cake_fault(bundle.cake.intervals, self.cake_length, "c")
         if fault is not None:
             raise InvalidAllocationError(f"allocation cake {fault}")
-        result = allocation_units(self, bundle, *extra_denominators)
+        result = allocation_units(self, bundle)
         unit, size, _ = result
         if size * self.alpha.denominator > self.alpha.numerator * unit:
             raise InvalidAllocationError(
@@ -401,7 +399,7 @@ class Instance:
             and type(intervals) is tuple
             and all(type(pair) is tuple for pair in intervals)
         ):
-            object.__setattr__(self, "_last_allocation", (bundle, extra_denominators, result))
+            object.__setattr__(self, "_last_allocation", (bundle, result))
         return result
 
 
@@ -553,10 +551,11 @@ class InstanceIndex:
     every breakpoint and of ``alpha/n``; an int at a common denominator is
     still an exact rational.  One full-pool approval closure is kept with
     the support floor it was built at (its rows with at least that many
-    approvers, ``rows``), together with each mode's tier table built from
-    it and ordered by top threshold (``tiers``); a request at a lower
+    approvers, ``closure()``), together with each mode's tier table built
+    from it and ordered by top threshold (``tiers``); a request at a lower
     floor rebuilds the closure and drops the tables, and a build that
-    fails leaves what was kept.
+    fails leaves what was kept.  Every tier threshold comes from
+    ``thresholds``.
 
     The build keys each distinct endpoint object (``_endpoint_objects``)
     by value once, and looks every approval end up by its ``id``.  Equal
@@ -609,62 +608,56 @@ class InstanceIndex:
         # per mode, the tier table built from the kept closure
         self._tiers: dict[bool, list] = {}
 
-    def closure(self, pool: Iterable[int] | None = None) -> list[ClosureRow]:
-        """Closure rows of ``pool`` (default: every agent) in ``Bundle.key``
-        order.  Raises InvalidGroupError for a pool agent outside
-        ``0..n-1``, and CapacityError when the closure has more than
-        ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``
-        bundles; the full-pool closure is kept (``rows``)."""
+    def closure(self, pool: Iterable[int] | None = None, floor: int = 1) -> list[ClosureRow]:
+        """Closure rows of ``pool`` with at least ``floor`` approvers, in
+        ``Bundle.key`` order.  Raises InvalidGroupError for a pool agent
+        outside ``0..n-1``, and CapacityError when those rows number more
+        than ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``.
+
+        The full pool (the default) gives the kept closure, which may hold
+        rows under ``floor`` too: it is first rebuilt at ``floor``, and the
+        tier tables dropped, if it was built at a higher floor or not yet;
+        a build that fails leaves what was kept."""
         if pool is not None:
             pool = set(pool)
             if not pool.issubset(range(len(self.masks))):
                 raise InvalidGroupError("agent index out of range")
-            return self._build(pool)
-        return self.rows(1)
-
-    def rows(self, floor: int) -> list[ClosureRow]:
-        """The kept full-pool closure (every row with at least ``floor``
-        approvers, maybe more), first rebuilt at ``floor`` (and the tier
-        tables dropped) if it was built at a higher floor or not yet."""
+            return self._build(pool, floor)
         if floor < self._floor:
             rows = self._build(range(len(self.masks)), floor)
             self._closure, self._floor, self._tiers = rows, floor, {}
         return self._closure
 
-    def tiers(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
-        """The tier table of one mode: ``(row, thresholds)`` for every
-        full-pool closure row of positive size with at least ``floor``
-        approvers (the kept table may hold more), ordered by top threshold
-        ``thresholds[-1]``, highest first, ties in closure order (a stable
-        sort), where ``thresholds[k - 1]`` is the threshold of the tier
-        (row, k) at D for k = 1..len(row.approvers).
+    def thresholds(self, row: ClosureRow, exact: bool) -> tuple[int, ...]:
+        """The thresholds at D of the tiers (row, k), k = 1..len(row.approvers).
 
-        A tier's cap is k*alpha/n.  Its cohesive threshold is
-        min(cap, size); its exact threshold (``exact``) is ``exact_size``
-        of the row's goods count and cake length at that cap.  Both depend
-        on the instance only, and both are nondecreasing in k, so a row's
-        top threshold ``thresholds[-1]`` bounds all of its tiers; it is at
-        most len(row.approvers)*alpha/n.  Each mode is built from
-        ``rows(floor)`` on first request and kept until the closure is
-        rebuilt; a failed closure build keeps no table.
+        A tier's cap is k*alpha/n.  Its cohesive threshold is min(cap,
+        size); its exact threshold (``exact``) is ``exact_size`` of the
+        row's goods count and cake length at that cap.  Both depend on the
+        instance only, and both are nondecreasing in k, so the last one, the
+        row's top threshold, bounds all of them; it is at most
+        len(row.approvers)*alpha/n."""
+        share, n = self.share_d, len(row.approvers)
+        if exact:
+            D = self.denominator
+            return tuple(exact_size(row.m_star, row.ell_d, k * share, D) for k in range(1, n + 1))
+        # k*share up to the size, then the size
+        full = min(row.size_d // share, n)
+        return (*range(share, full * share + 1, share), *(row.size_d,) * (n - full))
+
+    def tiers(self, exact: bool, floor: int = 1) -> list[tuple[ClosureRow, tuple[int, ...]]]:
+        """The tier table of one mode: ``(row, self.thresholds(row, exact))``
+        for every full-pool closure row of positive size with at least
+        ``floor`` approvers (the kept table may hold more), ordered by top
+        threshold ``thresholds[-1]``, highest first, ties in closure order
+        (a stable sort).  Each mode is built from ``closure(floor=floor)``
+        on first request and kept until the closure is rebuilt; a failed
+        closure build keeps no table.
         """
         table = self._tiers.get(exact)
         if table is None or floor < self._floor:
-            share, D = self.share_d, self.denominator
-            table = []
-            for row in self.rows(floor):
-                size, n = row.size_d, len(row.approvers)
-                if size <= 0:
-                    continue
-                if exact:
-                    thresholds = tuple(
-                        exact_size(row.m_star, row.ell_d, k * share, D) for k in range(1, n + 1)
-                    )
-                else:
-                    # k*share up to the size, then the size
-                    full = min(size // share, n)
-                    thresholds = (*range(share, full * share + 1, share), *(size,) * (n - full))
-                table.append((row, thresholds))
+            rows = self.closure(floor=floor)
+            table = [(row, self.thresholds(row, exact)) for row in rows if row.size_d > 0]
             table.sort(key=lambda tier: tier[1][-1], reverse=True)
             self._tiers[exact] = table
         return table
@@ -741,23 +734,19 @@ class InstanceIndex:
         return Bundle(IntervalSet(cake), goods)
 
 
-def allocation_units(
-    inst: Instance, bundle: Bundle, *extra_denominators: int
-) -> tuple[int, int, tuple[int, ...]]:
+def allocation_units(inst: Instance, bundle: Bundle) -> tuple[int, int, tuple[int, ...]]:
     """One integer pass over a raw bundle: ``(unit, size, utils)``.
 
-    ``unit`` is the lcm of the index denominator, the denominators of the
-    bundle's cake endpoints and ``extra_denominators``; ``size`` (the
-    bundle's size) and ``utils[i]`` (agent i's utility) are numerators over
-    it.  Each cake piece adds its overlap with an index cell to that cell's
-    approvers, and each good adds ``unit`` to its approvers; goods the
-    instance lacks and cake outside [0, c] count toward the size only.
+    ``unit`` is the lcm of the index denominator and the denominators of
+    the bundle's cake endpoints; ``size`` (the bundle's size) and
+    ``utils[i]`` (agent i's utility) are numerators over it.  Each cake
+    piece adds its overlap with an index cell to that cell's approvers,
+    and each good adds ``unit`` to its approvers; goods the instance lacks
+    and cake outside [0, c] count toward the size only.
     """
     index = inst.index
     intervals = bundle.cake.intervals
-    unit = math.lcm(
-        index.denominator, *extra_denominators, *(p.denominator for iv in intervals for p in iv)
-    )
+    unit = math.lcm(index.denominator, *(p.denominator for iv in intervals for p in iv))
     utils = [0] * inst.n
     size = len(bundle.goods) * unit
     for g in bundle.goods:

@@ -31,6 +31,15 @@ def _require(condition: bool, message: str) -> None:
         raise ConstructionParameterError(message)
 
 
+def _require_fractional_part_fits(t: Fraction, r: Fraction | int) -> None:
+    """Require ceil((t - floor(t)) * r) <= r - 1, where r = n/alpha."""
+    need = math.ceil((t - math.floor(t)) * r)
+    _require(
+        need <= r - 1,
+        f"need ceil((t - floor(t)) * n/alpha) <= n/alpha - 1, got {need} > {r - 1}",
+    )
+
+
 def gen_fig1() -> tuple[Instance, dict]:
     """Two agents, two goods, a 0.9-length cake, alpha = 2; each agent
     approves her own good plus the whole cake."""
@@ -122,12 +131,7 @@ def gen_thm4(
     alpha = t
     r = Fraction(n) / alpha
     _require(n >= 2, f"need at least two agents, got n = {n}")
-    frac = t - math.floor(t)
-    _require(
-        math.ceil(frac * r) <= r - 1,
-        f"need ceil((t - floor(t)) * n/alpha) <= n/alpha - 1, "
-        f"got {math.ceil(frac * r)} > {r - 1}",
-    )
+    _require_fractional_part_fits(t, r)
     closing = delta * (t - 1) / t + t / (2 * n * n) + (t - 1 + delta) / n
     _require(
         closing <= eps,
@@ -232,12 +236,7 @@ def gen_thm6(t: Fraction, n: int, eps: Fraction) -> tuple[Instance, dict]:
     _require(n % alpha == 0, f"n must be a multiple of alpha = {alpha}, got {n}")
     _require(n >= 2 * alpha, f"n must be at least 2 * alpha = {2 * alpha}, got {n}")
     r = n // alpha
-    frac = t - ft
-    _require(
-        math.ceil(frac * r) <= r - 1,
-        f"need ceil((t - floor(t)) * n/alpha) <= n/alpha - 1, "
-        f"got {math.ceil(frac * r)} > {r - 1}",
-    )
+    _require_fractional_part_fits(t, r)
     closing = 2 * alpha * ft / (Fraction(n) * t)
     _require(
         closing <= eps,

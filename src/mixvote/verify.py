@@ -14,16 +14,18 @@ carry each bundle's goods count, cake length and size as ints at the
 index denominator D.  One integer pass over the allocation
 (``core.allocation_units``, run by ``Instance.validate_allocation``)
 gives its validity, size and every agent's utility on a common
-denominator: the lcm of D, the allocation's cake endpoints and beta.
+denominator: the lcm of D and the allocation's cake endpoints.
+``_scan`` widens that unit to the lcm with beta's denominator itself,
+scaling the utilities with it.
 
-The instance keeps the last valid pass, keyed by the bundle object and
-the extra denominators, so ``verify_ejr_1`` after ``verify_ejr_m`` on the
-same bundle (both at beta denominator 1) reuses it.  An identity key is
-sound: the kept entry holds a strong reference to the bundle, so its
-``id`` cannot be reused while the entry stands, and only bundles whose
-pairs sit in tuples and whose goods are a frozenset are kept, so nothing
-can change what the pass read.  The utilities are kept as a tuple, and a
-failed validation is never kept.
+The instance keeps the last valid pass, keyed by the bundle object
+alone, so every verifier and audit after the first on the same bundle
+reuses it, whatever its beta.  An identity key is sound: the kept entry
+holds a strong reference to the bundle, so its ``id`` cannot be reused
+while the entry stands, and only bundles whose pairs sit in tuples and
+whose goods are a frozenset are kept, so nothing can change what the
+pass read.  The utilities are kept as a tuple, and a failed validation
+is never kept.
 
 ``verify_ejr_1`` scans directly, as the strict relaxation at
 beta = 1 + margin: at margin 0 it takes one module-level ``Fraction(1)``
@@ -31,20 +33,21 @@ instead of building one per call, and it skips ``verify_ejr_beta``'s
 conversion, sign check and label, which its own margin checks already
 cover.
 
-A tier's threshold depends on the instance only, so the index keeps a
-tier table (``InstanceIndex.tiers``), built once per mode on first use:
-the cohesive supremum min(k*alpha/n, size) or the exact-witness size
-``exact_size`` at that cap, for each row of positive size and each k, as
-ints at D, rows ordered by top threshold, highest first.  A call reads
-it at its own unit by multiplying by scale = unit // D.  That is exact:
-``exact_size`` is homogeneous in (ell, cap, unit), since scaling all
-three by s scales the upper bound ub by s and leaves floor(ub / unit)
-as it is, so the threshold at the unit is the D-threshold times scale;
-the cohesive minimum scales the same way.  ``_scan`` and greedy read
-the table.  ``audit_degree`` and ``cohesive_profiles`` list tiers in
-closure order, so they read the closure rows (``InstanceIndex.rows``)
-through the tier iterator ``_profile_tiers`` and compute each tier's
-threshold as they go.
+A tier's threshold depends on the instance only, and the index alone
+computes it (``InstanceIndex.thresholds``): the cohesive supremum
+min(k*alpha/n, size) or the exact-witness size ``core.exact_size`` at
+that cap, for each k, as ints at D.  The index keeps a tier table
+(``InstanceIndex.tiers``), built once per mode on first use: each row
+of positive size with its thresholds, rows ordered by top threshold,
+highest first.  A call reads it at its own unit by multiplying by
+scale = unit // D.  That is exact: ``exact_size`` is homogeneous in
+(ell, cap, unit), since scaling all three by s scales the upper bound
+ub by s and leaves floor(ub / unit) as it is, so the threshold at the
+unit is the D-threshold times scale; the cohesive minimum scales the
+same way.  ``_scan`` and greedy read the table.  ``audit_degree`` and
+``cohesive_profiles`` list tiers in closure order, so they read the
+closure rows (``InstanceIndex.closure``) through the tier iterator
+``_profile_tiers`` and ask the index for each row's thresholds.
 
 Thresholds are nondecreasing in k in both modes (min(k*alpha/n, size)
 and ``exact_size`` are monotone in the cap).  A member fails a tier when
@@ -86,7 +89,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, as_real, format_rational
-from .core import exact_size
 from .errors import DomainError, UnsupportedInstanceError
 
 
@@ -151,17 +153,18 @@ def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[
     ranked by the utilities of a valid ``allocation`` (none: all zero)."""
     index = inst.index
     unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
-    share, D = index.share_d, index.denominator
-    rows = [row for row in index.rows(1) if row.size_d > 0]
+    D = index.denominator
+    rows = [row for row in index.closure() if row.size_d > 0]
     profiles = []
     for row, members in _profile_tiers(rows, u):
         utils = [Fraction(u[i], unit) for i in members]  # ascending, as members are
+        cohesive, exact = index.thresholds(row, False), index.thresholds(row, True)
         for k in range(1, len(members) + 1):
             profiles.append(
                 CohesiveProfile(
                     group=tuple(sorted(members[:k])),
-                    t_cohesive_sup=Fraction(min(k * share, row.size_d), D),
-                    t_exact_max=Fraction(exact_size(row.m_star, row.ell_d, k * share, D), D),
+                    t_cohesive_sup=Fraction(cohesive[k - 1], D),
+                    t_exact_max=Fraction(exact[k - 1], D),
                     group_utilities=tuple(utils[:k]),
                 )
             )
@@ -191,7 +194,10 @@ def _scan(
     utility ints; see the module docstring.  The index builds only the
     rows with enough approvers to reach the first floor.
     """
-    unit, _, u = inst.validate_allocation(allocation, beta.denominator)
+    unit, _, u = inst.validate_allocation(allocation)
+    if unit % beta.denominator:  # widen the unit to the lcm with beta's denominator
+        f = beta.denominator // math.gcd(unit, beta.denominator)
+        unit, u = unit * f, [x * f for x in u]
     beta_units = beta.numerator * (unit // beta.denominator)
     # a member fails a tier when its utility is at most t - off
     off = beta_units + (0 if strict else 1)
@@ -386,20 +392,20 @@ def audit_degree(
     t_min = as_rational("t_min", t_min)
     unit, _, u = inst.validate_allocation(allocation)
     index = inst.index
-    share, D = index.share_d, index.denominator
+    D = index.denominator
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
     floor = max(1, math.ceil(t_min * inst.n / inst.alpha))
-    # a row's top threshold min(approvers*share, size) is an int at D, and at
-    # least 1 unless the row has size 0 and so no tier
+    # the kept closure may hold rows under the floor, whose tops lie under
+    # t_min; a top is at least 1 unless the row has size 0 and so no tier
     lo = max(t_min * D, 1)
-    rows = [row for row in index.rows(floor) if min(len(row.approvers) * share, row.size_d) >= lo]
+    rows = [row for row in index.closure(floor=floor) if len(row.approvers) >= floor]
+    rows = [row for row in rows if index.thresholds(row, False)[-1] >= lo]
     for row, members in _profile_tiers(rows, u):
         running_sum = 0
-        for k, i in enumerate(members, 1):
+        for k, (i, t) in enumerate(zip(members, index.thresholds(row, False)), 1):
             running_sum += u[i]
-            t = min(k * share, row.size_d)
             if t not in bounds:
                 t_frac = Fraction(t, D)
                 bounds[t] = None if t_frac < t_min else (t_frac, f(t_frac))

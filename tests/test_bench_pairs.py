@@ -150,15 +150,19 @@ def test_a_failed_run_removes_the_base_tree(monkeypatch, tmp_path):
 
 def test_output_counts_src_lines_on_each_side(monkeypatch, tmp_path):
     """The base tree holds 3 lines of src/**/*.py, the working tree 5; other
-    files do not count."""
+    files do not count.  Of those, 1 and 3 hold code: blank lines,
+    comment-only lines and docstrings do not count, and a string that is
+    not a docstring does, even where a line of it starts with "#"."""
     base = tmp_path / "base"
     (base / "src" / "pkg").mkdir(parents=True)
-    (base / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\n")
-    (base / "src" / "b.py").write_text("c = 3\n")
+    (base / "src" / "pkg" / "a.py").write_text('"""Doc."""\na = 1\n')
+    (base / "src" / "b.py").write_text("# c = 3\n")
     (base / "src" / "notes.txt").write_text("not\ncode\n")
     change = tmp_path / "change"
     (change / "src").mkdir(parents=True)
-    (change / "src" / "a.py").write_text("".join(f"x{i} = {i}\n" for i in range(5)))
+    (change / "src" / "a.py").write_text(
+        'def f():  # a comment after code\n    """Doc."""\n\n    return """x\n# not a comment"""\n'
+    )
     (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
 
     def run(cmd, **kwargs):
@@ -175,6 +179,7 @@ def test_output_counts_src_lines_on_each_side(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     assert bench_pairs.main(["mes-scale:1:1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"base": 3, "change": 5}
+    assert json.loads(out.read_text())["src_code_lines"] == {"base": 1, "change": 3}
 
 
 @pytest.mark.parametrize("dont_write_bytecode", [True, False])

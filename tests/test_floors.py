@@ -27,7 +27,7 @@ from mixvote.core import EMPTY_BUNDLE, InstanceIndex, allocation_to_dict, instan
 from mixvote.errors import CapacityError
 from mixvote.generate import gen_random
 from mixvote.verify import DEGREE_BOUNDS
-from test_index import allocations, disjoint_instances, instances, naive_closure
+from test_index import allocations, disjoint_instances, fresh, instances, naive_closure
 
 # ---------------------------------------------------------------------------
 # The build at every floor
@@ -116,10 +116,6 @@ def battery(inst, alloc):
     return calls
 
 
-def fresh(inst):
-    return Instance(inst.cake_length, inst.goods, inst.agents, inst.alpha)
-
-
 @given(instances(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_floors_give_the_reports_of_the_full_closure(inst, rnd):
@@ -157,7 +153,7 @@ def test_audit_sorts_no_row_under_t_min(inst, t_min):
         share, D = index.share_d, index.denominator
         assert sorted_rows == [
             row.approvers
-            for row in index.rows(1)
+            for row in index.closure()
             if row.size_d > 0 and F(min(len(row.approvers) * share, row.size_d), D) >= t_min
         ]
 

@@ -182,11 +182,18 @@ def naive_scan(inst, allocation, exact, beta=F(0), strict=False):
     return None if worst is None else worst[1]
 
 
+def lift(unit, size, u, beta):
+    """The pass's unit and utilities on the lcm of its unit and beta's denominator."""
+    lifted = math.lcm(unit, beta.denominator)
+    return lifted, [x * (lifted // unit) for x in u]
+
+
 def reference_scan(inst, allocation, axiom, exact, beta=F(0), strict=False):
     """``verify._scan`` without its row skips: every row of the tier table
     is sorted and every tier compared, on the same ints and with the same
-    (gap, t, group) order."""
-    unit, _, u = inst.validate_allocation(allocation, beta.denominator)
+    (gap, t, group) order, on the allocation pass lifted to beta's
+    denominator by an lcm."""
+    unit, u = lift(*inst.validate_allocation(allocation), beta)
     off = beta.numerator * (unit // beta.denominator) + (0 if strict else 1)
     scale = unit // inst.index.denominator
     failing = []
@@ -372,7 +379,7 @@ def test_profile_tiers_order_members_by_utility_then_index(inst, data):
     """Utilities from {0, 1, 2} make ties common; each row's members come
     worst-served first, ties by index."""
     u = data.draw(st.lists(st.integers(0, 2), min_size=inst.n, max_size=inst.n))
-    rows = inst.index.rows(1)
+    rows = inst.index.closure()
     expected = [(row, sorted(row.approvers, key=lambda i: (u[i], i))) for row in rows]
     assert list(_profile_tiers(rows, u)) == expected
 
@@ -422,7 +429,7 @@ def assert_scan_reads_a_prefix_by_top(inst, alloc):
 
         with patch.object(verify_module, "map", recording, create=True):
             report = verify_module._scan(inst, alloc, "scan", exact, beta, strict)
-        unit, _, u = inst.validate_allocation(alloc, beta.denominator)
+        unit, u = lift(*inst.validate_allocation(alloc), beta)
         scale = unit // inst.index.denominator
         w = report.witness
         bar = -(beta * unit + (0 if strict else 1)) if w is None else (w.max_utility - w.t) * unit
@@ -519,7 +526,6 @@ def test_utilities_match_per_agent_intersection(inst, data):
 @given(instances(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_allocation_pass_matches_fraction_reference(inst, data):
-    extra = data.draw(st.lists(st.sampled_from([1, 2, 5, 7, BIG_PRIME]), max_size=2))
     goods = data.draw(st.sets(st.sampled_from(inst.goods))) if inst.goods else set()
     bundles = [
         Bundle(inst.full_cake(), frozenset(inst.goods)),
@@ -531,17 +537,17 @@ def test_allocation_pass_matches_fraction_reference(inst, data):
         bundles.append(Bundle(normalize([(F(0), inst.alpha)])))
         bundles.append(Bundle(normalize([(F(0), inst.alpha + F(1, BIG_PRIME**2))])))
     for alloc in bundles:
-        unit, size, utils = allocation_units(inst, alloc, *extra)
+        unit, size, utils = allocation_units(inst, alloc)
         denominators = [p.denominator for iv in alloc.cake.intervals for p in iv]
-        assert all(unit % q == 0 for q in [inst.index.denominator, *extra, *denominators])
+        assert unit == math.lcm(inst.index.denominator, *denominators)
         assert F(size, unit) == alloc.size()
         assert [F(u, unit) for u in utils] == naive_utilities(inst, alloc)
         expected = naive_validate(inst, alloc)
         if expected is None:
-            assert inst.validate_allocation(alloc, *extra) == (unit, size, utils)
+            assert inst.validate_allocation(alloc) == (unit, size, utils)
         else:
             with pytest.raises(type(expected)) as info:
-                inst.validate_allocation(alloc, *extra)
+                inst.validate_allocation(alloc)
             assert str(info.value) == str(expected)
 
 
@@ -664,20 +670,28 @@ def test_greedy_reads_a_prefix_of_the_rows_by_top_at_n300():
 @given(instances())
 @settings(max_examples=80, deadline=None)
 def test_tier_tables_match_fraction_thresholds(inst):
-    """Each table holds every closure bundle of positive size with its
-    Fraction thresholds, ordered by top threshold, highest first, ties in
-    closure order."""
+    """``thresholds`` gives every closure bundle's Fraction thresholds, in
+    closure order; each table holds every closure bundle of positive size
+    with them, ordered by top threshold, highest first, ties in closure
+    order."""
     index = inst.index
-    positive = [(b, approvers) for b, approvers in naive_closure(inst) if b.size() > 0]
     for exact in (False, True):
         expected = []
-        for bundle, approvers in positive:
+        for bundle, approvers in naive_closure(inst):
             caps = [F(k) * inst.alpha / inst.n for k in range(1, len(approvers) + 1)]
             if exact:
                 ts = [exact_size_ref(len(bundle.goods), bundle.cake.measure(), cap) for cap in caps]
             else:
                 ts = [min(cap, bundle.size()) for cap in caps]
             expected.append(((bundle, approvers), ts))
+        assert [
+            (
+                (index.bundle(row), frozenset(row.approvers)),
+                [F(t, index.denominator) for t in index.thresholds(row, exact)],
+            )
+            for row in index.closure()
+        ] == expected
+        expected = [entry for entry in expected if entry[0][0].size() > 0]
         expected.sort(key=lambda entry: -entry[1][-1])  # stable: ties keep closure order
         table = index.tiers(exact)
         assert [
@@ -743,15 +757,42 @@ def test_kept_pass_gives_the_reports_of_fresh_instances(inst, data):
         assert chain_on(inst, alloc) == expected
 
 
-def test_kept_pass_is_keyed_by_the_extra_denominators(fig1):
+def test_kept_pass_is_keyed_by_the_bundle_alone(fig1):
+    """Scans at betas of other denominators read the kept pass, and each
+    reports as on a fresh instance."""
     bundle = Bundle(normalize([(F(0), F(1, 2))]), frozenset({"g1"}))
     kept = fig1.validate_allocation(bundle)
     assert fig1.validate_allocation(bundle) is kept
     assert type(kept[2]) is tuple
-    for extra in ((7,), (BIG_PRIME,), (7, 3), ()):
-        got = fig1.validate_allocation(bundle, *extra)
-        assert got == fresh(fig1).validate_allocation(bundle, *extra)
-        assert all(got[0] % q == 0 for q in extra)
+    assert kept == fresh(fig1).validate_allocation(bundle)
+    for beta in (F(1, 7), F(1, BIG_PRIME), F(2, 21), F(0)):
+        for mode in ("strict", "weak"):
+            report = verify_ejr_beta(fig1, bundle, beta, mode)
+            assert report == verify_ejr_beta(fresh(fig1), bundle, beta, mode)
+            assert fig1.validate_allocation(bundle) is kept
+
+
+def test_one_allocation_pass_serves_every_beta(monkeypatch):
+    """gpav's output, checked by EJR-1 at margin 1e-6, the gpav audit and
+    weak EJR-beta at 1/3 on one bundle object, is measured by one pass, and
+    every report is the one from a fresh instance."""
+    inst = gen_random(n=12, m=4, cake_atoms=3, alpha=F(11, 6), density=0.4, seed=3)
+    alloc = generalized_pav(inst).allocation
+    calls = (
+        lambda inst: verify_ejr_1(inst, alloc, margin=1e-6),
+        lambda inst: audit_degree(inst, alloc, "gpav"),
+        lambda inst: verify_ejr_beta(inst, alloc, F(1, 3), "weak"),
+    )
+    expected = [call(fresh(inst)) for call in calls]
+    passes = []
+
+    def counting(*args):
+        passes.append(args)
+        return allocation_units(*args)
+
+    monkeypatch.setattr(core, "allocation_units", counting)
+    assert [call(inst) for call in calls] == expected
+    assert len(passes) == 1
 
 
 @given(instances(max_agents=4), st.sampled_from(["intervals", "pair", "goods"]), st.data())
@@ -848,7 +889,7 @@ def test_failed_build_is_not_cached(fig1):
 
 def test_kept_tier_tables_are_read_without_the_closure(fig1, monkeypatch):
     """Once both tier tables are kept, no verifier, audit or profile
-    listing goes back to ``closure()``, and every report is the same."""
+    listing builds closure rows again, and every report is the same."""
     bundle = Bundle(fig1.full_cake())
 
     def calls():
@@ -861,10 +902,10 @@ def test_kept_tier_tables_are_read_without_the_closure(fig1, monkeypatch):
 
     first = calls()
 
-    def no_closure(*args, **kwargs):
-        raise AssertionError("closure() called after both tier tables were kept")
+    def no_build(*args, **kwargs):
+        raise AssertionError("_build() called after both tier tables were kept")
 
-    monkeypatch.setattr(InstanceIndex, "closure", no_closure)
+    monkeypatch.setattr(InstanceIndex, "_build", no_build)
     assert calls() == first
     assert not first[0].passed
 

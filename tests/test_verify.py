@@ -414,7 +414,7 @@ def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     assert verify_ejr_1(big, everything).passed
     assert keyed == []
     assert cohesive_profiles(inst)
-    assert keyed == [row.approvers for row in inst.index.rows(1) if row.size_d > 0]
+    assert keyed == [row.approvers for row in inst.index.closure() if row.size_d > 0]
 
 
 def test_violation_tie_goes_to_the_smaller_t():
