@@ -14,7 +14,10 @@ on each metric, and the output digests.  Per spec, ``digests_equal`` says
 whether both sides gave the same output digests, and per metric
 ``meets_gain_rule`` whether a gain there would hold as a claim: the change
 won at least 9 in 10 pairs, and its median beats the base median, in the
-metric's better direction, by more than the base's quartile spread.
+metric's better direction, by more than the base's quartile spread; and
+per metric ``within_bound`` whether the change's median is worse than the
+base median, in that direction, by no more than the metric's relative
+``bound`` (a share of the base median's size).
 ``src_lines`` gives the lines of ``src/**/*.py`` in the base tree and in
 the working tree, and ``src_code_lines`` those of them that hold code:
 not blank, not comment-only and not part of a docstring.
@@ -111,7 +114,7 @@ def compare(spec: str, base: Path, seconds: float, metrics: list[dict]) -> tuple
         out[side]["output_digests"] = sorted({d for rep, _ in done for d in rep["output_digest"]})
         out[side]["all_correct"] = all(r["correct"] for _, r in done)
     out["digests_equal"] = out["base"]["output_digests"] == out["change"]["output_digests"]
-    out["change_won"], out["meets_gain_rule"] = {}, {}
+    out["change_won"], out["meets_gain_rule"], out["within_bound"] = {}, {}, {}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
         base, change = (out[side][m["name"]] for side in ("base", "change"))
@@ -120,6 +123,9 @@ def compare(spec: str, base: Path, seconds: float, metrics: list[dict]) -> tuple
         out["meets_gain_rule"][m["name"]] = (
             10 * won >= 9 * int(pairs)
             and sign * (change["median"] - base["median"]) > base["q3"] - base["q1"]
+        )
+        out["within_bound"][m["name"]] = (
+            sign * (base["median"] - change["median"]) <= m["bound"] * abs(base["median"])
         )
     return out, runs["base"][0][0]["environment"]
 

@@ -11,10 +11,10 @@ The path from instance JSON to the index stays on ints where it can:
 ``instance_from_dict`` parses each distinct endpoint string once (plain
 ``"p/q"`` digit strings by ``int``, ``parse_rational``); one int pass in
 ``Instance`` (``_cake_fault``) checks the pairs and keeps canonical ones,
-as the serialization writes them, without sorting.  ``InstanceIndex``
-keys endpoints by their ``(numerator, denominator)`` ints, so no
-``Fraction`` is hashed; the index and ``instance_digest`` read each
-distinct endpoint object once.
+as the serialization writes them, without sorting.  One walk over the
+pairs (``endpoint_table``, kept on the ``Instance``) ranks the distinct
+endpoints by their ``(numerator, denominator)`` ints, so no ``Fraction``
+is hashed; the index, the digest and ``instance_to_dict`` read it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -106,7 +107,11 @@ class IntervalSet:
         return not self.intervals
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        """The pairs' lengths summed as ints over the lcm of their denominators."""
+        pairs = self.intervals
+        unit = math.lcm(*(p.denominator for pair in pairs for p in pair))
+        return Fraction(sum([hi.numerator * (unit // hi.denominator)
+                             - lo.numerator * (unit // lo.denominator) for lo, hi in pairs]), unit)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out: list[tuple[Fraction, Fraction]] = []
@@ -337,16 +342,22 @@ class Instance:
                 agents[i] = Bundle(normalize(bundle.cake.intervals), bundle.goods)
         object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "good_index", good_index)
-        object.__setattr__(self, "_index", None)
         # (bundle, pass) of the last valid allocation
         object.__setattr__(self, "_last_allocation", None)
 
-    @property
+    def __reduce__(self):
+        # copies are built and validated anew: the endpoint table is keyed by object ids
+        return type(self), (self.cake_length, self.goods, self.agents, self.alpha)
+
+    @cached_property
+    def endpoints(self) -> tuple[dict[int, int], list[Fraction], int]:
+        """The instance's ``endpoint_table``, built on first use and kept here."""
+        return endpoint_table(self)
+
+    @cached_property
     def index(self) -> "InstanceIndex":
         """The instance's integer index, built on first use and kept here."""
-        if self._index is None:
-            object.__setattr__(self, "_index", InstanceIndex(self))
-        return self._index
+        return InstanceIndex(self)
 
     @property
     def n(self) -> int:
@@ -530,11 +541,25 @@ def _runs(mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _endpoint_objects(inst: Instance) -> dict[int, Fraction]:
-    """The distinct approval endpoint objects, keyed by ``id``; a parsed
-    instance shares one object per distinct string.  The instance holds
-    every object, so no key names another object while it lives."""
-    return {id(p): p for b in inst.agents for pair in b.cake.intervals for p in pair}
+def endpoint_table(inst: Instance) -> tuple[dict[int, int], list[Fraction], int]:
+    """One walk over the approval pairs: ``(rank, points, denominator)``.
+
+    ``points`` holds the distinct endpoint values, 0 and c, ascending, one
+    object each; ``rank`` maps the ``id`` of every approval endpoint object
+    to its value's place in ``points`` (the instance holds each object, so
+    no id is reused while it lives); ``denominator`` is the lcm of the
+    points' denominators.  A parsed instance shares one object per distinct
+    string, and equal but distinct objects share one rank."""
+    objects = {id(p): p for b in inst.agents for pair in b.cake.intervals for p in pair}
+    # hashing a Fraction costs a modular inverse, hashing two ints does not
+    values = {(0, 1): Fraction(0)}
+    for p in (inst.cake_length, *objects.values()):
+        values.setdefault(p.as_integer_ratio(), p)
+    D = math.lcm(*[d for _, d in values])
+    order = sorted(values, key=lambda v: v[0] * (D // v[1]))
+    where = {v: j for j, v in enumerate(order)}
+    rank = {key: where[p.as_integer_ratio()] for key, p in objects.items()}
+    return rank, [values[v] for v in order], D
 
 
 class InstanceIndex:
@@ -557,33 +582,21 @@ class InstanceIndex:
     fails leaves what was kept.  Every tier threshold comes from
     ``thresholds``.
 
-    The build keys each distinct endpoint object (``_endpoint_objects``)
-    by value once, and looks every approval end up by its ``id``.  Equal
-    but distinct objects share one value key, so they give the same index;
-    the ``id``-keyed dicts are local to the build.
+    The breakpoints and their ranks come from the instance's
+    ``endpoint_table`` (``Instance.endpoints``), which looks every approval
+    end up by its ``id``; equal but distinct objects share one rank, so
+    they give the same index.
     """
 
     def __init__(self, inst: Instance):
-        # endpoints keyed by their (numerator, denominator) ints: hashing
-        # a Fraction costs a modular inverse, hashing two ints does not
-        endpoints = {(0, 1): Fraction(0)}
-        c = inst.cake_length
-        endpoints.setdefault((c.numerator, c.denominator), c)
-        value_of = {}
-        for key, p in _endpoint_objects(inst).items():
-            value_of[key] = value = p.numerator, p.denominator
-            endpoints.setdefault(value, p)
+        position, points, D = inst.endpoints
         share = inst.alpha / inst.n
-        D = math.lcm(share.denominator, *(d for _, d in endpoints))
-        at_d = sorted((num * (D // d), (num, d)) for num, d in endpoints)
-        where = {value: j for j, (_, value) in enumerate(at_d)}
-        position = {key: where[value] for key, value in value_of.items()}
-        points = [endpoints[value] for _, value in at_d]
+        D = math.lcm(share.denominator, D)
         self.goods = inst.goods
         self.points = points
         self.denominator = D
         self.share_d = share.numerator * (D // share.denominator)
-        self.points_d = [p_d for p_d, _ in at_d]
+        self.points_d = [p.numerator * (D // p.denominator) for p in points]
         m = inst.m
         good_approvers: list[list[int]] = [[] for _ in range(m)]
         cells: list[list[int]] = [[] for _ in points[1:]]
@@ -822,6 +835,9 @@ def atomize(
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    """The instance as JSON data, each distinct endpoint formatted once."""
+    rank, points, _ = inst.endpoints
+    text = [format_rational(p) for p in points]
     return {
         "cake_length": format_rational(inst.cake_length),
         "goods": list(inst.goods),
@@ -829,7 +845,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "agents": [
             {
                 "goods": inst.sorted_goods(b.goods),
-                "cake": b.cake.to_json(),
+                "cake": [[text[rank[id(lo)]], text[rank[id(hi)]]] for lo, hi in b.cake.intervals],
             }
             for b in inst.agents
         ],
@@ -908,15 +924,16 @@ def instance_digest(inst: Instance) -> str:
     The blob is written directly in that layout, without the dict: keys in
     sorted order, names through ``json``'s own ASCII encoder (good names
     are strings, ``Instance`` checks that), each agent's goods in instance
-    order, and each distinct endpoint object (``_endpoint_objects``)
-    formatted once.
+    order, and each distinct endpoint value of the instance's
+    ``endpoint_table`` formatted once.
     """
     names = [json.encoder.encode_basestring_ascii(g) for g in inst.goods]
-    text = {key: f'"{format_rational(p)}"' for key, p in _endpoint_objects(inst).items()}
+    rank, points, _ = inst.endpoints
+    text = [f'"{format_rational(p)}"' for p in points]
     order = inst.good_index.__getitem__
     agents = []
     for b in inst.agents:
-        cake = ",".join(f"[{text[id(lo)]},{text[id(hi)]}]" for lo, hi in b.cake.intervals)
+        cake = ",".join([f"[{text[rank[id(lo)]]},{text[rank[id(hi)]]}]" for lo, hi in b.cake.intervals])
         goods = ",".join([names[k] for k in sorted(map(order, b.goods))])
         agents.append(f'{{"cake":[{cake}],"goods":[{goods}]}}')
     blob = "".join((

@@ -18,8 +18,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "items_per_ref_s", "better": "higher"},
-    {"name": "item_ref_ms_p50", "better": "lower"},
+    {"name": "items_per_ref_s", "better": "higher", "bound": 0.24},
+    {"name": "item_ref_ms_p50", "better": "lower", "bound": 0.24},
 ]
 
 
@@ -103,6 +103,24 @@ def test_gain_rule_reads_the_better_direction(monkeypatch):
     out, _ = bench_pairs.compare("verify-chain:1:10", Path("base"), 30, METRICS)
     assert out["change_won"] == {"items_per_ref_s": 0, "item_ref_ms_p50": 10}
     assert out["meets_gain_rule"] == {"items_per_ref_s": False, "item_ref_ms_p50": True}
+
+
+@pytest.mark.parametrize("change, within", [
+    # 20% down: a loss inside the bound for the rate, a gain for p50
+    (80.0, {"items_per_ref_s": True, "item_ref_ms_p50": True}),
+    # 30% down: a loss beyond the bound for the rate
+    (70.0, {"items_per_ref_s": False, "item_ref_ms_p50": True}),
+    # 20% up: a loss inside the bound for p50, a gain for the rate
+    (120.0, {"items_per_ref_s": True, "item_ref_ms_p50": True}),
+    # 30% up: a loss beyond the bound for p50
+    (130.0, {"items_per_ref_s": True, "item_ref_ms_p50": False}),
+])
+def test_within_bound_reads_the_relative_bound_and_direction(monkeypatch, change, within):
+    """Both metrics take 100 on the base and ``change`` on the change, with
+    a relative bound of 0.24."""
+    stub_runs(monkeypatch, gain_runs([100.0] * 3, [change] * 3))
+    out, _ = bench_pairs.compare("mes-scale:1:3", Path("base"), 30, METRICS)
+    assert out["within_bound"] == within
 
 
 def test_gain_rule_over_fewer_pairs(monkeypatch):

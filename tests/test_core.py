@@ -1,7 +1,9 @@
 """Model-layer tests: intervals, bundles, utilities, atoms, serialization."""
 
+import copy
 import hashlib
 import json
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -17,6 +19,7 @@ from mixvote import (
     atomize,
     bundle_size,
     common_bundle,
+    generalized_mes,
     instance_digest,
     intersect,
     measure,
@@ -363,6 +366,31 @@ def test_measure_additive_on_disjoint_sets(pairs_a, pairs_b):
     assert measure(a.union(b)) == measure(a) + measure(b)
 
 
+# ints, and fractions with denominators up to 10**40
+_MEASURED_ENDS = st.integers(-10**6, 10**6) | st.builds(
+    F, st.integers(-10**42, 10**42), st.integers(1, 10**40)
+)
+
+
+@given(
+    st.lists(st.tuples(_MEASURED_ENDS, _MEASURED_ENDS), max_size=60),
+    st.frozensets(st.text(max_size=2), max_size=3),
+)
+@example([], frozenset())
+@example([(F(1, 3), 1)], frozenset({"g"}))
+@example([(F(1, 10**40 - 1), F(1, 10**40))] * 60, frozenset())
+@settings(max_examples=200, deadline=None)
+def test_measure_is_the_fraction_sum(pairs, goods):
+    """Summed on ints over one denominator, a cake's measure is the
+    ``Fraction`` sum of its pairs' lengths, and a bundle's size adds its
+    goods count; the pairs need not be ordered."""
+    expected = sum((hi - lo for lo, hi in pairs), F(0))
+    cake = IntervalSet(tuple(pairs))
+    measured, size = cake.measure(), Bundle(cake, goods).size()
+    assert type(measured) is F and measured == expected
+    assert type(size) is F and size == expected + len(goods)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_utility_bounded_by_both_sizes(seed):
     inst = make_mixed(seed)
@@ -404,6 +432,22 @@ def test_approvals_with_touching_or_degenerate_pairs_round_trip():
     again = instance_from_dict(instance_to_dict(inst))
     assert again == inst
     assert instance_digest(again) == instance_digest(inst)
+
+
+def test_copies_and_pickles_start_cold():
+    """The endpoint table is keyed by object ids, so a copy of a used
+    instance is built anew from its fields: a deep copy and a pickle round
+    trip give an equal instance with the same digest, index and report."""
+    inst = gen_random(n=30, m=3, cake_atoms=4, alpha=2, density=0.4, seed=3)
+    digest, index = instance_digest(inst), inst.index
+    alloc, _ = generalized_mes(inst)
+    report = verify_ejr_m(inst, alloc)
+    fields = ("masks", "points", "points_d", "denominator", "cells")
+    for again in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert again == inst
+        assert instance_digest(again) == digest
+        assert [getattr(again.index, f) for f in fields] == [getattr(index, f) for f in fields]
+        assert verify_ejr_m(again, alloc) == report
 
 
 def test_allocation_round_trip(fig1):
@@ -477,6 +521,15 @@ def digest_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_digest_matches_its_definition(inst):
     assert instance_digest(inst) == reference_digest(inst)
+
+
+@given(digest_instances())
+@settings(max_examples=100, deadline=None)
+def test_instance_to_dict_formats_each_pair(inst):
+    """Formatting each distinct endpoint once writes every approval as
+    ``IntervalSet.to_json`` does."""
+    data = instance_to_dict(inst)
+    assert [a["cake"] for a in data["agents"]] == [b.cake.to_json() for b in inst.agents]
 
 
 @pytest.mark.parametrize("seed", range(5))

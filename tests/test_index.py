@@ -27,6 +27,7 @@ from mixvote import (
     atomize,
     audit_degree,
     cohesive_profiles,
+    generalized_mes,
     generalized_pav,
     greedy_ejr_m,
     normalize,
@@ -39,7 +40,10 @@ from mixvote import core
 from mixvote.cli import EXIT_INTERNAL, EXIT_USAGE, dispatch
 from mixvote.core import (
     InstanceIndex,
+    allocation_to_dict,
     allocation_units,
+    endpoint_table,
+    instance_digest,
     instance_from_dict,
     instance_to_dict,
     save_json,
@@ -793,6 +797,29 @@ def test_one_allocation_pass_serves_every_beta(monkeypatch):
     monkeypatch.setattr(core, "allocation_units", counting)
     assert [call(inst) for call in calls] == expected
     assert len(passes) == 1
+
+
+def test_one_endpoint_walk_serves_every_reader(monkeypatch):
+    """The digest, the index, gmes and the output's serialization on a
+    mes-scale shape read one endpoint table, built once, and each gives
+    what it gives on a fresh instance."""
+    inst = gen_random(n=300, m=30, cake_atoms=30, alpha=F(45, 4), density=0.05, seed=7)
+
+    def run(inst):
+        digest, index = instance_digest(inst), inst.index
+        alloc, _ = generalized_mes(inst)
+        return digest, index.points_d, allocation_to_dict(inst, alloc)
+
+    expected = run(fresh(inst))
+    walks = []
+
+    def counting(inst):
+        walks.append(inst)
+        return endpoint_table(inst)
+
+    monkeypatch.setattr(core, "endpoint_table", counting)
+    assert run(inst) == expected
+    assert walks == [inst]
 
 
 @given(instances(max_agents=4), st.sampled_from(["intervals", "pair", "goods"]), st.data())
