@@ -4,10 +4,14 @@
 
 Each WORKLOAD:SEED:PAIRS spec runs ``perfbench/run.py --workload WORKLOAD
 --seed SEED --seconds S --trace 0``, S being ``BENCHMARK.json``'s
-``run_seconds``, PAIRS times on each side, alternating base and change, so
-drift of a shared host falls on both.  The base is the
-``--base`` commit (default HEAD), exported with ``git archive`` into a
-temporary directory that is removed on exit, failure included.  The output
+``run_seconds``, PAIRS times on each side, one pair after the other; the
+base runs first in the odd pairs and the change first in the even ones, so
+neither drift of a shared host nor going first falls on one side only.
+The base is the ``--base`` commit (default HEAD), exported with ``git
+archive``; the change is a copy of the working tree, its tracked files
+and its untracked ones that git does not ignore, taken when the script
+starts, so editing the tree during the runs changes nothing.  Both sit in
+a temporary directory that is removed on exit, failure included.  The output
 file holds the environment, and per spec and side the median and quartiles
 of every end-to-end metric of ``BENCHMARK.json``, the pairs the change won
 on each metric, and the output digests.  Per spec, ``digests_equal`` says
@@ -19,7 +23,7 @@ per metric ``within_bound`` whether the change's median is worse than the
 base median, in that direction, by no more than the metric's relative
 ``bound`` (a share of the base median's size).
 ``src_lines`` gives the lines of ``src/**/*.py`` in the base tree and in
-the working tree, and ``src_code_lines`` those of them that hold code:
+the copy of the working tree, and ``src_code_lines`` those of them that hold code:
 not blank, not comment-only and not part of a docstring.
 ``bytecode_cache`` is false when this script runs with
 ``sys.flags.dont_write_bytecode`` set (``python -B`` or
@@ -35,6 +39,7 @@ import argparse
 import ast
 import io
 import json
+import shutil
 import signal
 import statistics
 import subprocess
@@ -97,11 +102,24 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(spec: str, base: Path, seconds: float, metrics: list[dict]) -> tuple[dict, dict]:
+def copy_working_tree(dest: Path) -> None:
+    """Copy into ``dest`` every file of ``ROOT`` that git tracks, or that is
+    untracked and not ignored."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    for name in listed.split("\0"):
+        path = ROOT / name
+        if name and path.is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, dest / name)
+
+
+def compare(spec: str, base: Path, change: Path, seconds: float, metrics: list[dict]) -> tuple[dict, dict]:
     workload, seed, pairs = spec.split(":")
     runs = {"base": [], "change": []}
+    sides = [("base", base), ("change", change)]
     for i in range(int(pairs)):
-        for side, tree in (("base", base), ("change", ROOT)):
+        for side, tree in sides if i % 2 == 0 else sides[::-1]:
             try:
                 runs[side].append(run_once(tree, workload, int(seed), seconds))
             except RunFailed as exc:
@@ -136,20 +154,22 @@ def main(argv=None) -> int:
     p.add_argument("--base", default="HEAD", help="commit to compare the working tree against")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    # a terminated run still kills its benchmark child and removes the base tree
+    # a terminated run still kills its benchmark child and removes both trees
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, metrics = bench["run_seconds"], bench["end_to_end"]
-    base_rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        copy_working_tree(trees["change"])
+        base_rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
+                                  text=True, check=True).stdout.strip()
         archive = Path(tmp, "base.tar")
         subprocess.run(["git", "archive", "-o", str(archive), base_rev], cwd=ROOT, check=True)
         with tarfile.open(archive) as tar:
-            tar.extractall(Path(tmp, "tree"), filter="data")
-        results = [compare(spec, Path(tmp, "tree"), seconds, metrics) for spec in args.specs]
-        lines = {"base": src_lines(Path(tmp, "tree")), "change": src_lines(ROOT)}
-        code_lines = {"base": src_code_lines(Path(tmp, "tree")), "change": src_code_lines(ROOT)}
+            tar.extractall(trees["base"], filter="data")
+        results = [compare(spec, trees["base"], trees["change"], seconds, metrics) for spec in args.specs]
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        code_lines = {side: src_code_lines(tree) for side, tree in trees.items()}
     Path(args.out).write_text(json.dumps({
         "base": base_rev, "seconds": seconds, "environment": results[0][1],
         "src_lines": lines, "src_code_lines": code_lines,

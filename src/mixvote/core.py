@@ -270,8 +270,9 @@ def _cake_fault(
     then, on cross-multiplied ints, a reversed pair (lo > hi) or one that
     starts before the previous pair ends, then a first lo below 0 or a last
     hi above c.  Touching or degenerate (lo == hi) pairs, int endpoints and
-    non-tuple pairs measure correctly: they are accepted, not canonical."""
-    canonical = True
+    pairs that do not sit in tuples measure correctly: they are accepted,
+    not canonical."""
+    canonical = type(pairs) is tuple
     pn, pd = -1, 0  # the previous hi, starting below every lo
     for pair in pairs:
         lo, hi = pair
@@ -337,9 +338,9 @@ class Instance:
             fault, canonical = _cake_fault(bundle.cake.intervals, c, c)
             if fault is not None:
                 raise MalformedIntervalError(f"agent {i} approves cake {fault}")
-            if not canonical:
-                # keep approvals canonical: merge touching or degenerate pairs
-                agents[i] = Bundle(normalize(bundle.cake.intervals), bundle.goods)
+            if not canonical or type(bundle.goods) is not frozenset:
+                # keep approvals canonical and immutable: merge touching or degenerate pairs
+                agents[i] = Bundle(normalize(bundle.cake.intervals), frozenset(bundle.goods))
         object.__setattr__(self, "agents", tuple(agents))
         object.__setattr__(self, "good_index", good_index)
         # (bundle, pass) of the last valid allocation
@@ -381,11 +382,13 @@ class Instance:
         [0, c], and its size is at most alpha; return its pass
         ``allocation_units(self, bundle)``.
 
-        The last valid result is kept with a strong reference to its bundle
-        and returned again for the same bundle object (``is``).  Only
-        bundles whose pairs sit in tuples and whose goods are a frozenset
-        are kept, since nothing can change those between calls; a failed
-        validation is never kept."""
+        The last valid result is kept with a strong reference to its bundle,
+        so its ``id`` cannot be reused, and returned again for the same
+        bundle object (``is``), whatever the caller does with it next.  Only
+        bundles with canonical pairs (``_cake_fault``: ``Fraction`` pairs in
+        tuples, as ``normalize`` leaves them) and frozenset goods are kept,
+        since nothing can change those between calls; a failed validation
+        is never kept."""
         last = self._last_allocation
         if last is not None and last[0] is bundle:
             return last[1]
@@ -395,7 +398,7 @@ class Instance:
             raise InvalidAllocationError(f"allocation goods must be a set, got {bundle.goods!r}") from None
         if not known:
             raise InvalidAllocationError("allocation contains unknown goods")
-        fault, _ = _cake_fault(bundle.cake.intervals, self.cake_length, "c")
+        fault, canonical = _cake_fault(bundle.cake.intervals, self.cake_length, "c")
         if fault is not None:
             raise InvalidAllocationError(f"allocation cake {fault}")
         result = allocation_units(self, bundle)
@@ -404,12 +407,7 @@ class Instance:
             raise InvalidAllocationError(
                 f"allocation size {Fraction(size, unit)} exceeds alpha {self.alpha}"
             )
-        intervals = bundle.cake.intervals
-        if (
-            type(bundle.goods) is frozenset
-            and type(intervals) is tuple
-            and all(type(pair) is tuple for pair in intervals)
-        ):
+        if canonical and type(bundle.goods) is frozenset:
             object.__setattr__(self, "_last_allocation", (bundle, result))
         return result
 
@@ -418,10 +416,16 @@ def bundle_size(b: Bundle) -> Fraction:
     return b.size()
 
 
+def _valid_agents(agents: Iterable, n: int) -> bool:
+    """Whether every agent is an int in 0..n-1; a bool or a float would pass
+    for the int it equals."""
+    return all(type(i) is int and 0 <= i < n for i in agents)
+
+
 def utility(inst: Instance, agent: int, allocation: Bundle) -> Fraction:
     """Size of the overlap between the agent's approval and the allocation."""
-    if not 0 <= agent < inst.n:
-        raise InvalidGroupError(f"agent index {agent} out of range")
+    if not _valid_agents((agent,), inst.n):
+        raise InvalidGroupError(f"agent index {agent!r} out of range")
     return inst.agents[agent].intersect(allocation).size()
 
 
@@ -434,11 +438,12 @@ def utilities(inst: Instance, allocation: Bundle) -> list[Fraction]:
 
 def common_bundle(inst: Instance, group: Iterable[int]) -> Bundle:
     """Componentwise intersection of the group's approval bundles."""
-    members = sorted(set(group))
+    members = set(group)
     if not members:
         raise InvalidGroupError("group must be nonempty")
-    if members[0] < 0 or members[-1] >= inst.n:
+    if not _valid_agents(members, inst.n):
         raise InvalidGroupError("agent index out of range")
+    members = sorted(members)
     acc = inst.agents[members[0]]
     for i in members[1:]:
         acc = acc.intersect(inst.agents[i])
@@ -507,15 +512,19 @@ def exact_size(m_star: int, ell: int, cap: int, unit: int) -> int:
 class ClosureRow(NamedTuple):
     """One bundle of the approval closure, in the index's integers.
 
-    ``mask`` holds the bundle's atoms and ``agents`` its approvers as
-    bitmasks; ``ell_d`` and ``size_d`` are its cake length and size times
-    the index denominator.
+    ``goods`` holds the bundle's good names in instance order and ``runs``
+    its cake as runs [a, b) of index cells, the pieces ``[points[a],
+    points[b]]``: together its ``Bundle.key``, which no two rows share, so
+    rows sort by it.  ``mask`` holds the bundle's atoms and ``agents`` its
+    approvers as bitmasks; ``ell_d`` and ``size_d`` are its cake length and
+    size times the index denominator.
     """
 
+    goods: tuple[str, ...]
+    runs: tuple[tuple[int, int], ...]
     mask: int
     agents: int
     approvers: tuple[int, ...]
-    m_star: int
     ell_d: int
     size_d: int
 
@@ -569,14 +578,18 @@ class InstanceIndex:
     cake cells between consecutive breakpoints (bit ``m + j`` for the cell
     ``[points[j], points[j+1]]``); every approval is a union of atoms, so
     each agent's approval is an int bitmask and a common bundle is the AND
-    of its members' masks.  Reading an approval pair ``[points[a],
-    points[b]]`` also adds the agent to the cells it covers, ``a..b-1``,
-    so ``cells[j]`` holds cell j's approvers.  Lengths are kept as ints at
+    of its members' masks.  Reading an approval also adds the agent to its
+    goods' ``good_approvers`` and, for a pair ``[points[a], points[b]]``,
+    to the cells it covers, ``a..b-1``, so ``cells[j]`` holds cell j's
+    approvers.  The closure build reads those sets as one approver bitmask
+    per atom (``approver_masks``), made on its first use, so an index that
+    builds no closure does not pay for them.  Lengths are kept as ints at
     one common denominator ``D``, the lcm of the denominators of ``c``, of
     every breakpoint and of ``alpha/n``; an int at a common denominator is
     still an exact rational.  One full-pool approval closure is kept with
-    the support floor it was built at (its rows with at least that many
-    approvers, ``closure()``), together with each mode's tier table built
+    the support floor it was built at (its rows, sorted by their
+    ``(goods, runs)`` key, with at least that many approvers,
+    ``closure()``), together with each mode's tier table built
     from it and ordered by top threshold (``tiers``); a request at a lower
     floor rebuilds the closure and drops the tables, and a build that
     fails leaves what was kept.  Every tier threshold comes from
@@ -633,7 +646,7 @@ class InstanceIndex:
         a build that fails leaves what was kept."""
         if pool is not None:
             pool = set(pool)
-            if not pool.issubset(range(len(self.masks))):
+            if not _valid_agents(pool, len(self.masks)):
                 raise InvalidGroupError("agent index out of range")
             return self._build(pool, floor)
         if floor < self._floor:
@@ -653,7 +666,7 @@ class InstanceIndex:
         share, n = self.share_d, len(row.approvers)
         if exact:
             D = self.denominator
-            return tuple(exact_size(row.m_star, row.ell_d, k * share, D) for k in range(1, n + 1))
+            return tuple(exact_size(len(row.goods), row.ell_d, k * share, D) for k in range(1, n + 1))
         # k*share up to the size, then the size
         full = min(row.size_d // share, n)
         return (*range(share, full * share + 1, share), *(row.size_d,) * (n - full))
@@ -688,20 +701,17 @@ class InstanceIndex:
         the way down, so one under ``floor`` agents is cut with all below
         it (an iceberg lattice: Stumme et al., 2002), and CapacityError is
         raised exactly when the rows at the floor exceed the cap
-        (``DEFAULT_CLOSURE_CAP``, or the pool's distinct approvals if more)."""
-        masks = self.masks
-        cols = [0] * (len(self.goods) + len(self.cells))  # atom -> its approvers in the pool
+        (``DEFAULT_CLOSURE_CAP``, or the pool's distinct approvals if more).
+        Every extent lies in the pool, so ``extent & approver_masks[j]``
+        holds atom j's approvers in it."""
+        masks, cols = self.masks, self.approver_masks
         top = join = 0
         meet = -1
         for i in pool:
-            a, bit = masks[i], 1 << i
-            top |= bit
+            a = masks[i]
+            top |= 1 << i
             meet &= a
             join |= a
-            while a:
-                low = a & -a
-                cols[low.bit_length() - 1] |= bit
-                a ^= low
         cap = max(DEFAULT_CLOSURE_CAP, len({masks[i] for i in pool}))
         found: list[tuple[int, int]] = []  # (intent, extent)
         # (extent, intent, atoms its extent approves, first atom to add)
@@ -729,22 +739,26 @@ class InstanceIndex:
                     stack.append((sub, meet, join, bit.bit_length()))
         m, D, pts, names = len(self.goods), self.denominator, self.points_d, self.goods
         goods_mask = (1 << m) - 1
-        keyed = []
+        rows = []
         for mask, agents in found:
             # most rows are small: no calls for an empty part, list comprehensions
             goods = tuple([names[k] for k in _bits(mask & goods_mask)]) if mask & goods_mask else ()
             runs = tuple(_runs(mask >> m)) if mask >> m else ()
-            m_star, ell_d = len(goods), sum([pts[b] - pts[a] for a, b in runs]) if runs else 0
-            row = ClosureRow(mask, agents, tuple(_bits(agents)), m_star, ell_d, m_star * D + ell_d)
-            keyed.append(((goods, runs), row))
-        keyed.sort()
-        return [row for _, row in keyed]
+            ell_d = sum([pts[b] - pts[a] for a, b in runs]) if runs else 0
+            size_d = len(goods) * D + ell_d
+            rows.append(ClosureRow(goods, runs, mask, agents, tuple(_bits(agents)), ell_d, size_d))
+        rows.sort()
+        return rows
+
+    @cached_property
+    def approver_masks(self) -> list[int]:
+        """Each atom's approvers as a bitmask, goods then cells, built on
+        first use: only a closure build reads them."""
+        return [sum([1 << i for i in a]) for a in (*self.good_approvers, *self.cells)]
 
     def bundle(self, row: ClosureRow) -> Bundle:
-        m = len(self.goods)
-        goods = frozenset(self.goods[k] for k in _bits(row.mask & ((1 << m) - 1)))
-        cake = tuple((self.points[a], self.points[b]) for a, b in _runs(row.mask >> m))
-        return Bundle(IntervalSet(cake), goods)
+        cake = tuple([(self.points[a], self.points[b]) for a, b in row.runs])
+        return Bundle(IntervalSet(cake), frozenset(row.goods))
 
 
 def allocation_units(inst: Instance, bundle: Bundle) -> tuple[int, int, tuple[int, ...]]:

@@ -10,28 +10,10 @@ approval bundles is therefore exhaustive, and every reported witness
 re-validates against the raw definition.
 
 The closure comes from the instance index (``Instance.index``), whose rows
-carry each bundle's goods count, cake length and size as ints at the
-index denominator D.  One integer pass over the allocation
-(``core.allocation_units``, run by ``Instance.validate_allocation``)
-gives its validity, size and every agent's utility on a common
-denominator: the lcm of D and the allocation's cake endpoints.
-``_scan`` widens that unit to the lcm with beta's denominator itself,
+carry each bundle's size as ints at the index denominator D, and the
+utilities from ``Instance.validate_allocation``, as ints at a unit that D
+divides.  ``_scan`` widens that unit to the lcm with beta's denominator,
 scaling the utilities with it.
-
-The instance keeps the last valid pass, keyed by the bundle object
-alone, so every verifier and audit after the first on the same bundle
-reuses it, whatever its beta.  An identity key is sound: the kept entry
-holds a strong reference to the bundle, so its ``id`` cannot be reused
-while the entry stands, and only bundles whose pairs sit in tuples and
-whose goods are a frozenset are kept, so nothing can change what the
-pass read.  The utilities are kept as a tuple, and a failed validation
-is never kept.
-
-``verify_ejr_1`` scans directly, as the strict relaxation at
-beta = 1 + margin: at margin 0 it takes one module-level ``Fraction(1)``
-instead of building one per call, and it skips ``verify_ejr_beta``'s
-conversion, sign check and label, which its own margin checks already
-cover.
 
 A tier's threshold depends on the instance only, and the index alone
 computes it (``InstanceIndex.thresholds``): the cohesive supremum

@@ -23,13 +23,20 @@ METRICS = [
 ]
 
 
+BASE_TREE, CHANGE_TREE = Path("base"), Path("change")
+
+
 def stub_runs(monkeypatch, runs):
-    """Make ``run_once`` return ``runs`` in call order, base and change
-    alternating; each run is (items_per_ref_s, item_ref_ms_p50, digest, correct)."""
-    left = iter(runs)
+    """Make ``run_once`` return, in a tree named "base" or "change", that
+    side's next run; ``runs`` lists them pair by pair, base before change,
+    each as (items_per_ref_s, item_ref_ms_p50, digest, correct).  Returns
+    the list of trees run, in call order."""
+    left = {"base": iter(runs[0::2]), "change": iter(runs[1::2])}
+    trees = []
 
     def run_once(tree, workload, seed, seconds):
-        rate, p50, digest, correct = next(left)
+        trees.append(tree)
+        rate, p50, digest, correct = next(left[tree.name])
         report = {"output_digest": [digest], "environment": {"tree": str(tree)}}
         result = {"correct": correct, "metrics": {
             "items_per_ref_s": {"value": rate}, "item_ref_ms_p50": {"value": p50},
@@ -37,6 +44,27 @@ def stub_runs(monkeypatch, runs):
         return report, result
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return trees
+
+
+def stub_git(monkeypatch, base_src=None, listed="", benchmark=None):
+    """Stub ``subprocess.run``: ``git rev-parse`` names commit abc123, ``git
+    archive`` writes a tar holding ``base_src`` as ``src`` (an empty one if
+    None), ``git ls-files`` prints ``listed``, and any other command returns
+    ``benchmark(cmd)``."""
+    def run(cmd, **kwargs):
+        if cmd[:2] == ["git", "rev-parse"]:
+            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
+        if cmd[:2] == ["git", "ls-files"]:
+            return subprocess.CompletedProcess(cmd, 0, listed, "")
+        if cmd[:2] == ["git", "archive"]:
+            with tarfile.open(cmd[cmd.index("-o") + 1], "w") as tar:
+                if base_src is not None:
+                    tar.add(base_src, arcname="src")
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+        return benchmark(cmd)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
 
 
 def test_compare_summarizes_each_side(monkeypatch):
@@ -45,7 +73,7 @@ def test_compare_summarizes_each_side(monkeypatch):
         (12.0, 5.0, "d1", True), (12.0, 6.0, "d2", True),
         (14.0, 5.0, "d1", True), (15.0, 5.0, "d1", True),
     ])
-    out, env = bench_pairs.compare("mes-scale:1:3", Path("base"), 30, METRICS)
+    out, env = bench_pairs.compare("mes-scale:1:3", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert (out["workload"], out["seed"], out["pairs"]) == ("mes-scale", 1, 3)
     rate = out["base"]["items_per_ref_s"]
     assert (rate["q1"], rate["median"], rate["q3"]) == (10.0, 12.0, 14.0)
@@ -64,7 +92,7 @@ def test_compare_summarizes_each_side(monkeypatch):
 def test_one_incorrect_run_marks_its_side(monkeypatch):
     stub_runs(monkeypatch, [(10.0, 5.0, "d", True), (10.0, 5.0, "d", True),
                             (10.0, 5.0, "d", True), (10.0, 5.0, "d", False)])
-    out, _ = bench_pairs.compare("verify-chain:2:2", Path("base"), 30, METRICS)
+    out, _ = bench_pairs.compare("verify-chain:2:2", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert out["base"]["all_correct"] and not out["change"]["all_correct"]
     assert out["digests_equal"]
 
@@ -93,14 +121,14 @@ BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
 ])
 def test_gain_rule(monkeypatch, change, meets):
     stub_runs(monkeypatch, gain_runs(BASE, change))
-    out, _ = bench_pairs.compare("verify-chain:1:10", Path("base"), 30, METRICS)
+    out, _ = bench_pairs.compare("verify-chain:1:10", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert out["meets_gain_rule"] == {"items_per_ref_s": meets, "item_ref_ms_p50": False}
 
 
 def test_gain_rule_reads_the_better_direction(monkeypatch):
     """Falling values are a gain only where lower is better."""
     stub_runs(monkeypatch, gain_runs(BASE, [v - 10 for v in BASE]))
-    out, _ = bench_pairs.compare("verify-chain:1:10", Path("base"), 30, METRICS)
+    out, _ = bench_pairs.compare("verify-chain:1:10", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert out["change_won"] == {"items_per_ref_s": 0, "item_ref_ms_p50": 10}
     assert out["meets_gain_rule"] == {"items_per_ref_s": False, "item_ref_ms_p50": True}
 
@@ -119,37 +147,32 @@ def test_within_bound_reads_the_relative_bound_and_direction(monkeypatch, change
     """Both metrics take 100 on the base and ``change`` on the change, with
     a relative bound of 0.24."""
     stub_runs(monkeypatch, gain_runs([100.0] * 3, [change] * 3))
-    out, _ = bench_pairs.compare("mes-scale:1:3", Path("base"), 30, METRICS)
+    out, _ = bench_pairs.compare("mes-scale:1:3", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert out["within_bound"] == within
 
 
 def test_gain_rule_over_fewer_pairs(monkeypatch):
     """At 3 pairs, 9 in 10 means all 3."""
     stub_runs(monkeypatch, gain_runs(BASE[:3], [200.0, 200.0, 50.0]))
-    out, _ = bench_pairs.compare("verify-chain:2:3", Path("base"), 30, METRICS)
+    out, _ = bench_pairs.compare("verify-chain:2:3", BASE_TREE, CHANGE_TREE, 30, METRICS)
     assert out["change_won"]["items_per_ref_s"] == 2
     assert not out["meets_gain_rule"]["items_per_ref_s"]
 
 
 def failing_benchmark(monkeypatch):
-    """Stub every subprocess: git as a tiny repository, the benchmark as a
-    run that exits 3 after 30 lines of stderr."""
-    def run(cmd, **kwargs):
-        if cmd[:2] == ["git", "rev-parse"]:
-            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
-        if cmd[:2] == ["git", "archive"]:
-            tarfile.open(cmd[cmd.index("-o") + 1], "w").close()
-            return subprocess.CompletedProcess(cmd, 0, "", "")
+    """Stub every subprocess: git as an empty repository, the benchmark as
+    a run that exits 3 after 30 lines of stderr."""
+    def benchmark(cmd):
         stderr = "".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n"
         return subprocess.CompletedProcess(cmd, 3, "", stderr)
 
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    stub_git(monkeypatch, benchmark=benchmark)
 
 
 def test_a_failed_run_names_spec_side_code_and_stderr(monkeypatch):
     failing_benchmark(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        bench_pairs.compare("gpav-medium:1:2", Path("base"), 30, METRICS)
+        bench_pairs.compare("gpav-medium:1:2", BASE_TREE, CHANGE_TREE, 30, METRICS)
     message = str(exc.value.code)
     assert message.startswith("gpav-medium:1:2 base run failed with exit code 3")
     assert message.endswith("line 29\nValueError: boom")
@@ -182,15 +205,7 @@ def test_output_counts_src_lines_on_each_side(monkeypatch, tmp_path):
         'def f():  # a comment after code\n    """Doc."""\n\n    return """x\n# not a comment"""\n'
     )
     (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
-
-    def run(cmd, **kwargs):
-        if cmd[:2] == ["git", "rev-parse"]:
-            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
-        with tarfile.open(cmd[cmd.index("-o") + 1], "w") as tar:
-            tar.add(base / "src", arcname="src")
-        return subprocess.CompletedProcess(cmd, 0, "", "")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    stub_git(monkeypatch, base / "src", "src/a.py\0BENCHMARK.json\0")
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
     monkeypatch.setattr(bench_pairs, "ROOT", change)
     stub_runs(monkeypatch, [(10.0, 5.0, "d", True), (10.0, 5.0, "d", True)])
@@ -209,14 +224,7 @@ def test_output_says_whether_runs_keep_a_bytecode_cache(
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
-
-    def run(cmd, **kwargs):
-        if cmd[:2] == ["git", "rev-parse"]:
-            return subprocess.CompletedProcess(cmd, 0, "abc123\n", "")
-        tarfile.open(cmd[cmd.index("-o") + 1], "w").close()
-        return subprocess.CompletedProcess(cmd, 0, "", "")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    stub_git(monkeypatch, listed="BENCHMARK.json\0")
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
     monkeypatch.setattr(bench_pairs, "ROOT", change)
     flags = SimpleNamespace(dont_write_bytecode=dont_write_bytecode)
@@ -225,3 +233,32 @@ def test_output_says_whether_runs_keep_a_bytecode_cache(
     out = tmp_path / "out.json"
     assert bench_pairs.main(["mes-scale:1:1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["bytecode_cache"] is not dont_write_bytecode
+
+
+def test_pairs_alternate_and_the_change_runs_from_a_copy(monkeypatch, tmp_path):
+    """The base runs first in pairs 1 and 3, the change in pair 2.  The
+    change runs from a copy of the working tree taken at the start, so an
+    edit to the tree during the runs does not reach them, and a listed file
+    that is gone (a deleted tracked one) is skipped."""
+    root = tmp_path / "root"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "a.py").write_text("a = 1\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": METRICS}))
+    stub_git(monkeypatch, root / "src", "src/a.py\0BENCHMARK.json\0gone.py\0")
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    trees = stub_runs(monkeypatch, [(10.0, 5.0, "d", True)] * 6)
+    seen = []
+    run_once = bench_pairs.run_once
+
+    def edit_then_run(tree, *args):
+        (root / "src" / "a.py").write_text("a = 2\n")
+        seen.append((tree / "src" / "a.py").read_text())
+        return run_once(tree, *args)
+
+    monkeypatch.setattr(bench_pairs, "run_once", edit_then_run)
+    assert bench_pairs.main(["mes-scale:1:3", "--out", str(tmp_path / "out.json")]) == 0
+    assert [tree.name for tree in trees] == ["base", "change", "change", "base", "base", "change"]
+    change = {tree for tree in trees if tree.name == "change"}
+    assert len(change) == 1 and root not in change
+    assert seen == ["a = 1\n"] * 6

@@ -450,6 +450,30 @@ def test_copies_and_pickles_start_cold():
         assert verify_ejr_m(again, alloc) == report
 
 
+def test_instance_keeps_no_caller_container():
+    """An approval given as a list of pairs and a set of goods is stored as
+    a tuple and a frozenset, so editing the caller's list and set later
+    changes neither the digest, the hash nor the index."""
+    pairs, goods = [(F(0), F(1, 2))], {"g1"}
+    inst = Instance(F(1), ("g1", "g2"), (Bundle(IntervalSet(pairs), goods), Bundle(iv((0, 1)))), F(1))
+    before = instance_digest(inst), hash(inst), list(inst.index.masks)
+    pairs.append((F(3, 4), F(1)))
+    goods.add("g2")
+    assert (instance_digest(inst), hash(inst), inst.index.masks) == before
+
+
+@pytest.mark.parametrize("agent", [1.0, True])
+@pytest.mark.parametrize("call", [
+    lambda inst, i: approval_closure(inst, {i}),
+    lambda inst, i: common_bundle(inst, [i]),
+    lambda inst, i: utility(inst, i, Bundle()),
+], ids=["approval_closure", "common_bundle", "utility"])
+def test_agent_indices_must_be_ints(fig1, call, agent):
+    """A float or a bool would pass for the agent index it equals."""
+    with pytest.raises(InvalidGroupError, match="^agent index .*out of range$"):
+        call(fig1, agent)
+
+
 def test_allocation_round_trip(fig1):
     alloc = Bundle(cake=iv((0, F(1, 2))), goods=frozenset({"g2"}))
     data = allocation_to_dict(fig1, alloc)

@@ -902,6 +902,20 @@ def test_index_dies_with_its_instance(fig1):
     assert ref() is None
 
 
+def test_approver_masks_are_built_by_a_closure_build_only():
+    """gmes reads the index's approver sets but builds no closure, so it
+    does not pay for the per-atom bitmasks; a verifier does.  They are the
+    agents' approval bitmasks transposed."""
+    inst = gen_random(n=30, m=3, cake_atoms=4, alpha=2, density=0.4, seed=3)
+    alloc, _ = generalized_mes(inst)
+    assert "approver_masks" not in vars(inst.index)
+    verify_ejr_m(inst, alloc)
+    masks = vars(inst.index)["approver_masks"]
+    assert len(masks) == inst.m + len(inst.index.cells)
+    for j, column in enumerate(masks):
+        assert all((column >> i & 1) == (a >> j & 1) for i, a in enumerate(inst.index.masks))
+
+
 def test_failed_build_is_not_cached(fig1):
     # fig1's closure has 3 bundles from 2 distinct approvals
     with patch.object(core, "DEFAULT_CLOSURE_CAP", 2):
