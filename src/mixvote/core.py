@@ -422,6 +422,14 @@ def _valid_agents(agents: Iterable, n: int) -> bool:
     return all(type(i) is int and 0 <= i < n for i in agents)
 
 
+def _support_floor(floor: int) -> int:
+    """``floor``; DomainError unless an int of at least 1 (at 0 a build
+    would keep the empty extent, whose intent -1 has no runs)."""
+    if as_count("floor", floor) < 1:
+        raise DomainError(f"floor must be at least 1, got {floor}")
+    return floor
+
+
 def utility(inst: Instance, agent: int, allocation: Bundle) -> Fraction:
     """Size of the overlap between the agent's approval and the allocation."""
     if not _valid_agents((agent,), inst.n):
@@ -512,16 +520,14 @@ def exact_size(m_star: int, ell: int, cap: int, unit: int) -> int:
 class ClosureRow(NamedTuple):
     """One bundle of the approval closure, in the index's integers.
 
-    ``goods`` holds the bundle's good names in instance order and ``runs``
-    its cake as runs [a, b) of index cells, the pieces ``[points[a],
-    points[b]]``: together its ``Bundle.key``, which no two rows share, so
-    rows sort by it.  ``mask`` holds the bundle's atoms and ``agents`` its
-    approvers as bitmasks; ``ell_d`` and ``size_d`` are its cake length and
-    size times the index denominator.
+    ``mask`` holds the bundle's atoms and ``agents`` its approvers as
+    bitmasks, ``approvers`` the same agents ascending; ``ell_d`` and
+    ``size_d`` are its cake length and size times the index denominator.
+    Rows carry no order: a build returns them as it finds them, and a
+    caller whose output shows an order sorts by ``Bundle.key`` of
+    ``InstanceIndex.bundle``.
     """
 
-    goods: tuple[str, ...]
-    runs: tuple[tuple[int, int], ...]
     mask: int
     agents: int
     approvers: tuple[int, ...]
@@ -586,14 +592,12 @@ class InstanceIndex:
     builds no closure does not pay for them.  Lengths are kept as ints at
     one common denominator ``D``, the lcm of the denominators of ``c``, of
     every breakpoint and of ``alpha/n``; an int at a common denominator is
-    still an exact rational.  One full-pool approval closure is kept with
-    the support floor it was built at (its rows, sorted by their
-    ``(goods, runs)`` key, with at least that many approvers,
-    ``closure()``), together with each mode's tier table built
-    from it and ordered by top threshold (``tiers``); a request at a lower
-    floor rebuilds the closure and drops the tables, and a build that
-    fails leaves what was kept.  Every tier threshold comes from
-    ``thresholds``.
+    still an exact rational.  Only ``tiers`` keeps anything: the full-pool
+    closure rows with the support floor they were built at, and each
+    mode's tier table built from them; a request at a lower floor rebuilds
+    the rows and drops the tables, and a build that fails leaves what was
+    kept.  ``closure`` builds afresh on every call.  Every tier threshold
+    comes from ``thresholds``.
 
     The breakpoints and their ranks come from the instance's
     ``endpoint_table`` (``Instance.endpoints``), which looks every approval
@@ -629,44 +633,39 @@ class InstanceIndex:
         self.masks = masks
         self.good_approvers = [frozenset(a) for a in good_approvers]
         self.cells = [frozenset(a) for a in cells]
+        # the rows ``tiers`` keeps, their support floor (none kept yet) and,
+        # per mode, the tier table built from them
         self._closure: list[ClosureRow] | None = None
-        self._floor: float = math.inf  # the kept closure's support floor; none kept yet
-        # per mode, the tier table built from the kept closure
+        self._floor: float = math.inf
         self._tiers: dict[bool, list] = {}
 
     def closure(self, pool: Iterable[int] | None = None, floor: int = 1) -> list[ClosureRow]:
-        """Closure rows of ``pool`` with at least ``floor`` approvers, in
-        ``Bundle.key`` order.  Raises InvalidGroupError for a pool agent
-        outside ``0..n-1``, and CapacityError when those rows number more
-        than ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``.
-
-        The full pool (the default) gives the kept closure, which may hold
-        rows under ``floor`` too: it is first rebuilt at ``floor``, and the
-        tier tables dropped, if it was built at a higher floor or not yet;
-        a build that fails leaves what was kept."""
-        if pool is not None:
-            pool = set(pool)
-            if not _valid_agents(pool, len(self.masks)):
-                raise InvalidGroupError("agent index out of range")
-            return self._build(pool, floor)
-        if floor < self._floor:
-            rows = self._build(range(len(self.masks)), floor)
-            self._closure, self._floor, self._tiers = rows, floor, {}
-        return self._closure
+        """Closure rows of ``pool`` (default: every agent) with at least
+        ``floor`` approvers, in no order, built afresh and kept nowhere.
+        Raises DomainError unless ``floor`` is an int of at least 1,
+        InvalidGroupError for a pool agent outside ``0..n-1``, and
+        CapacityError when those rows number more than
+        ``max(DEFAULT_CLOSURE_CAP, distinct approvals in the pool)``."""
+        _support_floor(floor)
+        pool = range(len(self.masks)) if pool is None else set(pool)
+        if not _valid_agents(pool, len(self.masks)):
+            raise InvalidGroupError("agent index out of range")
+        return self._build(pool, floor)
 
     def thresholds(self, row: ClosureRow, exact: bool) -> tuple[int, ...]:
         """The thresholds at D of the tiers (row, k), k = 1..len(row.approvers).
 
         A tier's cap is k*alpha/n.  Its cohesive threshold is min(cap,
         size); its exact threshold (``exact``) is ``exact_size`` of the
-        row's goods count and cake length at that cap.  Both depend on the
-        instance only, and both are nondecreasing in k, so the last one, the
-        row's top threshold, bounds all of them; it is at most
-        len(row.approvers)*alpha/n."""
+        row's goods count, (size - ell) / D, and cake length at that cap.
+        Both depend on the instance only, and both are nondecreasing in k,
+        so the last one, the row's top threshold, bounds all of them; it is
+        at most len(row.approvers)*alpha/n."""
         share, n = self.share_d, len(row.approvers)
         if exact:
             D = self.denominator
-            return tuple(exact_size(len(row.goods), row.ell_d, k * share, D) for k in range(1, n + 1))
+            goods = (row.size_d - row.ell_d) // D
+            return tuple(exact_size(goods, row.ell_d, k * share, D) for k in range(1, n + 1))
         # k*share up to the size, then the size
         full = min(row.size_d // share, n)
         return (*range(share, full * share + 1, share), *(row.size_d,) * (n - full))
@@ -675,35 +674,39 @@ class InstanceIndex:
         """The tier table of one mode: ``(row, self.thresholds(row, exact))``
         for every full-pool closure row of positive size with at least
         ``floor`` approvers (the kept table may hold more), ordered by top
-        threshold ``thresholds[-1]``, highest first, ties in closure order
-        (a stable sort).  Each mode is built from ``closure(floor=floor)``
-        on first request and kept until the closure is rebuilt; a failed
-        closure build keeps no table.
+        threshold ``thresholds[-1]``, highest first, ties in build order.
+        The rows are kept with their floor and rebuilt only for a lower
+        floor, which drops both tables; each mode's table is built from
+        them on first request and kept until then.  A failed build leaves
+        what was kept.  Raises DomainError unless ``floor`` is an int of at
+        least 1.
         """
+        if _support_floor(floor) < self._floor:
+            rows = self._build(range(len(self.masks)), floor)
+            self._closure, self._floor, self._tiers = rows, floor, {}
         table = self._tiers.get(exact)
-        if table is None or floor < self._floor:
-            rows = self.closure(floor=floor)
-            table = [(row, self.thresholds(row, exact)) for row in rows if row.size_d > 0]
+        if table is None:
+            table = [(row, self.thresholds(row, exact)) for row in self._closure if row.size_d > 0]
             table.sort(key=lambda tier: tier[1][-1], reverse=True)
             self._tiers[exact] = table
         return table
 
     def _build(self, pool: Iterable[int], floor: int = 1) -> list[ClosureRow]:
-        """The pool's closure rows with at least ``floor`` approvers, by
-        Close-by-One (Kuznetsov, 1993) on the context pool agents x atoms.
-        A row is a concept: its ``agents`` (the extent) are the pool agents
-        whose approval holds its ``mask`` (the intent), which is the AND of
-        their approvals.  From the whole pool's concept down, a concept
-        reached at atom y yields, for each atom j >= y that the intent
-        lacks and some member approves, the extent ``extent & cols[j]``,
-        kept only if its intent adds no atom below j (the canonicity
-        test), so each concept is produced once.  Extents only shrink on
-        the way down, so one under ``floor`` agents is cut with all below
-        it (an iceberg lattice: Stumme et al., 2002), and CapacityError is
-        raised exactly when the rows at the floor exceed the cap
-        (``DEFAULT_CLOSURE_CAP``, or the pool's distinct approvals if more).
-        Every extent lies in the pool, so ``extent & approver_masks[j]``
-        holds atom j's approvers in it."""
+        """The pool's closure rows with at least ``floor`` approvers, in the
+        order the walk finds them, by Close-by-One (Kuznetsov, 1993) on the
+        context pool agents x atoms.  A row is a concept: its ``agents``
+        (the extent) are the pool agents whose approval holds its ``mask``
+        (the intent), which is the AND of their approvals.  From the whole
+        pool's concept down, a concept reached at atom y yields, for each
+        atom j >= y that the intent lacks and some member approves, the
+        extent ``extent & cols[j]``, kept only if its intent adds no atom
+        below j (the canonicity test), so each concept is produced once.
+        Extents only shrink on the way down, so one under ``floor`` agents
+        is cut with all below it (an iceberg lattice: Stumme et al., 2002),
+        and CapacityError is raised exactly when the rows at the floor
+        exceed the cap (``DEFAULT_CLOSURE_CAP``, or the pool's distinct
+        approvals if more).  Every extent lies in the pool, so
+        ``extent & approver_masks[j]`` holds atom j's approvers in it."""
         masks, cols = self.masks, self.approver_masks
         top = join = 0
         meet = -1
@@ -713,13 +716,18 @@ class InstanceIndex:
             meet &= a
             join |= a
         cap = max(DEFAULT_CLOSURE_CAP, len({masks[i] for i in pool}))
-        found: list[tuple[int, int]] = []  # (intent, extent)
+        m, D = len(self.goods), self.denominator
+        cell_d = [b - a for a, b in zip(self.points_d, self.points_d[1:])]
+        rows: list[ClosureRow] = []
         # (extent, intent, atoms its extent approves, first atom to add)
         stack = [(top, meet, join, 0)] if top.bit_count() >= floor else []
         while stack:
             extent, intent, join, y = stack.pop()
-            found.append((intent, extent))
-            if len(found) > cap:
+            # most rows are small: no call for an empty cake, list comprehensions
+            ell_d = sum([cell_d[j] for j in _bits(intent >> m)]) if intent >> m else 0
+            size_d = (intent.bit_count() - (intent >> m).bit_count()) * D + ell_d
+            rows.append(ClosureRow(intent, extent, tuple(_bits(extent)), ell_d, size_d))
+            if len(rows) > cap:
                 raise CapacityError(f"approval closure exceeds {DEFAULT_CLOSURE_CAP} bundles")
             free = (join & ~intent) >> y << y
             while free:
@@ -737,17 +745,6 @@ class InstanceIndex:
                     rest ^= low
                 if (meet ^ intent) & (bit - 1) == 0:
                     stack.append((sub, meet, join, bit.bit_length()))
-        m, D, pts, names = len(self.goods), self.denominator, self.points_d, self.goods
-        goods_mask = (1 << m) - 1
-        rows = []
-        for mask, agents in found:
-            # most rows are small: no calls for an empty part, list comprehensions
-            goods = tuple([names[k] for k in _bits(mask & goods_mask)]) if mask & goods_mask else ()
-            runs = tuple(_runs(mask >> m)) if mask >> m else ()
-            ell_d = sum([pts[b] - pts[a] for a, b in runs]) if runs else 0
-            size_d = len(goods) * D + ell_d
-            rows.append(ClosureRow(goods, runs, mask, agents, tuple(_bits(agents)), ell_d, size_d))
-        rows.sort()
         return rows
 
     @cached_property
@@ -757,8 +754,10 @@ class InstanceIndex:
         return [sum([1 << i for i in a]) for a in (*self.good_approvers, *self.cells)]
 
     def bundle(self, row: ClosureRow) -> Bundle:
-        cake = tuple([(self.points[a], self.points[b]) for a, b in row.runs])
-        return Bundle(IntervalSet(cake), frozenset(row.goods))
+        """The row's bundle: its goods bits and the runs of its cell bits."""
+        m = len(self.goods)
+        cake = IntervalSet(tuple([(self.points[a], self.points[b]) for a, b in _runs(row.mask >> m)]))
+        return Bundle(cake, frozenset([self.goods[k] for k in _bits(row.mask & ((1 << m) - 1))]))
 
 
 def allocation_units(inst: Instance, bundle: Bundle) -> tuple[int, int, tuple[int, ...]]:
@@ -810,10 +809,12 @@ def approval_closure(
     than ``max(DEFAULT_CLOSURE_CAP, distinct approvals)`` bundles.  The
     bundles are read from the instance index (``InstanceIndex.closure``),
     which builds the closure by Close-by-One over the approval bitmasks,
-    carrying each bundle's approvers; each call returns a fresh list.
+    carrying each bundle's approvers, in no order; each call returns a
+    fresh list.
     """
     index = inst.index
-    return [(index.bundle(row), frozenset(row.approvers)) for row in index.closure(agents)]
+    pairs = [(index.bundle(row), frozenset(row.approvers)) for row in index.closure(agents)]
+    return sorted(pairs, key=lambda pair: pair[0].key(inst.good_index))
 
 
 def atomize(

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..core import Bundle, EMPTY_BUNDLE, Instance, allocation_to_dict, common_bundle, format_rational
-from ..core import _bits
+from ..core import _bits, _valid_agents
 from ..errors import InvariantError, ScriptError
 
 
@@ -79,8 +79,7 @@ def _scripted_choice(
     if not (isinstance(members, Collection) and isinstance(witness, Bundle)):
         raise ScriptError(f"script step {k} is not a (group, Bundle) pair: {step!r}")
     for i in members:
-        # a bool or a float would pass for the int it equals
-        if type(i) is not int or not 0 <= i < inst.n:
+        if not _valid_agents((i,), inst.n):
             raise ScriptError(f"scripted group member {i!r} is not an agent index in 0..{inst.n - 1}")
     group = frozenset(members)
     if not group <= remaining:

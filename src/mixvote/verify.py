@@ -26,10 +26,12 @@ scale = unit // D.  That is exact: ``exact_size`` is homogeneous in
 (ell, cap, unit), since scaling all three by s scales the upper bound
 ub by s and leaves floor(ub / unit) as it is, so the threshold at the
 unit is the D-threshold times scale; the cohesive minimum scales the
-same way.  ``_scan`` and greedy read the table.  ``audit_degree`` and
-``cohesive_profiles`` list tiers in closure order, so they read the
-closure rows (``InstanceIndex.closure``) through the tier iterator
-``_profile_tiers`` and ask the index for each row's thresholds.
+same way.  Every tier reader goes through the table: ``_scan`` and
+greedy in its order, while ``audit_degree`` and ``cohesive_profiles``
+list tiers in closure order (``Bundle.key``), so the tier iterator
+``_profile_tiers`` sorts the entries they read.  Closure rows themselves
+carry no order, and ties in the table fall in build order; no report
+depends on either.
 
 Thresholds are nondecreasing in k in both modes (min(k*alpha/n, size)
 and ``exact_size`` are monotone in the cap).  A member fails a tier when
@@ -55,12 +57,13 @@ and witnesses are converted back to ``Fraction``.
 
 The same bound decides which rows are built.  A row's top threshold is
 at most len(row.approvers)*alpha/n, so ``_scan`` asks the index
-(``InstanceIndex._build``) only for rows with at least
+(``InstanceIndex.tiers``) only for rows with at least
 ceil((min(u) + offset)*n/alpha) approvers, the rest lying under the
-first floor; ``audit_degree`` asks for ceil(t_min*n/alpha) and sorts no
-row whose top lies under t_min.  Greedy, ``cohesive_profiles`` and
-``approval_closure`` build every row.  A call whose rows at its floor fit
-under the closure cap finishes where the full closure would not.
+first floor; ``audit_degree`` asks for ceil(t_min*n/alpha) and reads
+only the table's prefix whose top reaches t_min.  Greedy,
+``cohesive_profiles`` and ``approval_closure`` build every row.  A call
+whose rows at its floor fit under the closure cap finishes where the
+full closure would not.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import EMPTY_BUNDLE, Bundle, ClosureRow, Instance, as_rational, as_real, format_rational
@@ -117,17 +121,20 @@ _ONE = Fraction(1)
 
 
 def _profile_tiers(
-    rows: Iterable[ClosureRow],
+    inst: Instance,
+    tiers: Iterable[tuple[ClosureRow, tuple[int, ...]]],
     u: Sequence[int],
-) -> Iterator[tuple[ClosureRow, list[int]]]:
-    """Yield (row, approvers sorted by utility) for every closure row.
+) -> Iterator[tuple[tuple[ClosureRow, tuple[int, ...]], list[int]]]:
+    """Yield (tier, approvers sorted by utility) for every tier-table entry
+    (row, thresholds), in closure order: by ``Bundle.key`` of the row's
+    bundle, which no two rows share.
 
     The sort is stable and ``row.approvers`` ascends by index, so agents
     come worst-utility-first with ties in index order; the k-th prefix is
     the hardest group of size k for that bundle.
     """
-    for row in rows:
-        yield row, sorted(row.approvers, key=u.__getitem__)
+    for tier in sorted(tiers, key=lambda tier: inst.index.bundle(tier[0]).key(inst.good_index)):
+        yield tier, sorted(tier[0].approvers, key=u.__getitem__)
 
 
 def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[CohesiveProfile]:
@@ -136,11 +143,11 @@ def cohesive_profiles(inst: Instance, allocation: Bundle | None = None) -> list[
     index = inst.index
     unit, _, u = inst.validate_allocation(EMPTY_BUNDLE if allocation is None else allocation)
     D = index.denominator
-    rows = [row for row in index.closure() if row.size_d > 0]
     profiles = []
-    for row, members in _profile_tiers(rows, u):
+    # the cohesive table holds every closure row of positive size
+    for (row, cohesive), members in _profile_tiers(inst, index.tiers(False), u):
         utils = [Fraction(u[i], unit) for i in members]  # ascending, as members are
-        cohesive, exact = index.thresholds(row, False), index.thresholds(row, True)
+        exact = index.thresholds(row, True)
         for k in range(1, len(members) + 1):
             profiles.append(
                 CohesiveProfile(
@@ -362,8 +369,8 @@ def audit_degree(
     minimizing average - f(t) is exact because, per bundle and size, the
     lowest-utility approvers minimize the average while only enlarging the
     common bundle.  Only rows with at least t_min*n/alpha approvers can
-    hold such a tier, so only those are built, and a row whose top
-    threshold lies under ``t_min`` is not sorted.
+    hold such a tier, so only those are built, and only the rows of the
+    cohesive tier table whose top threshold reaches ``t_min`` are read.
     """
     if isinstance(bound, str):
         if bound not in DEGREE_BOUNDS:
@@ -378,15 +385,15 @@ def audit_degree(
     bounds: dict[int, tuple[Fraction, Fraction] | None] = {}  # t numerator at D -> (t, f(t))
     entries: list[DegreeEntry] = []
     best: DegreeEntry | None = None
+    # a row with fewer approvers has a top under t_min; so the rows that a
+    # table kept from a lower floor holds under this one are never read
     floor = max(1, math.ceil(t_min * inst.n / inst.alpha))
-    # the kept closure may hold rows under the floor, whose tops lie under
-    # t_min; a top is at least 1 unless the row has size 0 and so no tier
-    lo = max(t_min * D, 1)
-    rows = [row for row in index.closure(floor=floor) if len(row.approvers) >= floor]
-    rows = [row for row in rows if index.thresholds(row, False)[-1] >= lo]
-    for row, members in _profile_tiers(rows, u):
+    # the table's tops descend, so its rows reaching t_min form a prefix
+    lo = t_min * D
+    prefix = takewhile(lambda tier: tier[1][-1] >= lo, index.tiers(False, floor))
+    for (_, thresholds), members in _profile_tiers(inst, prefix, u):
         running_sum = 0
-        for k, (i, t) in enumerate(zip(members, index.thresholds(row, False)), 1):
+        for k, (i, t) in enumerate(zip(members, thresholds), 1):
             running_sum += u[i]
             if t not in bounds:
                 t_frac = Fraction(t, D)

@@ -2,6 +2,8 @@
 and the floors the verifiers and the audit pass down to it.  Each caller's
 reports must be those it gives with the full closure kept."""
 
+import math
+import re
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -24,7 +26,7 @@ from mixvote import core
 from mixvote import verify as verify_module
 from mixvote.cli import EXIT_CAPACITY, EXIT_FAIL, EXIT_OK, dispatch
 from mixvote.core import EMPTY_BUNDLE, InstanceIndex, allocation_to_dict, instance_to_dict, save_json
-from mixvote.errors import CapacityError
+from mixvote.errors import CapacityError, DomainError
 from mixvote.generate import gen_random
 from mixvote.verify import DEGREE_BOUNDS
 from test_index import allocations, disjoint_instances, fresh, instances, naive_closure
@@ -54,7 +56,7 @@ build_instances = st.one_of(instances(max_agents=6), disjoint_instances(), neste
 @settings(max_examples=120, deadline=None)
 def test_build_at_every_floor_is_the_fixpoint_filtered_by_support(inst, cap, data):
     """At floor f the build gives exactly the fixpoint's rows with at least
-    f approvers in the pool, in closure order, and raises CapacityError
+    f approvers in the pool, in some order, and raises CapacityError
     exactly when those rows exceed the cap."""
     pool = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
     for agents in (range(inst.n), frozenset(pool)):
@@ -64,7 +66,8 @@ def test_build_at_every_floor_is_the_fixpoint_filtered_by_support(inst, cap, dat
             index = InstanceIndex(inst)
             expected = [row for row in naive if len(row[1]) >= floor]
             rows = index._build(agents, floor)
-            assert [(index.bundle(row), frozenset(row.approvers)) for row in rows] == expected
+            pairs = [(index.bundle(row), frozenset(row.approvers)) for row in rows]
+            assert sorted(pairs, key=lambda pair: pair[0].key(inst.good_index)) == expected
             assert all(row.agents == sum(1 << i for i in row.approvers) for row in rows)
             with patch.object(core, "DEFAULT_CLOSURE_CAP", cap):
                 if len(expected) > max(cap, distinct):
@@ -76,6 +79,8 @@ def test_build_at_every_floor_is_the_fixpoint_filtered_by_support(inst, cap, dat
 
 def test_kept_closure_is_rebuilt_only_for_a_lower_floor(fig1):
     index = InstanceIndex(fig1)
+    assert len(index.closure()) == 3
+    assert (index._floor, index._closure, index._tiers) == (math.inf, None, {})  # closure() keeps nothing
     high = index.tiers(False, 2)
     assert (index._floor, len(index._closure)) == (2, 1)
     assert index.tiers(False, 3) is high  # a higher floor reads the kept table
@@ -85,8 +90,30 @@ def test_kept_closure_is_rebuilt_only_for_a_lower_floor(fig1):
     assert (index._floor, set(index._tiers)) == (2, {False})  # the failed build kept nothing
     full = index.tiers(True, 1)
     assert (index._floor, len(index._closure), set(index._tiers)) == (1, 3, {True})
-    assert index.closure() is index._closure
+    rows = index.closure()
+    assert rows == index._closure and rows is not index._closure  # built afresh
     assert index.tiers(True, 2) is full
+
+
+@pytest.mark.parametrize("floor, message", [
+    (0, "floor must be at least 1, got 0"),
+    (-1, "floor must be at least 1, got -1"),
+    (True, "floor must be an int, got True"),
+    (1.0, "floor must be an int, got 1.0"),
+])
+def test_closure_and_tiers_take_only_a_floor_of_at_least_one(fig1, floor, message):
+    """At floor 0 an empty pool's build would keep the empty extent, whose
+    intent -1 has no runs, and never return."""
+    index = InstanceIndex(fig1)
+    assert index.closure(set(), 1) == []
+    for call in (
+        lambda: index.closure(set(), floor),
+        lambda: index.closure(floor=floor),
+        lambda: index.tiers(False, floor),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+    assert (index._floor, index._tiers) == (math.inf, {})
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +165,18 @@ def test_floors_give_the_reports_of_the_full_closure(inst, rnd):
 def test_audit_sorts_no_row_under_t_min(inst, t_min):
     """The audit sorts the approvers of exactly the closure rows of positive
     size whose top cohesive threshold min(approvers*alpha/n, size) reaches
-    ``t_min``, in closure order."""
+    ``t_min``, in closure order, after one closure-order sort of those
+    rows' tiers."""
     for alloc in allocations(inst):
-        sorted_rows = []
+        sorted_rows, tier_sorts = [], []
 
         def counting(items, **kwargs):
-            if "key" in kwargs:  # a row's approvers, not an entry's group
-                sorted_rows.append(items)
+            items = list(items)
+            if "key" in kwargs:  # a row's approvers or tiers, not an entry's group
+                if items and type(items[0]) is int:
+                    sorted_rows.append(tuple(items))
+                else:
+                    tier_sorts.append(len(items))
             return sorted(items, **kwargs)
 
         with patch.object(verify_module, "sorted", counting, create=True):
@@ -153,9 +185,10 @@ def test_audit_sorts_no_row_under_t_min(inst, t_min):
         share, D = index.share_d, index.denominator
         assert sorted_rows == [
             row.approvers
-            for row in index.closure()
+            for row in sorted(index.closure(), key=lambda row: index.bundle(row).key(inst.good_index))
             if row.size_d > 0 and F(min(len(row.approvers) * share, row.size_d), D) >= t_min
         ]
+        assert tier_sorts == [len(sorted_rows)]
 
 
 # ---------------------------------------------------------------------------

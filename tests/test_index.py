@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -56,6 +57,7 @@ from mixvote.oracle import EnumerationConfig, enumerate_allocations, oracle_disc
 from mixvote.rules import greedy
 from mixvote import verify as verify_module
 from mixvote.verify import DEGREE_BOUNDS, AxiomReport, Witness, _profile_tiers
+from conftest import make_mixed
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_PRIME = 10**9 + 7
@@ -380,12 +382,16 @@ def test_index_does_not_depend_on_shared_endpoints(seed):
 @given(instances(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_profile_tiers_order_members_by_utility_then_index(inst, data):
-    """Utilities from {0, 1, 2} make ties common; each row's members come
-    worst-served first, ties by index."""
+    """Utilities from {0, 1, 2} make ties common; the tiers come in closure
+    order, and each row's members worst-served first, ties by index."""
     u = data.draw(st.lists(st.integers(0, 2), min_size=inst.n, max_size=inst.n))
-    rows = inst.index.closure()
-    expected = [(row, sorted(row.approvers, key=lambda i: (u[i], i))) for row in rows]
-    assert list(_profile_tiers(rows, u)) == expected
+    index = inst.index
+    table = index.tiers(False)
+    out = list(_profile_tiers(inst, table, u))
+    assert sorted(tier for tier, _ in out) == sorted(table)
+    expected = [pair for pair in naive_closure(inst) if pair[0].size() > 0]
+    assert [(index.bundle(row), frozenset(row.approvers)) for (row, _), _ in out] == expected
+    assert all(members == sorted(row.approvers, key=lambda i: (u[i], i)) for (row, _), members in out)
 
 
 @given(instances())
@@ -674,11 +680,14 @@ def test_greedy_reads_a_prefix_of_the_rows_by_top_at_n300():
 @given(instances())
 @settings(max_examples=80, deadline=None)
 def test_tier_tables_match_fraction_thresholds(inst):
-    """``thresholds`` gives every closure bundle's Fraction thresholds, in
-    closure order; each table holds every closure bundle of positive size
-    with them, ordered by top threshold, highest first, ties in closure
-    order."""
+    """``thresholds`` gives every closure bundle's Fraction thresholds;
+    each table holds every closure bundle of positive size with them,
+    ordered by top threshold, highest first."""
     index = inst.index
+
+    def by_key(entries):
+        return sorted(entries, key=lambda entry: entry[0][0].key(inst.good_index))
+
     for exact in (False, True):
         expected = []
         for bundle, approvers in naive_closure(inst):
@@ -688,22 +697,60 @@ def test_tier_tables_match_fraction_thresholds(inst):
             else:
                 ts = [min(cap, bundle.size()) for cap in caps]
             expected.append(((bundle, approvers), ts))
-        assert [
+        assert by_key(
             (
                 (index.bundle(row), frozenset(row.approvers)),
                 [F(t, index.denominator) for t in index.thresholds(row, exact)],
             )
             for row in index.closure()
-        ] == expected
+        ) == expected
         expected = [entry for entry in expected if entry[0][0].size() > 0]
-        expected.sort(key=lambda entry: -entry[1][-1])  # stable: ties keep closure order
         table = index.tiers(exact)
-        assert [
+        assert by_key(
             ((index.bundle(row), frozenset(row.approvers)), [F(t, index.denominator) for t in ts])
             for row, ts in table
-        ] == expected
+        ) == expected
+        tops = [ts[-1] for _, ts in table]
+        assert tops == sorted(tops, reverse=True)
         assert all(list(ts) == sorted(ts) for _, ts in table)
         assert index.tiers(exact) is table
+
+
+def order_outputs(inst):
+    """Every output that lists closure bundles or tiers: the closure, the
+    greedy trace, the profile listing, and each verifier's report and each
+    audit's entries on greedy's allocation and on the empty one."""
+    alloc, trace = greedy_ejr_m(inst)
+    out = [approval_closure(inst), trace, cohesive_profiles(inst, alloc)]
+    for a in (alloc, Bundle()):
+        out += [
+            verify_ejr_m(inst, a),
+            verify_ejr_1(inst, a),
+            verify_ejr_1(inst, a, margin=1e-6),
+            verify_ejr_beta(inst, a, F(1, 2), "weak"),
+            verify_ejr_beta(inst, a, F(0), "strict"),
+        ]
+        if inst.m == 0:
+            out.append(verify_cake_ejr(inst, a))
+        out += [audit_degree(inst, a, bound).entries for bound in DEGREE_BOUNDS]
+    return out
+
+
+def test_outputs_do_not_depend_on_the_build_order():
+    """Closure rows carry no order: a build that returns its rows reversed
+    or shuffled changes no output."""
+    build = InstanceIndex._build
+    instances = [make_mixed(seed) for seed in range(40)]
+    expected = [order_outputs(fresh(inst)) for inst in instances]
+    for reorder in (list.reverse, random.Random(0).shuffle):
+
+        def reordered(index, pool, floor=1, reorder=reorder):
+            rows = build(index, pool, floor)
+            reorder(rows)
+            return rows
+
+        with patch.object(InstanceIndex, "_build", reordered):
+            assert [order_outputs(fresh(inst)) for inst in instances] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -396,14 +396,18 @@ def test_ejr_1_margin_errors(fig1, margin, message):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
-    """A scan whose rows are all skipped sorts nothing; a scan that keeps
-    its rows sorts each row's approvers by utility once, in closure order."""
-    keyed = []
+    """A scan whose rows are all skipped sorts nothing; a listing that
+    keeps its rows sorts their tiers into closure order once, and then each
+    row's approvers by utility once, in that order."""
+    keyed, tier_sorts = [], []
 
     def counting(iterable, **kwargs):
         items = tuple(iterable)
         if "key" in kwargs:
-            keyed.append(items)
+            if items and type(items[0]) is int:
+                keyed.append(items)
+            else:
+                tier_sorts.append(len(items))
         return sorted(items, **kwargs)
 
     monkeypatch.setattr(verify_module, "sorted", counting, raising=False)
@@ -412,9 +416,12 @@ def test_approvers_are_sorted_only_for_a_row_that_is_scanned(monkeypatch, seed):
     big = Instance(inst.cake_length, inst.goods, inst.agents, inst.cake_length + inst.m)
     assert verify_ejr_m(big, everything).passed
     assert verify_ejr_1(big, everything).passed
-    assert keyed == []
+    assert keyed == tier_sorts == []
     assert cohesive_profiles(inst)
-    assert keyed == [row.approvers for row in inst.index.closure() if row.size_d > 0]
+    index = inst.index
+    rows = sorted(index.closure(), key=lambda row: index.bundle(row).key(inst.good_index))
+    assert keyed == [row.approvers for row in rows if row.size_d > 0]
+    assert tier_sorts == [len(keyed)]
 
 
 def test_violation_tie_goes_to_the_smaller_t():
